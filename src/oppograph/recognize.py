@@ -48,7 +48,6 @@ from .patterns import (
     HOUSE,
     PatternMatch,
     find_induced,
-    find_max_Hk,
     find_Tk_free_violation,
     has_hole,
     is_distance_hereditary,
@@ -370,12 +369,14 @@ def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orient
     """The constructive orientation for connected ptolemaic graphs that
     are T_k-free and (G1, G2)-free.
 
-    Root choice: P5-free graphs fall back to the exact flip search (the
-    underlying result for that case is non-constructive); otherwise the
-    midpoint of an induced P5, or the role vertex v_k of a maximum
-    H_k/H_k^- when one embeds.  Inter-layer edges alternate in blocks of
-    two layers; intra-layer end-edges take the direction opposing the
-    other end-edge of their P4; the rest completes topologically.
+    P5-free graphs fall back to the exact flip search (the underlying
+    result for that case is non-constructive).  Otherwise the layer
+    construction runs from one root after another: the midpoint of an
+    induced P5 first, then every vertex in id order.  The first root whose
+    construction passes every check (no conflicting forced direction, an
+    acyclic forced part, no bad P4 after completion) wins; if none does,
+    the first root's PtolemaicOrientationError is raised.  Each try is
+    polynomial, so the scan is too.
     """
     if g.n == 0:
         return Orientation(g, [])
@@ -391,9 +392,22 @@ def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orient
         if not verify_orientation(o, OPPOSITION, p4s):
             raise PtolemaicOrientationError("flip-search completion failed verification")
         return o
-    hk = find_max_Hk(g)
-    w = hk[2].mapping[0] if hk is not None else p5[2]
-    layers = layer_decompose(g, w)
+    first_error = None
+    for root in [p5[2]] + [v for v in range(g.n) if v != p5[2]]:
+        try:
+            return _layer_orient(g, p4s, root)
+        except PtolemaicOrientationError as exc:
+            if first_error is None:
+                first_error = exc
+    raise first_error
+
+
+def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
+    """The layer construction from one root.  Inter-layer edges alternate
+    in blocks of two layers; intra-layer end-edges take the direction
+    opposing the other end-edge of their P4; the rest completes
+    topologically.  Raises PtolemaicOrientationError when a check fails."""
+    layers = layer_decompose(g, root)
     heads: dict[tuple[int, int], int] = {}
     for u, v in g.edges:
         lu, lv = layers.of(u), layers.of(v)

@@ -404,6 +404,66 @@ def test_h3_constructor_root_is_source():
     assert sum(1 for t, _ in o.arcs() if t == 0) == g.degree(0) == 7
 
 
+def _spy_roots(monkeypatch):
+    """Record the roots the constructor tries and the errors they raise."""
+    import oppograph.recognize as rec
+
+    tried, errors = [], []
+    inner = rec._layer_orient
+
+    def spy(g, p4s, root):
+        tried.append(root)
+        try:
+            return inner(g, p4s, root)
+        except PtolemaicOrientationError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(rec, "_layer_orient", spy)
+    return tried, errors
+
+
+def test_member_path_never_searches_hk(monkeypatch):
+    import oppograph.patterns
+    import oppograph.recognize
+    from oppograph.generate import random_opposition_ptolemaic
+
+    def forbidden(g):
+        raise AssertionError("find_max_Hk on the member path")
+
+    monkeypatch.setattr(oppograph.patterns, "find_max_Hk", forbidden)
+    monkeypatch.setattr(oppograph.recognize, "find_max_Hk", forbidden, raising=False)
+    for n in (40, 60, 80):
+        g = random_opposition_ptolemaic(n, seed=n)
+        v = recognize_opposition(g)
+        assert v.method == "dh-ptolemaic"
+        _assert_verdict(g, v, "member")
+    # large enough that an exponential root choice would not finish
+    g = random_opposition_ptolemaic(120, seed=120)
+    v = recognize_opposition(g)
+    assert v.is_member and v.method == "dh-ptolemaic"
+    assert verify_orientation(v.certificate, OPPOSITION)
+
+
+def test_constructor_scan_later_root_rescues(monkeypatch):
+    from oppograph.generate import random_opposition_ptolemaic
+
+    tried, errors = _spy_roots(monkeypatch)
+    g = random_opposition_ptolemaic(31, seed=10_032)
+    o = ptolemaic_opposition_orient(g)
+    assert verify_orientation(o, OPPOSITION)
+    assert len(tried) == 13 and len(errors) == 12
+
+
+@pytest.mark.parametrize("g", [make_Tk(1).as_graph(), GRAPH_G1.as_graph()], ids=["T1", "G1"])
+def test_constructor_scan_raises_when_every_root_fails(monkeypatch, g):
+    tried, errors = _spy_roots(monkeypatch)
+    with pytest.raises(PtolemaicOrientationError) as info:
+        ptolemaic_opposition_orient(g)
+    assert sorted(tried) == list(range(g.n))
+    assert info.value is errors[0]
+
+
 def test_twin_route_dh_members_verified():
     # non-chordal distance-hereditary members exercise the twin reduction
     from oppograph.generate import random_distance_hereditary
