@@ -148,29 +148,60 @@ def _walk_from_conflict(
 
 
 def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, ...]:
-    members = set(verts)
-    best_len = None
+    """Shortest odd closed walk of the non-bipartite component ``verts``.
+
+    ``verts`` is a whole connected component in id order.  The caller
+    runs this only under ``_SHORTEST_WALK_BUDGET``; above it the walk is
+    the tree-path walk of ``_walk_from_conflict``, which need not be
+    shortest.
+
+    A BFS from a root r closes a walk of length 2d + 1 at each edge vw
+    with v < w inside BFS level d: r..v along the BFS tree, then w..r.
+    Over all roots the minimum of 2d + 1 is the odd girth.  The walk
+    returned is the one at the smallest length, then the smallest root,
+    then the smallest v, then the first such w in ``adj[v]`` -- the first
+    hit of a full BFS from every root in id order, scanned v by v,
+    keeping strict improvements only.
+
+    The search does less without changing that choice.  A root's BFS
+    stops at the first level that holds an edge, since deeper levels only
+    give longer walks, and it never expands a level d with 2d + 1 >= L,
+    where L is the best length found so far, since an equal length from a
+    later root never replaces it.  BFS assigns levels and tree parents
+    level by level, so the levels it does reach are those of the full
+    BFS.  Roots stop once L = 3, the shortest odd cycle a loopless graph
+    can have.
+    """
+    adj = cg.adj
+    best_len = 2 * len(verts) + 1  # longer than any walk found here
     best_walk: list[int] | None = None
-    for root in sorted(verts):
+    for root in verts:
+        if best_len == 3:
+            break
         dist = {root: 0}
         par = {root: -1}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in cg.adj[v]:
-                if w in members and w not in dist:
-                    dist[w] = dist[v] + 1
-                    par[w] = v
-                    queue.append(w)
-        for v in sorted(verts):
-            for w in cg.adj[v]:
-                if v < w and w in members and dist[v] == dist[w]:
-                    length = 2 * dist[v] + 1
-                    if best_len is None or length < best_len:
-                        pv = _path_up(par, v)
-                        pw = _path_up(par, w)
-                        best_len = length
-                        best_walk = pv[::-1] + pw  # root..v then w..root
+        level = [root]
+        d = 0
+        while level and 2 * d + 1 < best_len:
+            nxt = []
+            closed = False
+            for v in level:
+                for w in adj[v]:
+                    if w not in dist:
+                        dist[w] = d + 1
+                        par[w] = v
+                        nxt.append(w)
+                    elif dist[w] == d:
+                        closed = True
+            if closed:
+                v, w = next(
+                    (v, w) for v in sorted(level) for w in adj[v] if w > v and dist.get(w) == d
+                )
+                best_len = 2 * d + 1
+                best_walk = _path_up(par, v)[::-1] + _path_up(par, w)  # root..v, w..root
+                break
+            level = nxt
+            d += 1
     assert best_walk is not None
     return tuple(cg.vars[u] for u in best_walk)
 
@@ -178,8 +209,13 @@ def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, 
 def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertificate:
     """BFS 2-coloring; on failure, a verifiable odd closed walk.
 
-    On small graphs the walk is a shortest odd cycle; on large ones a
-    tree-path walk through the first conflict.
+    The walk lies in the first component, by least variable, that is not
+    bipartite.  While variables times edges is at most
+    ``_SHORTEST_WALK_BUDGET`` it is a shortest odd closed walk of that
+    component, chosen by length, then root, then scan order (see
+    ``_shortest_odd_cycle``), so equal inputs give equal certificates.
+    Above the budget it is the tree-path walk through the first conflict
+    of the 2-coloring, which need not be shortest.
     """
     n = cg.var_count
     side = [-1] * n

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import isomorphic, random_graph
 from oppograph.constraints import (
+    _SHORTEST_WALK_BUDGET,
     Bipartition,
     ConstraintGraph,
     OddWalkCertificate,
+    _path_up,
     bipartition_or_odd_walk,
     extend_acyclic,
     forced_orientation,
     is_acyclic,
 )
+from oppograph.generate import random_distance_hereditary
 from oppograph.graphs import (
     DirectedCycleCertificate,
     PartialOrientation,
@@ -204,3 +208,111 @@ def test_aux_dot_labels(co_c6_labeled):
     dot = cg.to_dot()
     assert '"15"' in dot and '"51"' in dot
     assert dot.count(" -- ") == 18
+
+
+def _components(cg):
+    seen = set()
+    for start in range(cg.var_count):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for t in cg.adj[stack.pop()]:
+                if t not in comp:
+                    comp.add(t)
+                    stack.append(t)
+        seen |= comp
+        yield sorted(comp)
+
+
+def _reference_odd_walk(cg):
+    """Exhaustive all-roots search, kept as the reference for the pruned one.
+
+    For each component in order of its least variable: a full BFS from
+    every root in id order, then every same-level edge v < w scanned in
+    id order, keeping strict improvements only.  The first component
+    with such an edge is the non-bipartite one the 2-coloring stops at.
+    """
+    for verts in _components(cg):
+        best_len = None
+        best_walk = None
+        for root in verts:
+            dist = {root: 0}
+            par = {root: -1}
+            queue = deque([root])
+            while queue:
+                v = queue.popleft()
+                for w in cg.adj[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        par[w] = v
+                        queue.append(w)
+            for v in verts:
+                for w in cg.adj[v]:
+                    if v < w and dist[v] == dist[w]:
+                        length = 2 * dist[v] + 1
+                        if best_len is None or length < best_len:
+                            best_len = length
+                            best_walk = _path_up(par, v)[::-1] + _path_up(par, w)
+        if best_walk is not None:
+            return OddWalkCertificate(tuple(cg.vars[u] for u in best_walk))
+    return None
+
+
+def _odd_girth_through(cg, var):
+    """Odd girth of the component of ``var``, by BFS on the bipartite double cover.
+
+    Vertex (v, p) is v reached by a walk of parity p; the shortest odd
+    closed walk through v has length dist((v, 0), (v, 1)).
+    """
+    best = None
+    for v in next(c for c in _components(cg) if var in c):
+        dist = {(v, 0): 0}
+        queue = deque([(v, 0)])
+        while queue and (v, 1) not in dist:
+            u, p = queue.popleft()
+            for t in cg.adj[u]:
+                if (t, 1 - p) not in dist:
+                    dist[(t, 1 - p)] = dist[(u, p)] + 1
+                    queue.append((t, 1 - p))
+        if (v, 1) in dist and (best is None or dist[(v, 1)] < best):
+            best = dist[(v, 1)]
+    return best
+
+
+def _assert_shortest_and_as_reference(cg):
+    assert cg.var_count * cg.edge_count <= _SHORTEST_WALK_BUDGET
+    res = bipartition_or_odd_walk(cg)
+    ref = _reference_odd_walk(cg)
+    if ref is None:
+        assert isinstance(res, Bipartition)
+        return None
+    assert res == ref
+    assert res.length() == _odd_girth_through(cg, cg.index[res.walk[0]])
+    return res
+
+
+@pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
+def test_odd_walk_equals_exhaustive_reference_on_random_graphs(kind):
+    lengths = set()
+    for seed in range(300):
+        g = random_graph(4 + seed % 11, 0.15 + 0.7 * ((seed * 37) % 100) / 100, seed + 5000)
+        res = _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
+        if res is not None:
+            assert check_odd_walk(g, kind, res) == (True, "ok")
+            lengths.add(res.length())
+    assert lengths - {3}
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 11])
+def test_odd_walk_of_odd_cycle_is_the_whole_aux_cycle(k):
+    res = _assert_shortest_and_as_reference(ConstraintGraph(OPPOSITION, cycle_graph(k)))
+    assert res.length() == k
+
+
+@pytest.mark.parametrize("n, seed", [(40, 0), (40, 3), (48, 4), (48, 6)])
+def test_odd_walk_equals_exhaustive_reference_on_distance_hereditary(n, seed):
+    g = random_distance_hereditary(n, seed)
+    for kind in (OPPOSITION, COALITION):
+        _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
