@@ -102,14 +102,6 @@ def load_graph(path: str, fmt: str) -> Graph:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
-def _recognizer(graph_class: str):
-    return {
-        OPPOSITION: recognize_opposition,
-        GENERALIZED_OPPOSITION: recognize_generalized_opposition,
-        COALITION: recognize_coalition,
-    }[graph_class]
-
-
 def _oracle(graph_class: str):
     return {
         OPPOSITION: oracle_opposition,
@@ -144,9 +136,6 @@ def _print_human(out, g: Graph, verdict, show_witness: bool) -> None:
         for entry in cert["entries"]:
             flips = "".join(str(b) for b in entry["flips"])
             out.write(f"  flips {flips or '-'}: cycle {'->'.join(entry['cycle'])}\n")
-    elif cert["kind"] == "pattern-embedding":
-        pairs = " ".join(f"{k}:{v}" for k, v in sorted(cert["map"].items(), key=lambda kv: int(kv[0])))
-        out.write(f"  pattern {cert['pattern']}: {pairs}\n")
     if show_witness and "witness" in payload:
         wit = payload["witness"]
         pairs = " ".join(f"{k}:{v}" for k, v in sorted(wit["map"].items(), key=lambda kv: int(kv[0])))
@@ -185,6 +174,8 @@ def cmd_recognize(args, out) -> int:
 
 
 def cmd_orient(args, out) -> int:
+    if args.method == "ptolemaic" and args.graph_class == COALITION:
+        raise CliError("--method ptolemaic builds opposition orientations, not coalition ones", EXIT_USAGE)
     g = load_graph(args.input, args.format)
     if args.method == "ptolemaic":
         try:
@@ -196,7 +187,6 @@ def cmd_orient(args, out) -> int:
                 _print_human(out, g, verdict, show_witness=True)
                 return EXIT_NON_MEMBER
             raise CliError(f"ptolemaic constructor: {exc}", EXIT_USAGE) from exc
-        verdict = None
     else:
         verdict = _run_recognizer(g, args.graph_class, args.flip_cap, want_witness=True)
         if verdict.decision == UNDECIDED:

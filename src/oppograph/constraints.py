@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     Orientation,
     PartialOrientation,
+    orient_along,
     topo_order_or_cycle,
 )
 from .p4 import COALITION, OPPOSITION, P4, induced_p4s
@@ -289,8 +290,4 @@ def extend_acyclic(p: PartialOrientation) -> Orientation:
     order, cycle = topo_order_or_cycle(p.base.n, p.arcs())
     if cycle is not None:
         raise ValueError(f"partial orientation is cyclic: {cycle.vertices}")
-    pos = [0] * p.base.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in p.base.edges]
-    return Orientation(p.base, arcs)
+    return orient_along(p.base, order)

@@ -45,7 +45,15 @@ def random_tree(n: int, seed) -> Graph:
     return Graph(n, edges)
 
 
-def _grow(n, rng, clique_false_twins: bool) -> list[set[int]]:
+def _grow(n, seed, clique_false_twins: bool, keep=None) -> Graph:
+    """Grow a graph one vertex at a time by a random pruning inverse.
+
+    When ``keep(adj)`` rejects a pendant or false twin, the new vertex
+    becomes a true twin of its anchor instead.
+    """
+    if n <= 0:
+        return Graph(0)
+    rng = _rng(seed)
     adj: list[set[int]] = [set()]
     for v in range(1, n):
         anchor = rng.randrange(v)
@@ -58,7 +66,6 @@ def _grow(n, rng, clique_false_twins: bool) -> list[set[int]]:
             )
             if bad:
                 op = "pendant"
-        new: set[int] = set()
         if op == "pendant":
             new = {anchor}
         elif op == "true-twin":
@@ -69,7 +76,13 @@ def _grow(n, rng, clique_false_twins: bool) -> list[set[int]]:
         for u in new:
             adj[v].add(u)
             adj[u].add(v)
-    return adj
+        if keep is not None and op != "true-twin" and not keep(adj):
+            for u in new:
+                adj[u].discard(v)
+            adj[v] = set(adj[anchor]) | {anchor}
+            for u in adj[v]:
+                adj[u].add(v)
+    return _to_graph(adj)
 
 
 def _to_graph(adj) -> Graph:
@@ -78,17 +91,11 @@ def _to_graph(adj) -> Graph:
 
 
 def random_distance_hereditary(n: int, seed) -> Graph:
-    rng = _rng(seed)
-    if n <= 0:
-        return Graph(0)
-    return _to_graph(_grow(n, rng, clique_false_twins=False))
+    return _grow(n, seed, clique_false_twins=False)
 
 
 def random_ptolemaic(n: int, seed) -> Graph:
-    rng = _rng(seed)
-    if n <= 0:
-        return Graph(0)
-    return _to_graph(_grow(n, rng, clique_false_twins=True))
+    return _grow(n, seed, clique_false_twins=True)
 
 
 def _o_bipartite(adj) -> bool:
@@ -102,31 +109,4 @@ def random_opposition_ptolemaic(n: int, seed) -> Graph:
     A true twin never breaks membership, so each step can always make
     progress; other operations are kept only when the filter passes.
     """
-    rng = _rng(seed)
-    if n <= 0:
-        return Graph(0)
-    adj: list[set[int]] = [set()]
-    for v in range(1, n):
-        anchor = rng.randrange(v)
-        op = rng.choice(("pendant", "true-twin", "false-twin"))
-        if op == "false-twin":
-            nbrs = adj[anchor]
-            if not nbrs or any(b not in adj[a] for a in nbrs for b in nbrs if a < b):
-                op = "pendant"
-        if op == "true-twin":
-            new = set(adj[anchor]) | {anchor}
-        elif op == "false-twin":
-            new = set(adj[anchor])
-        else:
-            new = {anchor}
-        adj.append(set())
-        for u in new:
-            adj[v].add(u)
-            adj[u].add(v)
-        if op != "true-twin" and not _o_bipartite(adj):
-            for u in new:
-                adj[u].discard(v)
-            adj[v] = set(adj[anchor]) | {anchor}
-            for u in adj[v]:
-                adj[u].add(v)
-    return _to_graph(adj)
+    return _grow(n, seed, clique_false_twins=True, keep=_o_bipartite)

@@ -147,42 +147,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 # orientations
 
 
-class Orientation:
-    """A full orientation of a graph: every edge gets exactly one direction."""
-
-    __slots__ = ("base", "_head")
-
-    def __init__(self, base: Graph, arcs: Iterable[tuple[int, int]]):
-        head: dict[tuple[int, int], int] = {}
-        for t, h in arcs:
-            if not base.has_edge(t, h):
-                raise GraphError(f"arc ({t}, {h}) is not an edge of the base graph")
-            key = (t, h) if t < h else (h, t)
-            if key in head and head[key] != h:
-                raise GraphError(f"edge {key} directed both ways")
-            head[key] = h
-        missing = [e for e in base.edges if e not in head]
-        if missing:
-            raise GraphError(f"{len(missing)} edges left undirected, e.g. {missing[0]}")
-        self.base = base
-        self._head = head
-
-    def forward(self, a: int, b: int) -> bool:
-        """True iff the edge {a, b} is directed a -> b."""
-        key = (a, b) if a < b else (b, a)
-        return self._head[key] == b
-
-    def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), h in self._head.items():
-            out.append((u, v) if h == v else (v, u))
-        out.sort()
-        return out
-
-    def reverse(self) -> "Orientation":
-        return Orientation(self.base, [(h, t) for t, h in self.arcs()])
-
-
 class PartialOrientation:
     """Directions for a subset of the edges of a graph."""
 
@@ -208,6 +172,7 @@ class PartialOrientation:
         return key in self._head
 
     def forward(self, a: int, b: int) -> bool:
+        """True iff the edge {a, b} is directed a -> b."""
         key = (a, b) if a < b else (b, a)
         return self._head[key] == b
 
@@ -218,8 +183,29 @@ class PartialOrientation:
         out.sort()
         return out
 
-    def __len__(self) -> int:
-        return len(self._head)
+
+class Orientation(PartialOrientation):
+    """A full orientation of a graph: every edge gets exactly one direction."""
+
+    __slots__ = ()
+
+    def __init__(self, base: Graph, arcs: Iterable[tuple[int, int]]):
+        super().__init__(base, arcs)
+        missing = [e for e in base.edges if e not in self._head]
+        if missing:
+            raise GraphError(f"{len(missing)} edges left undirected, e.g. {missing[0]}")
+
+    def reverse(self) -> "Orientation":
+        return Orientation(self.base, [(h, t) for t, h in self.arcs()])
+
+
+def orient_along(g: Graph, order: list[int]) -> Orientation:
+    """Direct every edge from its earlier to its later vertex in ``order``,
+    a permutation of the vertices; the result is acyclic."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return Orientation(g, [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges])
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .graphs import (
     PartialOrientation,
     connected_components,
     induced_subgraph,
+    orient_along,
     topo_order_or_cycle,
 )
 from .p4 import (
@@ -170,13 +171,57 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
 
 
 # ---------------------------------------------------------------------------
+# pipeline stages shared by the recognizers
+
+
+def _aux(g: Graph, kind: str):
+    """The P4s of g, the auxiliary graph O(G) or C(G), and either its
+    bipartition or an odd closed walk in it."""
+    p4s = induced_p4s(g)
+    cg = ConstraintGraph(kind, g, p4s)
+    return p4s, cg, bipartition_or_odd_walk(cg)
+
+
+def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition) -> Verdict:
+    """Member whose orientation extends the forced part of side 0; the
+    fast path's theorem guarantees that part is acyclic."""
+    partial = forced_orientation(cg, b, (0,) * b.component_count)
+    if isinstance(is_acyclic(partial), DirectedCycleCertificate):
+        raise CertificateError(f"{method}: a bipartite {cg.kind} aux graph gave a cyclic forced part")
+    return _checked_member(graph_class, method, extend_acyclic(partial), p4s, _stats(p4s, cg, b, 1))
+
+
+def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
+    """The exact flip search: a member, an exhaustion of every flip
+    vector, or undecided when the cap is hit first."""
+    outcome = _flip_search(cg, b, flip_cap)
+    stats = _stats(p4s, cg, b, outcome.tried)
+    if outcome.orientation is not None:
+        return _checked_member(graph_class, method, outcome.orientation, p4s, stats)
+    if outcome.undecided:
+        return Verdict(graph_class, UNDECIDED, method, None, stats)
+    return Verdict(graph_class, NON_MEMBER, method, FlipExhaustion(tuple(outcome.entries)), stats)
+
+
+def _flip_orient(g: Graph, p4s: list[P4], flip_cap: int | None) -> Orientation:
+    """An opposition orientation from the flip search; ValueError when
+    O(G) has no acyclic flip choice within the cap."""
+    cg = ConstraintGraph(OPPOSITION, g, p4s)
+    res = bipartition_or_odd_walk(cg)
+    if isinstance(res, OddWalkCertificate):
+        raise ValueError("O(G) is not bipartite: not an opposition graph")
+    outcome = _flip_search(cg, res, flip_cap)
+    if outcome.orientation is None:
+        raise ValueError("no acyclic flip choice; not an opposition graph")
+    return outcome.orientation
+
+
+# ---------------------------------------------------------------------------
 # generalized opposition (bipartiteness alone decides)
 
 
 def recognize_generalized_opposition(g: Graph) -> Verdict:
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
+    p4s, cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(
             GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg)
@@ -222,33 +267,14 @@ def _dh_opposition_order(g: Graph, flip_cap: int | None) -> list[int]:
         if twin:
             break
     if twin is None:
-        return _fallback_opposition_order(g, flip_cap)
+        topo, _ = topo_order_or_cycle(g.n, _flip_orient(g, induced_p4s(g), flip_cap).arcs())
+        return topo
     keep, drop = twin
     sub, new_to_old = induced_subgraph(g, [v for v in range(g.n) if v != drop])
     suborder = _dh_opposition_order(sub, flip_cap)
     order = [new_to_old[v] for v in suborder]
     order.insert(order.index(keep) + 1, drop)
     return order
-
-
-def _fallback_opposition_order(g: Graph, flip_cap: int | None) -> list[int]:
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
-    if isinstance(res, OddWalkCertificate):
-        raise CertificateError("fallback order requested for a non-member")
-    outcome = _flip_search(cg, res, flip_cap)
-    if outcome.orientation is None:
-        raise CertificateError("fallback flip search found no acyclic choice")
-    topo, _ = topo_order_or_cycle(g.n, outcome.orientation.arcs())
-    return topo
-
-
-def _orient_along(g: Graph, order: list[int]) -> Orientation:
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return Orientation(g, [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges])
 
 
 def opposition_obstruction(g: Graph) -> tuple[str, PatternMatch] | None:
@@ -270,9 +296,7 @@ def recognize_opposition(
 ) -> Verdict:
     """Structural fast paths (distance-hereditary, then (gem,house)-free)
     before the exact flip search over components of O(G)."""
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
+    p4s, cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
         if want_witness and is_distance_hereditary(g)[0]:
@@ -283,29 +307,13 @@ def recognize_opposition(
             OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg), witness
         )
     if is_distance_hereditary(g)[0]:
-        order = _dh_opposition_order(g, flip_cap)
-        o = _orient_along(g, order)
+        o = orient_along(g, _dh_opposition_order(g, flip_cap))
         return _checked_member(
             OPPOSITION, "dh-ptolemaic", o, p4s, _stats(p4s, cg, res, None)
         )
     if _gem_house_free(g):
-        partial = forced_orientation(cg, res, (0,) * res.component_count)
-        acyc = is_acyclic(partial)
-        if isinstance(acyc, DirectedCycleCertificate):
-            raise CertificateError(
-                "gem/house-free bipartite O(G) must give an acyclic forced part"
-            )
-        o = extend_acyclic(partial)
-        return _checked_member(
-            OPPOSITION, "gem-house-free", o, p4s, _stats(p4s, cg, res, 1)
-        )
-    outcome = _flip_search(cg, res, flip_cap)
-    stats = _stats(p4s, cg, res, outcome.tried)
-    if outcome.orientation is not None:
-        return _checked_member(OPPOSITION, "flip-search", outcome.orientation, p4s, stats)
-    if outcome.undecided:
-        return Verdict(OPPOSITION, UNDECIDED, "flip-search", None, stats)
-    return Verdict(OPPOSITION, NON_MEMBER, "flip-search", FlipExhaustion(tuple(outcome.entries)), stats)
+        return _forced_member(OPPOSITION, "gem-house-free", p4s, cg, res)
+    return _flip_verdict(OPPOSITION, "flip-search", p4s, cg, res, flip_cap)
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
@@ -313,40 +321,16 @@ def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
     any bipartition side extends acyclically."""
     if not _gem_house_free(g):
         return recognize_opposition(g)
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
+    p4s, cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg))
-    partial = forced_orientation(cg, res, (0,) * res.component_count)
-    acyc = is_acyclic(partial)
-    if isinstance(acyc, DirectedCycleCertificate):
-        raise CertificateError("gem/house-free bipartite O(G) must give an acyclic forced part")
-    o = extend_acyclic(partial)
-    return _checked_member(OPPOSITION, "gem-house-free", o, p4s, _stats(p4s, cg, res, 1))
+    return _forced_member(OPPOSITION, "gem-house-free", p4s, cg, res)
 
 
-def recognize_opposition_distance_hereditary(
-    g: Graph, flip_cap: int | None = None, want_witness: bool = False
-) -> Verdict:
-    """O(G) bipartiteness decides for distance-hereditary inputs; the
-    membership orientation comes from the ptolemaic constructor (after
-    twin reduction if needed)."""
-    if not is_distance_hereditary(g)[0]:
-        return recognize_opposition(g, flip_cap=flip_cap, want_witness=want_witness)
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
-    if isinstance(res, OddWalkCertificate):
-        witness = None
-        if want_witness:
-            hit = opposition_obstruction(g)
-            if hit is not None:
-                witness = _checked_pattern(g, hit[1])
-        return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg), witness)
-    order = _dh_opposition_order(g, flip_cap)
-    o = _orient_along(g, order)
-    return _checked_member(OPPOSITION, "dh-ptolemaic", o, p4s, _stats(p4s, cg, res, None))
+# O(G) bipartiteness decides for distance-hereditary inputs, and
+# recognize_opposition tries the distance-hereditary route (with the
+# obstruction witness) before any other, so both names give one verdict.
+recognize_opposition_distance_hereditary = recognize_opposition
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orient
     p4s = induced_p4s(g)
     p5 = _find_p5(g, p4s)
     if p5 is None:
-        o = _p5_free_orient(g, p4s, flip_cap)
+        o = _flip_orient(g, p4s, flip_cap)
         if not verify_orientation(o, OPPOSITION, p4s):
             raise PtolemaicOrientationError("flip-search completion failed verification")
         return o
@@ -446,17 +430,6 @@ def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
             f"constructed orientation leaves {len(bad)} bad P4(s)", bad[:2]
         )
     return o
-
-
-def _p5_free_orient(g: Graph, p4s: list[P4], flip_cap: int | None) -> Orientation:
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
-    if isinstance(res, OddWalkCertificate):
-        raise ValueError("O(G) is not bipartite: not an opposition graph")
-    outcome = _flip_search(cg, res, flip_cap)
-    if outcome.orientation is None:
-        raise ValueError("no acyclic flip choice; not an opposition graph")
-    return outcome.orientation
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +498,21 @@ def transitive_orient(g: Graph) -> Orientation | None:
     return Orientation(g, [(u if h == v else v, h) for (u, v), h in head.items()])
 
 
+def _transitive_member(g: Graph, p4s: list[P4], stats: dict) -> Verdict:
+    """Distance-hereditary coalition members are comparability graphs."""
+    o = transitive_orient(g)
+    if o is None:
+        raise CertificateError("distance-hereditary coalition member is not a comparability graph")
+    return _checked_member(COALITION, "dh-transitive", o, p4s, stats)
+
+
 def recognize_coalition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
     """Fast paths: distance-hereditary (comparability), then
     (gem, house, hole)-free bipartiteness; the generic flip search over
     C(G) mirrors the opposition one and is marked as an extension."""
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(COALITION, g, p4s)
-    res = bipartition_or_odd_walk(cg)
+    p4s, cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
         if want_witness and is_distance_hereditary(g)[0]:
@@ -542,40 +521,10 @@ def recognize_coalition(
                 witness = _checked_pattern(g, nmatch)
         return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg), witness)
     if is_distance_hereditary(g)[0]:
-        o = transitive_orient(g)
-        if o is None:
-            raise CertificateError(
-                "distance-hereditary graph with bipartite C(G) must be a comparability graph"
-            )
-        return _checked_member(
-            COALITION, "dh-transitive", o, p4s, _stats(p4s, cg, res, None)
-        )
+        return _transitive_member(g, p4s, _stats(p4s, cg, res, None))
     if _gem_house_hole_free(g, p4s):
-        partial = forced_orientation(cg, res, (0,) * res.component_count)
-        acyc = is_acyclic(partial)
-        if isinstance(acyc, DirectedCycleCertificate):
-            raise CertificateError(
-                "gem/house/hole-free bipartite C(G) must give an acyclic forced part"
-            )
-        o = extend_acyclic(partial)
-        return _checked_member(
-            COALITION, "gem-house-hole-free", o, p4s, _stats(p4s, cg, res, 1)
-        )
-    outcome = _flip_search(cg, res, flip_cap)
-    stats = _stats(p4s, cg, res, outcome.tried)
-    if outcome.orientation is not None:
-        return _checked_member(
-            COALITION, "flip-search-extension", outcome.orientation, p4s, stats
-        )
-    if outcome.undecided:
-        return Verdict(COALITION, UNDECIDED, "flip-search-extension", None, stats)
-    return Verdict(
-        COALITION,
-        NON_MEMBER,
-        "flip-search-extension",
-        FlipExhaustion(tuple(outcome.entries)),
-        stats,
-    )
+        return _forced_member(COALITION, "gem-house-hole-free", p4s, cg, res)
+    return _flip_verdict(COALITION, "flip-search-extension", p4s, cg, res, flip_cap)
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:
@@ -588,10 +537,7 @@ def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = Non
         return Verdict(
             COALITION, NON_MEMBER, "dh-n-witness", _checked_pattern(g, nmatch), _stats()
         )
-    o = transitive_orient(g)
-    if o is None:
-        raise CertificateError("N-free distance-hereditary graph must be a comparability graph")
-    return _checked_member(COALITION, "dh-transitive", o, induced_p4s(g), _stats())
+    return _transitive_member(g, induced_p4s(g), _stats())
 
 
 # ---------------------------------------------------------------------------

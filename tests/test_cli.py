@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST
-from oppograph.cli import EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_USAGE, main
+from oppograph.cli import EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_UNDECIDED, EXIT_USAGE, main
 from oppograph.graphs import cycle_graph, encode_graph6
 from oppograph.patterns import make_Hk, make_Tk
 
@@ -103,9 +103,33 @@ def test_orient_t1_rejected(tmp_path):
     t1 = make_Tk(1).as_graph()
     path = tmp_path / "t1.el"
     path.write_text("".join(f"{u} {v}\n" for u, v in t1.edges))
-    code, out = run(["orient", "--class", "opposition", str(path)])
-    assert code == EXIT_NON_MEMBER
-    assert "witness: T1" in out
+    for method in ("auto", "ptolemaic"):
+        code, out = run(["orient", "--class", "opposition", "--method", method, str(path)])
+        assert code == EXIT_NON_MEMBER
+        assert "certificate: odd-closed-walk" in out
+        assert "witness: T1" in out
+
+
+def test_orient_ptolemaic_refuses_coalition(tmp_path):
+    # the layer constructor's opposition orientation of P4 0-1-2-3 is not
+    # a coalition orientation, so the combination is a usage error
+    path = tmp_path / "p4.el"
+    path.write_text("0 1\n1 2\n2 3\n")
+    code, out = run(["orient", "--class", "coalition", "--method", "ptolemaic", "--output", "arcs", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    code, out = run(["orient", "--class", "generalized-opposition", "--method", "ptolemaic", "--output", "arcs", str(path)])
+    assert code == EXIT_MEMBER
+
+
+def test_orient_flip_cap_undecided(tmp_path):
+    # O(G) of this graph has two components and the first flip vector
+    # forces a directed cycle, so a cap of one flip vector is hit
+    path = tmp_path / "two.g6"
+    path.write_text("FUxqO\n")
+    code, out = run(["orient", "--class", "opposition", "--flip-cap", "1", str(path)])
+    assert code == EXIT_UNDECIDED
+    assert out == "undecided: flip cap hit\n"
 
 
 def test_aux_co_c6_labeled_dot(co_c6_el):
@@ -174,6 +198,8 @@ def test_parse_error_exit_10(tmp_path):
 def test_usage_error_exit_11():
     code, _ = run(["recognize", "--class", "nonsense", "x"])
     assert code == EXIT_USAGE
+    code, _ = run(["recognize", "--class", "opposition", "--flip-cap", "0", "x"])
+    assert code == EXIT_USAGE
 
 
 def test_flip_cap_env(monkeypatch, co_c6_el):
@@ -181,9 +207,10 @@ def test_flip_cap_env(monkeypatch, co_c6_el):
     code, _ = run(["recognize", "--class", "opposition", co_c6_el])
     # co-C6 has one aux component; cap 1 still allows the single vector
     assert code == EXIT_NON_MEMBER
-    monkeypatch.setenv("OPPO_FLIP_CAP", "bogus")
-    code, _ = run(["recognize", "--class", "opposition", co_c6_el])
-    assert code == EXIT_USAGE
+    for bad in ("bogus", "0"):
+        monkeypatch.setenv("OPPO_FLIP_CAP", bad)
+        code, _ = run(["recognize", "--class", "opposition", co_c6_el])
+        assert code == EXIT_USAGE
 
 
 def test_sweep_stdin(monkeypatch, capsys):

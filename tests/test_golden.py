@@ -1,0 +1,239 @@
+"""Pinned verdict payloads.
+
+Each case runs one recognizer on a fixed graph and compares the sha256 of
+its JSON payload with a recorded digest, so a refactor of the recognition
+pipeline cannot change a decision, a method, a certificate or a stats
+field unnoticed.  The corpus reaches every method string, both witness
+searches, `undecided` for opposition and coalition, and the graphs that
+`random_opposition_ptolemaic` returns.  After an intended change of
+output, print the new digests with
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import CO_C6_EDGE_LIST
+from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_tree
+from oppograph.graphs import (
+    Graph,
+    complement,
+    cycle_graph,
+    encode_graph6,
+    parse_edge_list,
+    parse_graph6,
+    path_graph,
+)
+from oppograph.patterns import GRAPH_A, GRAPH_G1, GRAPH_N, make_Hk, make_Tk
+from oppograph.recognize import (
+    recognize_coalition,
+    recognize_coalition_distance_hereditary,
+    recognize_generalized_opposition,
+    recognize_opposition,
+    recognize_opposition_distance_hereditary,
+    recognize_opposition_gem_house_free,
+    verdict_payload,
+)
+
+
+def _union(*gs: Graph) -> Graph:
+    edges, off = [], 0
+    for g in gs:
+        edges += [(u + off, v + off) for u, v in g.edges]
+        off += g.n
+    return Graph(off, edges)
+
+
+def _graphs():
+    co_c6 = parse_edge_list(CO_C6_EDGE_LIST)
+    return {
+        "c5": cycle_graph(5),
+        "c6": cycle_graph(6),
+        "p7": path_graph(7),
+        "co-c6": co_c6,
+        "co-c6x3": _union(*[complement(cycle_graph(6))] * 3),
+        "co-c8": complement(cycle_graph(8)),
+        "h2": make_Hk(2).as_graph(),
+        "t1": make_Tk(1).as_graph(),
+        "a": GRAPH_A.as_graph(),
+        "g1": GRAPH_G1.as_graph(),
+        "n": GRAPH_N.as_graph(),
+        "c4-pendant": parse_edge_list("a b\nb c\nc d\nd a\na e"),
+        "tree": random_tree(9, 3),
+        "dh-twins": random_distance_hereditary(16, 2),
+        "dh-non-member": random_distance_hereditary(24, 5),
+        "p5+h1": _union(path_graph(5), make_Hk(1).as_graph()),
+        # small random graphs, one per route they reach
+        "gem-house-hole-free": parse_graph6("Er_g"),
+        "flip-member": parse_graph6("DNk"),
+        "odd-walk": parse_graph6("DqK"),
+        "opp-flip-non-member": parse_graph6("EYnO"),
+        "opp-two-components": parse_graph6("FUxqO"),
+        "coal-two-components": parse_graph6("EfWo"),
+    }
+
+
+# (case name, graph name, recognizer, keyword arguments)
+_CASES = [
+    ("gen/c5", "c5", recognize_generalized_opposition, {}),
+    ("gen/co-c6", "co-c6", recognize_generalized_opposition, {}),
+    ("gen/co-c8", "co-c8", recognize_generalized_opposition, {}),
+    ("opp/odd-walk", "odd-walk", recognize_opposition, {}),
+    ("opp/t1-witness", "t1", recognize_opposition, {"want_witness": True}),
+    ("opp/h2", "h2", recognize_opposition, {}),
+    ("opp/c4-pendant", "c4-pendant", recognize_opposition, {}),
+    ("opp/dh-twins", "dh-twins", recognize_opposition, {}),
+    ("opp/tree", "tree", recognize_opposition, {}),
+    ("opp/p5+h1", "p5+h1", recognize_opposition, {}),
+    ("opp/dh-non-member-witness", "dh-non-member", recognize_opposition, {"want_witness": True}),
+    ("opp/gem-house-free", "gem-house-hole-free", recognize_opposition, {}),
+    ("opp/flip-member", "flip-member", recognize_opposition, {}),
+    ("opp/co-c6", "co-c6", recognize_opposition, {}),
+    ("opp/flip-non-member", "opp-flip-non-member", recognize_opposition, {}),
+    ("opp/co-c6x3", "co-c6x3", recognize_opposition, {}),
+    ("opp/co-c6x3-cap2", "co-c6x3", recognize_opposition, {"flip_cap": 2}),
+    ("opp/undecided-cap1", "opp-two-components", recognize_opposition, {"flip_cap": 1}),
+    ("opp/two-components", "opp-two-components", recognize_opposition, {}),
+    ("ghf/p7", "p7", recognize_opposition_gem_house_free, {}),
+    ("ghf/c5", "c5", recognize_opposition_gem_house_free, {}),
+    ("ghf/t1", "t1", recognize_opposition_gem_house_free, {}),
+    ("ghf/co-c6", "co-c6", recognize_opposition_gem_house_free, {}),
+    ("ghf/gem-house-free", "gem-house-hole-free", recognize_opposition_gem_house_free, {}),
+    ("dh/a-witness", "a", recognize_opposition_distance_hereditary, {"want_witness": True}),
+    ("dh/g1-witness", "g1", recognize_opposition_distance_hereditary, {"want_witness": True}),
+    ("dh/t1", "t1", recognize_opposition_distance_hereditary, {}),
+    ("dh/h2", "h2", recognize_opposition_distance_hereditary, {}),
+    ("dh/c4-pendant", "c4-pendant", recognize_opposition_distance_hereditary, {}),
+    ("dh/co-c6", "co-c6", recognize_opposition_distance_hereditary, {}),
+    ("dh/dh-twins", "dh-twins", recognize_opposition_distance_hereditary, {}),
+    ("dh/dh-non-member-witness", "dh-non-member", recognize_opposition_distance_hereditary, {"want_witness": True}),
+    ("coal/n", "n", recognize_coalition, {}),
+    ("coal/n-witness", "n", recognize_coalition, {"want_witness": True}),
+    ("coal/tree", "tree", recognize_coalition, {}),
+    ("coal/h2", "h2", recognize_coalition, {}),
+    ("coal/dh-twins", "dh-twins", recognize_coalition, {}),
+    ("coal/p5+h1", "p5+h1", recognize_coalition, {}),
+    ("coal/dh-non-member-witness", "dh-non-member", recognize_coalition, {"want_witness": True}),
+    ("coal/gem-house-hole-free", "gem-house-hole-free", recognize_coalition, {}),
+    ("coal/c6", "c6", recognize_coalition, {}),
+    ("coal/flip-non-member", "odd-walk", recognize_coalition, {}),
+    ("coal/co-c6", "co-c6", recognize_coalition, {}),
+    ("coal/undecided-cap1", "coal-two-components", recognize_coalition, {"flip_cap": 1}),
+    ("coal/two-components", "coal-two-components", recognize_coalition, {}),
+    ("coal-dh/n", "n", recognize_coalition_distance_hereditary, {}),
+    ("coal-dh/tree", "tree", recognize_coalition_distance_hereditary, {}),
+    ("coal-dh/dh-twins", "dh-twins", recognize_coalition_distance_hereditary, {}),
+    ("coal-dh/c6", "c6", recognize_coalition_distance_hereditary, {}),
+]
+
+# (n, seed) pairs whose generated graph6 strings are pinned
+_GENERATOR_PAIRS = [(1, 0), (12, 1), (20, 7), (31, 10_032), (40, 3)]
+
+
+def _payload_digest(case):
+    _, graph_name, recognize, kwargs = case
+    g = _graphs()[graph_name]
+    payload = verdict_payload(recognize(g, **kwargs), g)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _generator_digest():
+    lines = "\n".join(encode_graph6(random_opposition_ptolemaic(n, s)) for n, s in _GENERATOR_PAIRS)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+GOLDEN = {
+    "gen/c5": "f0d17aea573a20dff2bb34ae1b00d3f53debdc7b85c734dd752d3651b76441b3",
+    "gen/co-c6": "c5579e80c295a0b12b40392f21f5668aed15513c4a24a937bc99a8747e1e91bc",
+    "gen/co-c8": "40d98471c566047584010db310e98ce748919e59677fc20c7e6473a0f249453d",
+    "opp/odd-walk": "574011c0fd4d6a9571dd39de14fd7f81da24b7983dcbc048d90b193f0a8dbbe2",
+    "opp/t1-witness": "10ed7539ec8e225263210945720a3039900cde6062549afb4f1c2bf8ced2983c",
+    "opp/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
+    "opp/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
+    "opp/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
+    "opp/tree": "4af4cef6d1cd9066dbf7c9e1bc7b4f2d6226a9102ae383776fad7a1016d5bbc3",
+    "opp/p5+h1": "dcd4cfd6069b35005d0a3116fc2ac3eb2cb1aae599726231016c7ced39971f23",
+    "opp/dh-non-member-witness": "cc8c7960431b71691e4df8e9b322b8123ac5cbcc94c7ff09670bca76a3c7a60e",
+    "opp/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
+    "opp/flip-member": "d86beeed6a3c6080d60d02e78a1b56e475002ee23584a190ad7982f3ba5cbc97",
+    "opp/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
+    "opp/flip-non-member": "05ac4ecd27f0cdb57eaac4770ef7edcc91730f4d149ab25d37af4f9c54f62a91",
+    "opp/co-c6x3": "bfe75f34e02ce038d6df10ad047093c6b24c218232a08d9513f28ebf91ec5895",
+    "opp/co-c6x3-cap2": "9a19e1b8a1c85e7e43dc0e42f66f6bac523b935c2f41d9870c94b64be609d8bd",
+    "opp/undecided-cap1": "1af1c1dcc585b0584ffa6048fa9eaa3daf9466f8c873a1eeffbce923ceecdf68",
+    "opp/two-components": "86237a2f6bccffc6a7d05b7713d5e911c337c7dd505515404ac36376fb6a6835",
+    "ghf/p7": "072759b3c4d4b260ce8399b8b9faddcf22458adf1a768a1b8e925f7eb2db504a",
+    "ghf/c5": "71aab93f4a015da487e1a499f144f4ac05438b322f9283355b8e61049bce2d59",
+    "ghf/t1": "3700d19065a6acb8532ffc7d2278a0aba1f624423ab8e2646a8b43c326644b5c",
+    "ghf/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
+    "ghf/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
+    "dh/a-witness": "a544f17128e29abb5b263f8ea4db5ffa991bb4f7269e5460e55d4eef891380f0",
+    "dh/g1-witness": "994135c6be5aae22046d7784f72068cbcd4e505cfbd755f1a2fdc0eb83bbeeb2",
+    "dh/t1": "3700d19065a6acb8532ffc7d2278a0aba1f624423ab8e2646a8b43c326644b5c",
+    "dh/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
+    "dh/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
+    "dh/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
+    "dh/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
+    "dh/dh-non-member-witness": "cc8c7960431b71691e4df8e9b322b8123ac5cbcc94c7ff09670bca76a3c7a60e",
+    "coal/n": "14908d5d5a3b5eee4aec3f4ff2823062885b6b2e0df8109114716562cfaac7d9",
+    "coal/n-witness": "a21db90cc0f710094f5fe9a89f897cb798d836cbf93e468a8a6e26b84a35aed3",
+    "coal/tree": "f076e88d891932e703704e6912b0f294216561d78f6b2e1ad8fbe7a621499331",
+    "coal/h2": "5fdd76a1627eb58e5f80c00d29c880517bc1e76a798bd34a35259f0c2dd92aad",
+    "coal/dh-twins": "8fed8e9631a20c2d45b3bbd8d76163765af4a6a4a87d2ee48eba6d6256ee4e1f",
+    "coal/p5+h1": "750e15977b5214d8c6d6a25e3da741109de044a1efb32538db896df22c242d07",
+    "coal/dh-non-member-witness": "4d2b8eea85b5c1b6a33b27bf0c5e1b526d41ddb978a5da874511949c90c7dd96",
+    "coal/gem-house-hole-free": "b7838cbd22695e040fc1bc44250a94838f2c58b78486497f17d01c6c2cc4cfb6",
+    "coal/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",
+    "coal/flip-non-member": "b5d21eb9c38c7a72763362232b9baea35eb1dd81890d9fbd13349671a5d68189",
+    "coal/co-c6": "aaa8dd46e2a934aa5261f185c3d78639dd16e0529daa82469de8dbcfef7ff279",
+    "coal/undecided-cap1": "cd55f50b77c1581379b476a92dd460ce9e55fc16a00ef0a3ec5cab26587ab0df",
+    "coal/two-components": "8aa6c246daa0a68c4b0d41e74f4b3dfce44cf3cd61c91eaed9f5def20e5053a4",
+    "coal-dh/n": "27f75ecea3c696b737b177774abe6558abe6e9f6ac7516bb9b9c78f88d081d07",
+    "coal-dh/tree": "a8f14eb8ef9e7919020430ef4c4690a952a574afed21e930755200ea0ce54afe",
+    "coal-dh/dh-twins": "4b26666bdaf62471e53b0ef410b69389ed132cc2fa6339ad2ba053ef8089c2e7",
+    "coal-dh/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",
+}
+
+GOLDEN_GENERATOR = "e2ddac1f455f877cecfd97511bc870e0c5a27ff6f3112a60b33ff52bce5d3dcf"
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_payload_digest(case):
+    assert _payload_digest(case) == GOLDEN[case[0]]
+
+
+def test_corpus_reaches_every_method():
+    methods = set()
+    for _, graph_name, recognize, kwargs in _CASES:
+        v = recognize(_graphs()[graph_name], **kwargs)
+        methods.add((v.graph_class, v.method, v.decision, v.witness is not None))
+    for want in [
+        ("generalized-opposition", "aux-odd-walk", "non-member", False),
+        ("generalized-opposition", "aux-bipartite", "member", False),
+        ("opposition", "aux-odd-walk", "non-member", True),
+        ("opposition", "dh-ptolemaic", "member", False),
+        ("opposition", "gem-house-free", "member", False),
+        ("opposition", "flip-search", "member", False),
+        ("opposition", "flip-search", "non-member", False),
+        ("opposition", "flip-search", "undecided", False),
+        ("coalition", "aux-odd-walk", "non-member", True),
+        ("coalition", "dh-transitive", "member", False),
+        ("coalition", "dh-n-witness", "non-member", False),
+        ("coalition", "gem-house-hole-free", "member", False),
+        ("coalition", "flip-search-extension", "member", False),
+        ("coalition", "flip-search-extension", "non-member", False),
+        ("coalition", "flip-search-extension", "undecided", False),
+    ]:
+        assert want in methods, want
+
+
+def test_generator_digest():
+    assert _generator_digest() == GOLDEN_GENERATOR
+
+
+if __name__ == "__main__":
+    for case in _CASES:
+        print(f'    "{case[0]}": "{_payload_digest(case)}",')
+    print(f'GOLDEN_GENERATOR = "{_generator_digest()}"')

@@ -159,6 +159,12 @@ def test_flip_cap_gives_undecided(co_c6):
     assert ok, msg
 
 
+def test_flip_cap_below_one_is_rejected(co_c6_labeled):
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            recognize_opposition(co_c6_labeled, flip_cap=cap)
+
+
 def test_h1_constructor_is_source_orientation(h1):
     o = ptolemaic_opposition_orient(h1)
     assert verify_orientation(o, OPPOSITION)
