@@ -182,7 +182,7 @@ def cmd_orient(args, out) -> int:
             orientation = ptolemaic_opposition_orient(g, flip_cap=args.flip_cap)
         except (ValueError, PtolemaicOrientationError) as exc:
             # non-members still deserve their certificate and exit code
-            verdict = _run_recognizer(g, OPPOSITION, args.flip_cap, want_witness=True)
+            verdict = _run_recognizer(g, args.graph_class, args.flip_cap, want_witness=True)
             if verdict.decision == NON_MEMBER:
                 _print_human(out, g, verdict, show_witness=True)
                 return EXIT_NON_MEMBER

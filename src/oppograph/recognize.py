@@ -26,6 +26,7 @@ from .graphs import (
     PartialOrientation,
     connected_components,
     induced_subgraph,
+    kahn,
     orient_along,
     topo_order_or_cycle,
 )
@@ -143,14 +144,84 @@ class _FlipOutcome:
     tried: int
 
 
+class _ComponentCycles:
+    """The directed cycle that ``topo_order_or_cycle`` finds in the forced
+    orientation of a flip vector, checked one connected component of G at
+    a time.
+
+    The forced arcs inside a component of G depend only on the flip bits
+    of the aux components whose variables lie there.  When several
+    components hold aux variables, each is checked once per choice of its
+    bits and the result is cached for the rest of the search; with one,
+    every vector is a new choice and nothing is cached.  The whole-graph
+    cycle is the cycle of the cyclic component holding the least leftover
+    vertex (see ``topo_order_or_cycle``); a component whose least vertex
+    is above the best leftover vertex so far cannot hold it and is not
+    checked.
+    """
+
+    def __init__(self, cg: ConstraintGraph, b: Bipartition):
+        g = cg.base
+        comps = connected_components(g)
+        comp_of = [0] * g.n
+        local = [0] * g.n
+        for ci, comp in enumerate(comps):
+            for i, v in enumerate(comp):
+                comp_of[v], local[v] = ci, i
+        # per component of G: the aux components inside it, and each of
+        # its variables as (position of its aux component, side, local arc)
+        auxes: list[list[int]] = [[] for _ in comps]
+        vars_: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
+        pos: dict[int, int] = {}
+        for i, (x, y) in enumerate(cg.vars):
+            k, ci = b.component[i], comp_of[x]
+            if k not in pos:
+                pos[k] = len(auxes[ci])
+                auxes[ci].append(k)
+            vars_[ci].append((pos[k], b.side[i], local[x], local[y]))
+        # components without P4s have no forced arcs and are never cyclic
+        self.parts = [
+            (comps[ci][0], *induced_subgraph(g, comps[ci]), auxes[ci], vars_[ci], {})
+            for ci in range(len(comps))
+            if auxes[ci]
+        ]
+        self.caching = len(self.parts) > 1
+
+    def cycle(self, flips: tuple[int, ...]) -> DirectedCycleCertificate | None:
+        best = None  # (least leftover vertex, cycle)
+        for least_vertex, sub, new_to_old, aux, vars_, cache in self.parts:
+            if best is not None and least_vertex > best[0]:
+                break
+            bits = tuple(flips[k] for k in aux)
+            if bits in cache:
+                hit = cache[bits]
+            else:
+                arcs = [(x, y) for j, side, x, y in vars_ if side == bits[j]]
+                _, least, cyc = kahn(sub.n, PartialOrientation(sub, arcs).arcs())
+                hit = None if cyc is None else (
+                    new_to_old[least],
+                    DirectedCycleCertificate(tuple(new_to_old[v] for v in cyc.vertices)),
+                )
+                if self.caching:
+                    cache[bits] = hit
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
+        return None if best is None else best[1]
+
+
 def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
     """Enumerate per-component side choices by rank, component 0 pinned
-    (global reversal quotient); first acyclic forced orientation wins."""
+    (global reversal quotient); first acyclic forced orientation wins.
+
+    Each vector's cycle is the one ``is_acyclic`` would report for its
+    whole forced orientation, found component by component from a cache
+    (``_ComponentCycles``)."""
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
     if cap < 1:
         raise ValueError("flip cap must be at least 1")
     c = b.component_count
     total = 1 << (c - 1) if c > 0 else 1
+    cycles = _ComponentCycles(cg, b)
     entries = []
     rank = 0
     while rank < total:
@@ -160,13 +231,12 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
             flips = (0,) + tuple((rank >> i) & 1 for i in range(c - 1))
         else:
             flips = ()
-        partial = forced_orientation(cg, b, flips)
-        res = is_acyclic(partial)
-        if isinstance(res, DirectedCycleCertificate):
-            entries.append((flips, res))
-            rank += 1
-        else:
-            return _FlipOutcome(extend_acyclic(partial), entries, False, rank + 1)
+        cyc = cycles.cycle(flips)
+        if cyc is None:
+            orientation = extend_acyclic(forced_orientation(cg, b, flips))
+            return _FlipOutcome(orientation, entries, False, rank + 1)
+        entries.append((flips, cyc))
+        rank += 1
     return _FlipOutcome(None, entries, False, total)
 
 

@@ -122,6 +122,20 @@ def test_orient_ptolemaic_refuses_coalition(tmp_path):
     assert code == EXIT_MEMBER
 
 
+def test_orient_ptolemaic_fallback_keeps_class(co_c6_el):
+    # co-C6 is a generalized-opposition member but not ptolemaic: the
+    # constructor fails, and the class asked for decides what is printed
+    argv = ["orient", "--class", "generalized-opposition", "--output", "arcs", co_c6_el]
+    code, out = run(argv[:3] + ["--method", "ptolemaic"] + argv[3:])
+    assert code == EXIT_USAGE
+    assert out == ""
+    code, _ = run(argv)
+    assert code == EXIT_MEMBER
+    code, out = run(["orient", "--class", "opposition", "--method", "ptolemaic", co_c6_el])
+    assert code == EXIT_NON_MEMBER
+    assert "class: opposition" in out
+
+
 def test_orient_flip_cap_undecided(tmp_path):
     # O(G) of this graph has two components and the first flip vector
     # forces a directed cycle, so a cap of one flip vector is hit

@@ -12,6 +12,7 @@ output, print the new digests with
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from oppograph.graphs import (
     parse_graph6,
     path_graph,
 )
-from oppograph.patterns import GRAPH_A, GRAPH_G1, GRAPH_N, make_Hk, make_Tk
+from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_N, HOUSE, make_Hk, make_Tk
 from oppograph.recognize import (
     recognize_coalition,
     recognize_coalition_distance_hereditary,
@@ -46,8 +47,18 @@ def _union(*gs: Graph) -> Graph:
     return Graph(off, edges)
 
 
+def _shuffled_union(seed: int, *gs: Graph) -> Graph:
+    """The disjoint union with its vertex ids permuted by a seeded shuffle,
+    so no component keeps a block of consecutive ids."""
+    g = _union(*gs)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def _graphs():
     co_c6 = parse_edge_list(CO_C6_EDGE_LIST)
+    house, gem = HOUSE.as_graph(), GEM.as_graph()
     return {
         "c5": cycle_graph(5),
         "c6": cycle_graph(6),
@@ -72,6 +83,10 @@ def _graphs():
         "opp-flip-non-member": parse_graph6("EYnO"),
         "opp-two-components": parse_graph6("FUxqO"),
         "coal-two-components": parse_graph6("EfWo"),
+        # the flip search checks components one at a time; these unions
+        # pin the certificates it must still produce for the whole graph
+        "union-c5": _shuffled_union(5, cycle_graph(5), co_c6, path_graph(5), house),
+        "union-co-c6": _shuffled_union(6, co_c6, path_graph(5), gem, complement(cycle_graph(6))),
     }
 
 
@@ -126,6 +141,13 @@ _CASES = [
     ("coal-dh/tree", "tree", recognize_coalition_distance_hereditary, {}),
     ("coal-dh/dh-twins", "dh-twins", recognize_coalition_distance_hereditary, {}),
     ("coal-dh/c6", "c6", recognize_coalition_distance_hereditary, {}),
+    ("opp/union-c5", "union-c5", recognize_opposition, {}),
+    ("coal/union-c5", "union-c5", recognize_coalition, {}),
+    ("coal/union-c5-cap5", "union-c5", recognize_coalition, {"flip_cap": 5}),
+    ("opp/union-co-c6", "union-co-c6", recognize_opposition, {}),
+    ("opp/union-co-c6-cap5", "union-co-c6", recognize_opposition, {"flip_cap": 5}),
+    ("coal/union-co-c6", "union-co-c6", recognize_coalition, {}),
+    ("coal/union-co-c6-cap5", "union-co-c6", recognize_coalition, {"flip_cap": 5}),
 ]
 
 # (n, seed) pairs whose generated graph6 strings are pinned
@@ -194,6 +216,13 @@ GOLDEN = {
     "coal-dh/tree": "a8f14eb8ef9e7919020430ef4c4690a952a574afed21e930755200ea0ce54afe",
     "coal-dh/dh-twins": "4b26666bdaf62471e53b0ef410b69389ed132cc2fa6339ad2ba053ef8089c2e7",
     "coal-dh/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",
+    "opp/union-c5": "8b07489b69c45c0c161fe29ed6b2ed2d65344d0fbecb4cf901e8f52473fbd5e4",
+    "coal/union-c5": "1bc0d0f0a09f06cbf6d4f938f9d327b9d7151257730de502b7223d829f227c8f",
+    "coal/union-c5-cap5": "0e1c8ee3caabaf8c56ed955e1fc78f3109b8ab0ea503bcb6e4faf11c5e3dbe42",
+    "opp/union-co-c6": "60d79ff052eae2f800268492576909889d7f570a4e6a205a78a1281774be9833",
+    "opp/union-co-c6-cap5": "5529b32c2a62d2bea41ecd70f9d59bf27531efee9b50d21851b11d393e418bc9",
+    "coal/union-co-c6": "3cdcfa14da11da57d7eae8f80cf1c6ed686e76cef9139f7c06e9ac756103d505",
+    "coal/union-co-c6-cap5": "0e1c8ee3caabaf8c56ed955e1fc78f3109b8ab0ea503bcb6e4faf11c5e3dbe42",
 }
 
 GOLDEN_GENERATOR = "e2ddac1f455f877cecfd97511bc870e0c5a27ff6f3112a60b33ff52bce5d3dcf"

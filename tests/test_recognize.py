@@ -1,18 +1,33 @@
+import random
+
 import pytest
 
 from conftest import random_graph
-from oppograph.constraints import OddWalkCertificate
+from oppograph.constraints import (
+    ConstraintGraph,
+    OddWalkCertificate,
+    bipartition_or_odd_walk,
+    extend_acyclic,
+    forced_orientation,
+    is_acyclic,
+)
 from oppograph.graphs import (
+    DirectedCycleCertificate,
     Graph,
+    complement,
     complete_graph,
+    connected_components,
     cycle_graph,
     parse_edge_list,
+    parse_graph6,
     path_graph,
+    topo_order_or_cycle,
 )
 from oppograph.oracle import oracle_coalition, oracle_opposition
 from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION, end_edges, verify_orientation
-from oppograph.patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, make_Hk, make_Tk
+from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, HOUSE, make_Hk, make_Tk
 from oppograph.recognize import (
+    DEFAULT_FLIP_CAP,
     FlipExhaustion,
     PtolemaicOrientationError,
     opposition_obstruction,
@@ -23,6 +38,8 @@ from oppograph.recognize import (
     recognize_opposition,
     recognize_opposition_distance_hereditary,
     recognize_opposition_gem_house_free,
+    _flip_search,
+    _FlipOutcome,
     transitive_orient,
     verdict_payload,
 )
@@ -510,3 +527,108 @@ def test_oracle_agreement_n8_n9_random():
             assert v.is_member == orc(g).is_member
             ok, msg = check_verdict(g, v)
             assert ok, msg
+
+
+# ---------------------------------------------------------------------------
+# the flip search checks one component of G at a time
+
+
+def _whole_graph_flip_search(cg, b, flip_cap):
+    """The flip search with one forced orientation and one acyclicity
+    check of the whole graph per flip vector, kept as the reference."""
+    cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
+    c = b.component_count
+    total = 1 << (c - 1) if c > 0 else 1
+    entries = []
+    for rank in range(total):
+        if rank >= cap:
+            return _FlipOutcome(None, entries, True, rank)
+        flips = (0,) + tuple((rank >> i) & 1 for i in range(c - 1)) if c > 0 else ()
+        partial = forced_orientation(cg, b, flips)
+        res = is_acyclic(partial)
+        if not isinstance(res, DirectedCycleCertificate):
+            return _FlipOutcome(extend_acyclic(partial), entries, False, rank + 1)
+        entries.append((flips, res))
+    return _FlipOutcome(None, entries, False, total)
+
+
+def _assert_same_outcome(got, want):
+    assert (got.orientation is None) == (want.orientation is None)
+    if want.orientation is not None:
+        assert got.orientation.arcs() == want.orientation.arcs()
+    assert got.entries == want.entries
+    assert (got.undecided, got.tried) == (want.undecided, want.tried)
+
+
+def _union(gs):
+    edges, off = [], 0
+    for g in gs:
+        edges += [(u + off, v + off) for u, v in g.edges]
+        off += g.n
+    return Graph(off, edges)
+
+
+_WITH_P4S = (
+    cycle_graph(5),
+    complement(cycle_graph(6)),
+    cycle_graph(6),
+    HOUSE.as_graph(),
+    GEM.as_graph(),
+    path_graph(4),
+    path_graph(5),
+    # connected members whose first flip vector is cyclic
+    parse_graph6("F}SyO"),  # opposition
+    parse_graph6("FNccw"),  # coalition
+)
+_WITHOUT_P4S = (complete_graph(3), complete_graph(2), complete_graph(1))
+
+
+def test_flip_search_per_component_matches_whole_graph():
+    rng = random.Random(5)
+    seen = dict.fromkeys(
+        ("later component", "member at rank > 0", "cap partway", "no P4s"), 0
+    )
+    for _ in range(250):
+        gs = [rng.choice(_WITH_P4S) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            gs.append(rng.choice(_WITHOUT_P4S))
+        rng.shuffle(gs)
+        g = _union(gs)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        comps = connected_components(g)
+        for kind in (OPPOSITION, COALITION):
+            cg = ConstraintGraph(kind, g)
+            b = bipartition_or_odd_walk(cg)
+            if isinstance(b, OddWalkCertificate):
+                continue
+            ends = {x for x, _ in cg.vars}
+            seen["no P4s"] += any(ends.isdisjoint(comp) for comp in comps)
+            for cap in (None, 1, 2, 5):
+                want = _whole_graph_flip_search(cg, b, cap)
+                _assert_same_outcome(_flip_search(cg, b, cap), want)
+                seen["member at rank > 0"] += want.orientation is not None and want.tried > 1
+                seen["cap partway"] += want.undecided and len(want.entries) > 1
+            for flips, cyc in _whole_graph_flip_search(cg, b, None).entries:
+                # the first component of G (by least vertex) whose forced
+                # part is cyclic need not hold the reported cycle
+                arcs = forced_orientation(cg, b, flips).arcs()
+                first = next(
+                    comp
+                    for comp in comps
+                    if topo_order_or_cycle(g.n, [a for a in arcs if a[0] in comp])[1]
+                )
+                seen["later component"] += cyc.vertices[0] not in first
+    assert all(seen.values()), seen
+
+
+def test_flip_search_without_aux_components():
+    g = _union([complete_graph(3), complete_graph(2), complete_graph(1)])
+    for kind in (OPPOSITION, COALITION):
+        cg = ConstraintGraph(kind, g)
+        b = bipartition_or_odd_walk(cg)
+        assert b.component_count == 0
+        got = _flip_search(cg, b, None)
+        _assert_same_outcome(got, _whole_graph_flip_search(cg, b, None))
+        assert got.tried == 1 and got.orientation is not None
