@@ -1,10 +1,12 @@
 """Independent certificate checkers.
 
-These deliberately avoid the production code paths: P4s come from a
-4-subset scan instead of the mid-edge enumerator, auxiliary adjacency is
-rebuilt from the quadratic pairwise definition, 2-coloring uses DFS, and
-acyclicity uses DFS back-edge detection.  Certificates emitted by the
-recognizers must re-verify here.
+These deliberately avoid the production code paths: P4s are grown from
+their smaller end vertex over adjacency bitsets instead of the mid-edge
+enumerator, the auxiliary adjacency is rebuilt from that P4 list by the
+definition's two links per P4, 2-coloring uses DFS, and acyclicity uses
+DFS back-edge detection.  Certificates emitted by the recognizers must
+re-verify here.  The O(n^4) 4-subset scan `brute_force_p4s` stays as the
+reference that tests compare both P4 enumerators against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations
 from .constraints import OddWalkCertificate
 from .graphs import Graph, Orientation
 from .p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
-from .patterns import PatternMatch
+from .patterns import GRAPH_N, PatternMatch
 from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, Verdict
 
 
@@ -40,6 +42,35 @@ def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
         d = ends[1]
         out.append((a, b, c, d) if a < d else (d, c, b, a))
     out.sort()
+    return out
+
+
+def _bits(x: int):
+    """The set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
+    """Induced P4s a-b-c-d grown from the smaller end a (canonical a < d).
+
+    b ranges over N(a), c over N(b) minus N[a], d over N(c) minus
+    (N[a] | N[b]) with d > a, on Python-int neighbourhood bitsets.  Every
+    bit loop runs lowest first, so the tuples come out in sorted order,
+    the order of `brute_force_p4s`.
+    """
+    nbr = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    out = []
+    for a in range(g.n):
+        closed_a = nbr[a] | (1 << a)
+        above_a = -1 << (a + 1)
+        for b in _bits(nbr[a]):
+            far = above_a & ~(closed_a | nbr[b])
+            for c in _bits(nbr[b] & ~closed_a):
+                for d in _bits(nbr[c] & far):
+                    out.append((a, b, c, d))
     return out
 
 
@@ -74,7 +105,7 @@ def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool,
     if o.base != g:
         return False, "orientation refers to a different graph"
     opposed_wanted = graph_class in (OPPOSITION, GENERALIZED_OPPOSITION)
-    for a, b, c, d in brute_force_p4s(g):
+    for a, b, c, d in path_extension_p4s(g):
         opposed = o.forward(a, b) != o.forward(c, d)
         if opposed != opposed_wanted:
             return False, f"P4 {(a, b, c, d)} violates the {graph_class} condition"
@@ -138,18 +169,29 @@ def check_pattern_match(g: Graph, match: PatternMatch) -> tuple[bool, str]:
 
 
 def _rebuild_aux(g: Graph, kind: str):
+    """Variables (both arcs of every end-edge, by edge) and the auxiliary
+    adjacency: (x, y)~(y, x), and per P4 a-b-c-d the two links that
+    `aux_adjacent` accepts for the kind."""
+    p4s = path_extension_p4s(g)
     ends = set()
-    for a, b, c, d in brute_force_p4s(g):
+    for a, b, c, d in p4s:
         ends.add((a, b) if a < b else (b, a))
         ends.add((c, d) if c < d else (d, c))
     vars_ = []
     for x, y in sorted(ends):
         vars_.append((x, y))
         vars_.append((y, x))
-    adj = [
-        [j for j in range(len(vars_)) if j != i and aux_adjacent(g, kind, vars_[i], vars_[j])]
-        for i in range(len(vars_))
-    ]
+    index = {v: i for i, v in enumerate(vars_)}
+    adj = [[i ^ 1] for i in range(len(vars_))]
+    for a, b, c, d in p4s:
+        if kind == OPPOSITION:
+            links = (((a, b), (c, d)), ((b, a), (d, c)))
+        else:
+            links = (((a, b), (d, c)), ((b, a), (c, d)))
+        for p, q in links:
+            i, j = index[p], index[q]
+            adj[i].append(j)
+            adj[j].append(i)
     return vars_, adj
 
 
@@ -194,6 +236,8 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
     for flips, cycle in cert.entries:
         if len(flips) != comps or flips[0] != 0 or flips in seen:
             return False, "malformed or duplicate flip vector"
+        if any(f not in (0, 1) for f in flips):
+            return False, f"flip vector {flips} has a value other than 0 and 1"
         seen.add(flips)
         vs = cycle.vertices
         if len(vs) < 2:
@@ -226,9 +270,11 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
         if isinstance(cert, FlipExhaustion):
             return check_flip_exhaustion(g, aux_kind, cert)
         if isinstance(cert, PatternMatch):
-            if v.graph_class == COALITION and cert.pattern.name != "N":
-                return False, "only N embeddings refute coalition membership"
-            return check_pattern_match(g, cert)
+            # N is the one pattern known to lie outside a class (coalition);
+            # its edges come from GRAPH_N, never from the certificate
+            if v.graph_class != COALITION or cert.pattern.name != "N":
+                return False, "only N embeddings refute membership, and only coalition"
+            return check_pattern_match(g, PatternMatch(GRAPH_N, cert.mapping))
         return False, "non-member verdict without a certificate"
     if v.decision == UNDECIDED:
         if v.certificate is not None:

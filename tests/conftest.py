@@ -45,3 +45,12 @@ def random_graph(n: int, p: float, seed) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def disjoint_union(gs) -> Graph:
+    """The graphs side by side, each one's ids shifted past the previous ones."""
+    edges, off = [], 0
+    for g in gs:
+        edges += [(u + off, v + off) for u, v in g.edges]
+        off += g.n
+    return Graph(off, edges)

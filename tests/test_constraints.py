@@ -28,7 +28,7 @@ from oppograph.graphs import (
 from oppograph.oracle import oracle_generalized_opposition
 from oppograph.p4 import COALITION, OPPOSITION, induced_p4s, orientation_good_for
 from oppograph.patterns import GRAPH_N
-from oppograph.verify import aux_adjacent, check_odd_walk
+from oppograph.verify import _rebuild_aux, aux_adjacent, check_odd_walk
 
 # frozen edge set of the auxiliary graph of the labeled co-C6 instance:
 # two 6-cycles joined by the six negation edges, as variable-label pairs
@@ -80,12 +80,17 @@ def test_aux_adjacency_matches_definition_quadratically():
         g = random_graph(7, 0.45, seed)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
+            # the verifier's rebuild from its own P4 list must agree too
+            vars_, adj = _rebuild_aux(g, kind)
+            assert vars_ == cg.vars
             for i in range(cg.var_count):
+                assert len(adj[i]) == len(set(adj[i])), (seed, kind, cg.vars[i])
                 for j in range(cg.var_count):
                     if i == j:
                         continue
                     expect = aux_adjacent(g, kind, cg.vars[i], cg.vars[j])
                     assert (j in cg.adj[i]) == expect, (seed, kind, cg.vars[i], cg.vars[j])
+                    assert (j in adj[i]) == expect, (seed, kind, cg.vars[i], cg.vars[j])
 
 
 def test_o_c5_contains_odd_walk():

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from conftest import CO_C6_EDGE_LIST
+from conftest import CO_C6_EDGE_LIST, disjoint_union
 from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_tree
 from oppograph.graphs import (
     Graph,
@@ -39,18 +39,10 @@ from oppograph.recognize import (
 )
 
 
-def _union(*gs: Graph) -> Graph:
-    edges, off = [], 0
-    for g in gs:
-        edges += [(u + off, v + off) for u, v in g.edges]
-        off += g.n
-    return Graph(off, edges)
-
-
 def _shuffled_union(seed: int, *gs: Graph) -> Graph:
     """The disjoint union with its vertex ids permuted by a seeded shuffle,
     so no component keeps a block of consecutive ids."""
-    g = _union(*gs)
+    g = disjoint_union(gs)
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -64,7 +56,7 @@ def _graphs():
         "c6": cycle_graph(6),
         "p7": path_graph(7),
         "co-c6": co_c6,
-        "co-c6x3": _union(*[complement(cycle_graph(6))] * 3),
+        "co-c6x3": disjoint_union([complement(cycle_graph(6))] * 3),
         "co-c8": complement(cycle_graph(8)),
         "h2": make_Hk(2).as_graph(),
         "t1": make_Tk(1).as_graph(),
@@ -75,7 +67,7 @@ def _graphs():
         "tree": random_tree(9, 3),
         "dh-twins": random_distance_hereditary(16, 2),
         "dh-non-member": random_distance_hereditary(24, 5),
-        "p5+h1": _union(path_graph(5), make_Hk(1).as_graph()),
+        "p5+h1": disjoint_union([path_graph(5), make_Hk(1).as_graph()]),
         # small random graphs, one per route they reach
         "gem-house-hole-free": parse_graph6("Er_g"),
         "flip-member": parse_graph6("DNk"),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import disjoint_union, random_graph
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -560,14 +560,6 @@ def _assert_same_outcome(got, want):
     assert (got.undecided, got.tried) == (want.undecided, want.tried)
 
 
-def _union(gs):
-    edges, off = [], 0
-    for g in gs:
-        edges += [(u + off, v + off) for u, v in g.edges]
-        off += g.n
-    return Graph(off, edges)
-
-
 _WITH_P4S = (
     cycle_graph(5),
     complement(cycle_graph(6)),
@@ -593,7 +585,7 @@ def test_flip_search_per_component_matches_whole_graph():
         if rng.random() < 0.5:
             gs.append(rng.choice(_WITHOUT_P4S))
         rng.shuffle(gs)
-        g = _union(gs)
+        g = disjoint_union(gs)
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -624,7 +616,7 @@ def test_flip_search_per_component_matches_whole_graph():
 
 
 def test_flip_search_without_aux_components():
-    g = _union([complete_graph(3), complete_graph(2), complete_graph(1)])
+    g = disjoint_union([complete_graph(3), complete_graph(2), complete_graph(1)])
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
         b = bipartition_or_odd_walk(cg)

@@ -1,0 +1,192 @@
+"""The independent checkers reject tampered certificates, and certify
+large verdicts without the 4-subset P4 scan."""
+
+from dataclasses import replace
+
+import pytest
+
+from conftest import disjoint_union
+from oppograph import verify
+from oppograph.constraints import OddWalkCertificate
+from oppograph.generate import random_tree
+from oppograph.graphs import (
+    DirectedCycleCertificate,
+    Graph,
+    Orientation,
+    complement,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
+from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
+from oppograph.patterns import GRAPH_N, HOUSE, Pattern, PatternMatch
+from oppograph.recognize import (
+    NON_MEMBER,
+    FlipExhaustion,
+    Verdict,
+    recognize_coalition,
+    recognize_coalition_distance_hereditary,
+    recognize_generalized_opposition,
+    recognize_opposition,
+)
+from oppograph.verify import check_verdict
+
+RECOGNIZERS = {
+    OPPOSITION: recognize_opposition,
+    GENERALIZED_OPPOSITION: recognize_generalized_opposition,
+    COALITION: recognize_coalition,
+}
+
+
+def _k2(k):
+    return Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
+
+
+def _rejected(g, v):
+    ok, msg = check_verdict(g, v)
+    assert not ok
+    return msg
+
+
+def _flip_exhaustion():
+    # co-C6 is one aux component, P5 two more: four flip vectors, every
+    # entry holding the same co-C6 cycle
+    g = disjoint_union([complement(cycle_graph(6)), path_graph(5)])
+    v = recognize_opposition(g)
+    assert isinstance(v.certificate, FlipExhaustion)
+    assert [flips for flips, _ in v.certificate.entries] == [
+        (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)
+    ]
+    assert check_verdict(g, v) == (True, "ok")
+    return g, v
+
+
+# ---------------------------------------------------------------------------
+# one mutation per certificate kind
+
+
+@pytest.mark.parametrize("graph_class", sorted(RECOGNIZERS))
+def test_reversed_arc_breaks_a_p4(graph_class):
+    g = path_graph(5)
+    v = RECOGNIZERS[graph_class](g)
+    assert check_verdict(g, v) == (True, "ok")
+    arcs = [(h, t) if {t, h} == {0, 1} else (t, h) for t, h in v.certificate.arcs()]
+    msg = _rejected(g, replace(v, certificate=Orientation(g, arcs)))
+    assert "violates" in msg
+
+
+@pytest.mark.parametrize("graph_class", [OPPOSITION, COALITION])
+def test_directed_cycle_rejected(graph_class):
+    g = complete_graph(3)
+    v = RECOGNIZERS[graph_class](g)
+    cyclic = replace(v, certificate=Orientation(g, [(0, 1), (1, 2), (2, 0)]))
+    assert "directed cycle" in _rejected(g, cyclic)
+
+
+def test_dropped_flip_entry_rejected():
+    g, v = _flip_exhaustion()
+    entries = v.certificate.entries
+    assert "expected 4" in _rejected(g, replace(v, certificate=FlipExhaustion(entries[1:])))
+
+
+def test_duplicated_flip_entry_rejected():
+    g, v = _flip_exhaustion()
+    entries = v.certificate.entries
+    forged = FlipExhaustion(entries[:3] + entries[:1])
+    assert "duplicate" in _rejected(g, replace(v, certificate=forged))
+
+
+def test_flip_value_outside_bits_rejected():
+    # (0, 1, 2) and (0, 1, 1) select the same co-C6 arcs, so a vector with
+    # a 2 in it used to stand in for the unlisted (0, 1, 1)
+    g, v = _flip_exhaustion()
+    entries = list(v.certificate.entries)
+    assert entries[3][0] == (0, 1, 1)
+    entries[3] = ((0, 1, 2), entries[3][1])
+    msg = _rejected(g, replace(v, certificate=FlipExhaustion(tuple(entries))))
+    assert "other than 0 and 1" in msg
+
+
+def test_cycle_arc_not_selected_by_flips_rejected():
+    g, v = _flip_exhaustion()
+    flips, cycle = v.certificate.entries[0]
+    reversed_cycle = DirectedCycleCertificate(tuple(reversed(cycle.vertices)))
+    entries = ((flips, reversed_cycle),) + v.certificate.entries[1:]
+    msg = _rejected(g, replace(v, certificate=FlipExhaustion(entries)))
+    assert "not selected" in msg
+
+
+def test_even_walk_rejected():
+    g = cycle_graph(5)
+    v = recognize_opposition(g)
+    walk = v.certificate.walk
+    assert check_verdict(g, v) == (True, "ok")
+    # twice round the odd walk: closed, every hop adjacent, even length
+    doubled = OddWalkCertificate(walk + walk[1:])
+    assert "even length" in _rejected(g, replace(v, certificate=doubled))
+
+
+# ---------------------------------------------------------------------------
+# pattern certificates
+
+
+@pytest.mark.parametrize("graph_class", [OPPOSITION, GENERALIZED_OPPOSITION])
+def test_pattern_certificate_rejected_for_opposition_classes(graph_class):
+    # the house is an opposition graph; no recognizer of these two classes
+    # refutes membership by a pattern
+    g = HOUSE.as_graph()
+    assert recognize_opposition(g).is_member
+    forged = Verdict(graph_class, NON_MEMBER, "forged", PatternMatch(HOUSE, tuple(range(5))))
+    _rejected(g, forged)
+
+
+def test_forged_n_pattern_rejected():
+    # a pattern named N with the edges of P4 embeds in P4, a coalition member
+    g = path_graph(4)
+    assert recognize_coalition(g).is_member
+    fake_n = Pattern("N", 4, ((0, 1), (1, 2), (2, 3)))
+    forged = Verdict(COALITION, NON_MEMBER, "forged", PatternMatch(fake_n, (0, 1, 2, 3)))
+    _rejected(g, forged)
+
+
+# ---------------------------------------------------------------------------
+# the checker never runs the 4-subset scan
+
+
+@pytest.fixture
+def no_subset_scan(monkeypatch):
+    def refuse(g):
+        raise AssertionError("check_verdict ran the 4-subset P4 scan")
+
+    monkeypatch.setattr(verify, "brute_force_p4s", refuse)
+
+
+def _kinds():
+    co_c6 = complement(cycle_graph(6))
+    co_c6_thrice = disjoint_union([co_c6] * 3)
+    k2 = _k2(200)
+    tree = random_tree(1000, 1)
+    return [
+        *[(k2, RECOGNIZERS[c](k2)) for c in sorted(RECOGNIZERS)],
+        (tree, recognize_coalition(tree)),
+        (cycle_graph(5), recognize_opposition(cycle_graph(5))),
+        (co_c6, recognize_opposition(co_c6)),
+        (co_c6, recognize_generalized_opposition(co_c6)),
+        (GRAPH_N.as_graph(), recognize_coalition_distance_hereditary(GRAPH_N.as_graph())),
+        (co_c6_thrice, recognize_opposition(co_c6_thrice, flip_cap=2)),
+    ]
+
+
+def test_check_verdict_without_subset_scan(no_subset_scan):
+    seen = set()
+    for g, v in _kinds():
+        ok, msg = check_verdict(g, v)
+        assert ok, (g, v.graph_class, v.method, msg)
+        seen.add((v.decision, type(v.certificate).__name__))
+    assert seen == {
+        ("member", "Orientation"),
+        ("non-member", "OddWalkCertificate"),
+        ("non-member", "FlipExhaustion"),
+        ("non-member", "PatternMatch"),
+        ("undecided", "NoneType"),
+    }
