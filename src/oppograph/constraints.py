@@ -11,6 +11,10 @@ so that independent sets of the auxiliary graph are exactly the
 conflict-free direction choices.  Bipartiteness therefore decides the
 "generalized" membership question, and a bipartition side induces the
 forced partial orientation of the end-edges.
+
+The graphs are built from mid-edge blocks without listing P4s, and
+their neighbour lists are generated from G only when read (see
+``ConstraintGraph``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .graphs import (
     orient_along,
     topo_order_or_cycle,
 )
-from .p4 import COALITION, OPPOSITION, P4, induced_p4s
+from .p4 import COALITION, OPPOSITION
 
 ArcVar = tuple[int, int]
 
@@ -35,54 +39,224 @@ _SHORTEST_WALK_BUDGET = 4_000_000
 
 
 class ConstraintGraph:
-    """The auxiliary graph O(G) (kind "opposition") or C(G) ("coalition")."""
+    """The auxiliary graph O(G) (kind "opposition") or C(G) ("coalition").
 
-    __slots__ = ("kind", "base", "vars", "index", "adj", "p4_count")
+    As (x, y) and (y, x) take opposite sides, a P4 a-b-c-d puts a->b on
+    the side of d->c (opposition) or of c->d (coalition).  The block of a
+    mid-edge {b, c} has L = N(b) minus N[c] and R = N(c) minus N[b]; its
+    P4s are a-b-c-d with a in L, d in R, a and d non-adjacent.  All
+    variables of one component of that L-R non-adjacency share a side, so
+    each component is merged once into a union-find over end-edges that
+    keeps each edge's side relative to its root and marks a class bad
+    when a merge contradicts it.  The classes are the components of the
+    auxiliary graph; a class is bipartite unless bad.
 
-    def __init__(self, kind: str, base: Graph, p4s: list[P4] | None = None):
+    ``vars`` holds both arcs of every end-edge, sorted by edge: variable
+    2k is the k-th end-edge (x, y) with x < y and 2k + 1 is (y, x).
+    ``edge_class[k]`` is the class of end-edge k (numbered by least
+    end-edge), ``edge_side[k]`` the side of variable 2k relative to the
+    least end-edge of its class, and ``class_bad[c]`` whether class c is
+    not bipartite.  No aux link arises from two P4s, so there are
+    #end-edges + 2 #P4 aux edges.  ``adj`` and ``index`` are built on
+    first use.
+    """
+
+    __slots__ = (
+        "kind", "base", "vars", "p4_count", "edge_count",
+        "edge_class", "edge_side", "class_bad", "_index", "_arcs", "_adj",
+    )
+
+    def __init__(self, kind: str, base: Graph):
         if kind not in (OPPOSITION, COALITION):
             raise ValueError(f"constraint graph kind must be opposition or coalition, got {kind!r}")
-        if p4s is None:
-            p4s = induced_p4s(base)
-        ends = set()
-        for p in p4s:
-            ends.update(p.end_edges())
+        adj = base.adj
+        edges = base.edges
+        # edge ids by endpoint: inc[u][v] is the id of {u, v}
+        inc: list[dict[int, int]] = [{} for _ in range(base.n)]
+        for e, (u, v) in enumerate(edges):
+            inc[u][v] = inc[v][u] = e
+        m = len(edges)
+        parent = list(range(m))
+        parity = [0] * m  # side of the edge's (low, high) variable XOR its parent's
+        size = [1] * m
+        bad = [False] * m
+
+        def find(x: int) -> tuple[int, int]:
+            """Root of x and the parity of x relative to it; compresses the path."""
+            path = []
+            while parent[x] != x:
+                path.append(x)
+                x = parent[x]
+            acc = 0
+            for y in reversed(path):
+                acc ^= parity[y]
+                parity[y] = acc
+                parent[y] = x
+            return x, acc
+
+        n = base.n
+        codegree: dict[int, int] = {}  # |N(a) & N(c)| by a * n + c
+
+        def dominates(a: int, c: int, nc, common, size_r: int) -> bool:
+            """Is a adjacent to all of R?  |R & N(a)| is |N(a) & N(c)|
+            minus |N(a) & N(b) & N(c)| minus b itself."""
+            if len(adj[a]) <= size_r:
+                return False
+            key = a * n + c
+            cd = codegree.get(key)
+            if cd is None:
+                cd = codegree[key] = len(adj[a] & nc)
+            return cd - len(adj[a] & common) - 1 == size_r
+
+        coalition = kind == COALITION
+        p4_count = 0
+        for b, c in edges:
+            nb, nc = adj[b], adj[c]
+            if len(nb) > len(nc):
+                b, c, nb, nc = c, b, nc, nb
+            left = nb.difference(nc, (c,))
+            if not left:
+                continue
+            common = nb & nc
+            size_r = len(nc) - 1 - len(common)
+            # a block whose every a is adjacent to all of R has no P4; this
+            # is told without building R, which may be large
+            if not size_r or all(dominates(a, c, nc, common, size_r) for a in left):
+                continue
+            right = nc.difference(nb, (b,))
+            for a in left:
+                p4_count += len(right - adj[a])
+            # components of the non-adjacency between left and right; each
+            # vertex leaves the unvisited sets once
+            unl, unr = set(left), set(right)
+            while unl and unr:
+                first = unl.pop()
+                comp_l, comp_r = [first], []
+                frontier, on_left = comp_l, True
+                while frontier:
+                    new = []
+                    other = unr if on_left else unl
+                    for v in frontier:
+                        if not other:
+                            break
+                        got = other - adj[v]
+                        if got:
+                            other -= got
+                            new.extend(got)
+                    (comp_r if on_left else comp_l).extend(new)
+                    frontier, on_left = new, not on_left
+                if not comp_r:
+                    continue  # first has no P4 in this block
+                # a->b for a in comp_l and d->c (c->d for coalition) for
+                # d in comp_r all take the side of first->b
+                r0, p0 = find(inc[b][first])
+                p0 ^= first > b
+                for x, vs, flip in ((b, comp_l, False), (c, comp_r, coalition)):
+                    inc_x = inc[x]
+                    for v in vs:
+                        e = inc_x[v]
+                        r = parent[e]
+                        if parent[r] == r:
+                            p = parity[e]  # 0 at a root
+                        else:
+                            r, p = find(e)
+                        need = p ^ p0 ^ (v > x) ^ flip  # parity r must have relative to r0
+                        if r == r0:
+                            if need:
+                                bad[r0] = True
+                            continue
+                        if size[r] > size[r0]:
+                            r, r0 = r0, r
+                            p0 ^= need  # first's parity relative to the new root
+                        parent[r] = r0
+                        parity[r] = need
+                        size[r0] += size[r]
+                        bad[r0] = bad[r0] or bad[r]
+
+        # an edge in a P4 shares its class with the far end-edge, so the
+        # singleton classes are the edges in no P4
         vars_: list[ArcVar] = []
-        for x, y in sorted(ends):
+        edge_class: list[int] = []
+        edge_side: list[int] = []
+        class_of_root: dict[int, int] = {}
+        class_parity: list[int] = []
+        class_bad: list[bool] = []
+        for e in range(m):
+            if size[e] == 1 and parent[e] == e:
+                continue
+            r, p = find(e)
+            x, y = edges[e]
             vars_.append((x, y))
             vars_.append((y, x))
-        index = {v: i for i, v in enumerate(vars_)}
-        adj: list[set[int]] = [set() for _ in vars_]
-
-        def link(p: ArcVar, q: ArcVar) -> None:
-            i, j = index[p], index[q]
-            adj[i].add(j)
-            adj[j].add(i)
-
-        for x, y in ends:
-            link((x, y), (y, x))
-        for p in p4s:
-            a, b, c, d = p.vertices
-            if kind == OPPOSITION:
-                link((a, b), (c, d))
-                link((b, a), (d, c))
-            else:
-                link((a, b), (d, c))
-                link((b, a), (c, d))
+            k = class_of_root.get(r)
+            if k is None:
+                k = class_of_root[r] = len(class_bad)
+                class_parity.append(p)
+                class_bad.append(bad[r])
+            edge_class.append(k)
+            edge_side.append(p ^ class_parity[k])
         self.kind = kind
         self.base = base
         self.vars = vars_
-        self.index = index
-        self.adj = [sorted(s) for s in adj]
-        self.p4_count = len(p4s)
+        self.p4_count = p4_count
+        self.edge_count = len(edge_class) + 2 * p4_count
+        self.edge_class = edge_class
+        self.edge_side = edge_side
+        self.class_bad = class_bad
+        self._index: dict[ArcVar, int] | None = None
+        self._arcs: list[dict[int, int]] | None = None
+        self._adj: _Adjacency | None = None
 
     @property
     def var_count(self) -> int:
         return len(self.vars)
 
     @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+    def bipartite(self) -> bool:
+        """No class is bad, so the auxiliary graph has no odd cycle."""
+        return not any(self.class_bad)
+
+    @property
+    def index(self) -> dict[ArcVar, int]:
+        """Variable -> id."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vars)}
+        return self._index
+
+    @property
+    def adj(self) -> "_Adjacency":
+        """Sorted neighbour ids of every variable, each list generated on
+        first use."""
+        if self._adj is None:
+            self._adj = _Adjacency(self)
+        return self._adj
+
+    def _neighbours(self, i: int) -> list[int]:
+        """Sorted neighbour ids of variable i = (x, y), from the base graph.
+
+        (x, y) is linked to (y, x), to the far end-edge of every P4
+        x-y-c-d, read (c, d) for opposition and (d, c) for coalition, and
+        to that of every P4 y-x-c-d, read the other way round.
+        """
+        if self._arcs is None:
+            self._arcs = [{} for _ in range(self.base.n)]
+            for j, (u, v) in enumerate(self.vars):
+                self._arcs[u][v] = j
+        arcs = self._arcs  # arcs[u][v] is the id of (u, v)
+        x, y = self.vars[i]
+        adj = self.base.adj
+        ax, ay = adj[x], adj[y]
+        closed = ax | ay  # holds x and y
+        beyond_y, beyond_x = ay.difference(ax, (x,)), ax.difference(ay, (y,))
+        if self.kind == COALITION:
+            out = [arcs[d][c] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[c][d] for c in beyond_x for d in adj[c] - closed]
+        else:
+            out = [arcs[c][d] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[d][c] for c in beyond_x for d in adj[c] - closed]
+        out.append(i ^ 1)
+        out.sort()
+        return out
 
     def var_label(self, i: int) -> str:
         x, y = self.vars[i]
@@ -104,6 +278,29 @@ class ConstraintGraph:
                     lines.append(f'  "{self.var_label(i)}" -- "{self.var_label(j)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+class _Adjacency:
+    """Read-only list view of the neighbour lists of a ConstraintGraph,
+    each generated by ``ConstraintGraph._neighbours`` on first read."""
+
+    __slots__ = ("_cg", "_lists")
+
+    def __init__(self, cg: ConstraintGraph):
+        self._cg = cg
+        self._lists: list[list[int] | None] = [None] * cg.var_count
+
+    def __len__(self) -> int:
+        return len(self._lists)
+
+    def __getitem__(self, i: int) -> list[int]:
+        got = self._lists[i]
+        if got is None:
+            got = self._lists[i] = self._cg._neighbours(i)
+        return got
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._lists)))
 
 
 @dataclass(frozen=True)
@@ -136,16 +333,32 @@ def _path_up(parent, v: int) -> list[int]:
     return path
 
 
-def _walk_from_conflict(
-    cg: ConstraintGraph, parent: list[int], x: int, y: int
-) -> tuple[ArcVar, ...]:
-    px, py = _path_up(parent, x), _path_up(parent, y)
-    sx = set(px)
-    lca = next(v for v in py if v in sx)
-    ux = px[: px.index(lca) + 1]
-    uy = py[: py.index(lca) + 1]
-    walk = ux[::-1] + uy  # lca..x then y..lca; x and y are adjacent
-    return tuple(cg.vars[v] for v in walk)
+def _first_conflict_walk(cg: ConstraintGraph, start: int) -> tuple[ArcVar, ...]:
+    """The tree-path walk through the first conflict of a BFS 2-coloring
+    from ``start``, a variable of a non-bipartite class.
+
+    Neighbours are scanned in id order; at the first neighbour w of the
+    popped v on v's side, the walk runs from the lowest common ancestor of
+    v and w down to v and back up from w.  Only the variables the BFS
+    reaches get neighbour lists.
+    """
+    side = {start: 0}
+    parent = {start: -1}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in cg.adj[v]:
+            if w not in side:
+                side[w] = 1 - side[v]
+                parent[w] = v
+                queue.append(w)
+            elif side[w] == side[v]:
+                px, py = _path_up(parent, v), _path_up(parent, w)
+                sx = set(px)
+                lca = next(u for u in py if u in sx)
+                walk = px[: px.index(lca) + 1][::-1] + py[: py.index(lca) + 1]
+                return tuple(cg.vars[u] for u in walk)
+    raise ValueError("the class of the start variable is bipartite")
 
 
 def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, ...]:
@@ -153,7 +366,7 @@ def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, 
 
     ``verts`` is a whole connected component in id order.  The caller
     runs this only under ``_SHORTEST_WALK_BUDGET``; above it the walk is
-    the tree-path walk of ``_walk_from_conflict``, which need not be
+    the tree-path walk of ``_first_conflict_walk``, which need not be
     shortest.
 
     A BFS from a root r closes a walk of length 2d + 1 at each edge vw
@@ -208,52 +421,31 @@ def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, 
 
 
 def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertificate:
-    """BFS 2-coloring; on failure, a verifiable odd closed walk.
+    """The 2-coloring read from the classes; otherwise a verifiable odd
+    closed walk.
 
-    The walk lies in the first component, by least variable, that is not
-    bipartite.  While variables times edges is at most
-    ``_SHORTEST_WALK_BUDGET`` it is a shortest odd closed walk of that
-    component, chosen by length, then root, then scan order (see
-    ``_shortest_odd_cycle``), so equal inputs give equal certificates.
-    Above the budget it is the tree-path walk through the first conflict
-    of the 2-coloring, which need not be shortest.
+    Components are numbered by least variable, and each takes side 0 at
+    its least variable, as a BFS 2-coloring in variable order gives them.
+    The walk lies in the first bad class by least variable.  While
+    variables times edges is at most ``_SHORTEST_WALK_BUDGET`` it is a
+    shortest odd closed walk of that component, chosen by length, then
+    root, then scan order (see ``_shortest_odd_cycle``), so equal inputs
+    give equal certificates.  Above the budget it is the tree-path walk
+    through the first conflict of a BFS 2-coloring from the class's least
+    variable (``_first_conflict_walk``), which need not be shortest.
     """
-    n = cg.var_count
-    side = [-1] * n
-    comp = [-1] * n
-    parent = [-1] * n
-    comp_id = 0
-    for start in range(n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        comp[start] = comp_id
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in cg.adj[v]:
-                if side[w] < 0:
-                    side[w] = 1 - side[v]
-                    comp[w] = comp_id
-                    parent[w] = v
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    if n * cg.edge_count <= _SHORTEST_WALK_BUDGET:
-                        # the conflict component may be partially colored;
-                        # finish it so the scan sees every vertex
-                        grow = deque(u for u in range(n) if comp[u] == comp_id)
-                        seen = {u for u in range(n) if comp[u] == comp_id}
-                        while grow:
-                            u = grow.popleft()
-                            for t in cg.adj[u]:
-                                if t not in seen:
-                                    seen.add(t)
-                                    comp[t] = comp_id
-                                    grow.append(t)
-                        return OddWalkCertificate(_shortest_odd_cycle(cg, sorted(seen)))
-                    return OddWalkCertificate(_walk_from_conflict(cg, parent, v, w))
-        comp_id += 1
-    return Bipartition(tuple(side), tuple(comp), comp_id)
+    bad = next((k for k, b in enumerate(cg.class_bad) if b), None)
+    if bad is None:
+        side: list[int] = []
+        component: list[int] = []
+        for k, s in zip(cg.edge_class, cg.edge_side):
+            side += (s, 1 - s)
+            component += (k, k)
+        return Bipartition(tuple(side), tuple(component), len(cg.class_bad))
+    verts = [v for e, k in enumerate(cg.edge_class) if k == bad for v in (2 * e, 2 * e + 1)]
+    if cg.var_count * cg.edge_count <= _SHORTEST_WALK_BUDGET:
+        return OddWalkCertificate(_shortest_odd_cycle(cg, verts))
+    return OddWalkCertificate(_first_conflict_walk(cg, verts[0]))
 
 
 def forced_orientation(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .constraints import ConstraintGraph, OddWalkCertificate, bipartition_or_odd_walk
+from .constraints import ConstraintGraph
 from .graphs import Graph
 from .p4 import OPPOSITION
 
@@ -99,8 +99,7 @@ def random_ptolemaic(n: int, seed) -> Graph:
 
 
 def _o_bipartite(adj) -> bool:
-    cg = ConstraintGraph(OPPOSITION, _to_graph(adj))
-    return not isinstance(bipartition_or_odd_walk(cg), OddWalkCertificate)
+    return ConstraintGraph(OPPOSITION, _to_graph(adj)).bipartite
 
 
 def random_opposition_ptolemaic(n: int, seed) -> Graph:

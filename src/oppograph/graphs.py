@@ -7,7 +7,9 @@ labels; everything downstream works on ids.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -325,6 +327,8 @@ def parse_edge_list(text) -> Graph:
 
 
 _G6_MAX_SHORT = 62
+_G6_INVALID = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(r"[^?]")
 
 
 def encode_graph6(g: Graph) -> str:
@@ -353,15 +357,20 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line; labels default to the decimal ids."""
+    """Decode one graph6 line; labels default to the decimal ids.
+
+    Only the body characters other than "?" (value 0) are read: bit t of
+    character p, counted from its high end, is adjacency bit k = 6p + t,
+    which graph6 orders by j, then i < j, so k = j(j - 1)/2 + i.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphError("empty graph6 line")
-    for off, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise GraphError(f"invalid graph6 character at offset {off}")
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise GraphError(f"invalid graph6 character at offset {bad.start()}")
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -378,19 +387,18 @@ def parse_graph6(line: str) -> Graph:
         raise GraphError(
             f"graph6 body length {len(body)} does not match n={n} (expected {need})"
         )
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    pad = -nbits % 6
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise GraphError(f"nonzero padding bits at offset {len(s) - 1}")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    edges = []  # in increasing k, the order of the bits
+    for hit in _G6_NONZERO.finditer(body):
+        val = ord(hit.group()) - 63
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            k = 6 * hit.start() + 5 - top
+            j = (1 + isqrt(1 + 8 * k)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges, labels=[str(v) for v in range(n)])
 
 

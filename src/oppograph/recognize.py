@@ -97,9 +97,9 @@ class PtolemaicOrientationError(RuntimeError):
         self.p4s = tuple(p4s)
 
 
-def _stats(p4s=None, cg=None, b=None, flips_tried=None):
+def _stats(cg=None, b=None, flips_tried=None):
     return {
-        "p4_count": len(p4s) if p4s is not None else None,
+        "p4_count": cg.p4_count if cg is not None else None,
         "aux_vertices": cg.var_count if cg is not None else None,
         "aux_components": b.component_count if b is not None else None,
         "flips_tried": flips_tried,
@@ -116,6 +116,8 @@ def _complete_with_id_order(partial: PartialOrientation) -> Orientation:
 
 
 def _checked_member(graph_class, method, orientation, p4s, stats, witness=None) -> Verdict:
+    """The member verdict once the orientation passes the P4 verifier;
+    ``p4s`` is the P4 list when the caller has one, else None."""
     if not verify_orientation(orientation, graph_class, p4s):
         raise CertificateError(
             f"{method} produced an orientation failing the {graph_class} verifier"
@@ -245,11 +247,10 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
 
 
 def _aux(g: Graph, kind: str):
-    """The P4s of g, the auxiliary graph O(G) or C(G), and either its
-    bipartition or an odd closed walk in it."""
-    p4s = induced_p4s(g)
-    cg = ConstraintGraph(kind, g, p4s)
-    return p4s, cg, bipartition_or_odd_walk(cg)
+    """The auxiliary graph O(G) or C(G), and either its bipartition or an
+    odd closed walk in it."""
+    cg = ConstraintGraph(kind, g)
+    return cg, bipartition_or_odd_walk(cg)
 
 
 def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition) -> Verdict:
@@ -258,14 +259,14 @@ def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition
     partial = forced_orientation(cg, b, (0,) * b.component_count)
     if isinstance(is_acyclic(partial), DirectedCycleCertificate):
         raise CertificateError(f"{method}: a bipartite {cg.kind} aux graph gave a cyclic forced part")
-    return _checked_member(graph_class, method, extend_acyclic(partial), p4s, _stats(p4s, cg, b, 1))
+    return _checked_member(graph_class, method, extend_acyclic(partial), p4s, _stats(cg, b, 1))
 
 
 def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
     """The exact flip search: a member, an exhaustion of every flip
     vector, or undecided when the cap is hit first."""
     outcome = _flip_search(cg, b, flip_cap)
-    stats = _stats(p4s, cg, b, outcome.tried)
+    stats = _stats(cg, b, outcome.tried)
     if outcome.orientation is not None:
         return _checked_member(graph_class, method, outcome.orientation, p4s, stats)
     if outcome.undecided:
@@ -273,10 +274,10 @@ def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition,
     return Verdict(graph_class, NON_MEMBER, method, FlipExhaustion(tuple(outcome.entries)), stats)
 
 
-def _flip_orient(g: Graph, p4s: list[P4], flip_cap: int | None) -> Orientation:
+def _flip_orient(g: Graph, flip_cap: int | None) -> Orientation:
     """An opposition orientation from the flip search; ValueError when
     O(G) has no acyclic flip choice within the cap."""
-    cg = ConstraintGraph(OPPOSITION, g, p4s)
+    cg = ConstraintGraph(OPPOSITION, g)
     res = bipartition_or_odd_walk(cg)
     if isinstance(res, OddWalkCertificate):
         raise ValueError("O(G) is not bipartite: not an opposition graph")
@@ -291,15 +292,15 @@ def _flip_orient(g: Graph, p4s: list[P4], flip_cap: int | None) -> Orientation:
 
 
 def recognize_generalized_opposition(g: Graph) -> Verdict:
-    p4s, cg, res = _aux(g, OPPOSITION)
+    cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(
-            GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg)
+            GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg)
         )
     partial = forced_orientation(cg, res, (0,) * res.component_count)
     o = _complete_with_id_order(partial)
     return _checked_member(
-        GENERALIZED_OPPOSITION, "aux-bipartite", o, p4s, _stats(p4s, cg, res, 0)
+        GENERALIZED_OPPOSITION, "aux-bipartite", o, None, _stats(cg, res, 0)
     )
 
 
@@ -337,7 +338,7 @@ def _dh_opposition_order(g: Graph, flip_cap: int | None) -> list[int]:
         if twin:
             break
     if twin is None:
-        topo, _ = topo_order_or_cycle(g.n, _flip_orient(g, induced_p4s(g), flip_cap).arcs())
+        topo, _ = topo_order_or_cycle(g.n, _flip_orient(g, flip_cap).arcs())
         return topo
     keep, drop = twin
     sub, new_to_old = induced_subgraph(g, [v for v in range(g.n) if v != drop])
@@ -366,7 +367,7 @@ def recognize_opposition(
 ) -> Verdict:
     """Structural fast paths (distance-hereditary, then (gem,house)-free)
     before the exact flip search over components of O(G)."""
-    p4s, cg, res = _aux(g, OPPOSITION)
+    cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
         if want_witness and is_distance_hereditary(g)[0]:
@@ -374,16 +375,16 @@ def recognize_opposition(
             if hit is not None:
                 witness = _checked_pattern(g, hit[1])
         return Verdict(
-            OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg), witness
+            OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
         )
     if is_distance_hereditary(g)[0]:
         o = orient_along(g, _dh_opposition_order(g, flip_cap))
         return _checked_member(
-            OPPOSITION, "dh-ptolemaic", o, p4s, _stats(p4s, cg, res, None)
+            OPPOSITION, "dh-ptolemaic", o, None, _stats(cg, res, None)
         )
     if _gem_house_free(g):
-        return _forced_member(OPPOSITION, "gem-house-free", p4s, cg, res)
-    return _flip_verdict(OPPOSITION, "flip-search", p4s, cg, res, flip_cap)
+        return _forced_member(OPPOSITION, "gem-house-free", None, cg, res)
+    return _flip_verdict(OPPOSITION, "flip-search", None, cg, res, flip_cap)
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
@@ -391,10 +392,10 @@ def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
     any bipartition side extends acyclically."""
     if not _gem_house_free(g):
         return recognize_opposition(g)
-    p4s, cg, res = _aux(g, OPPOSITION)
+    cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
-        return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg))
-    return _forced_member(OPPOSITION, "gem-house-free", p4s, cg, res)
+        return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg))
+    return _forced_member(OPPOSITION, "gem-house-free", None, cg, res)
 
 
 # O(G) bipartiteness decides for distance-hereditary inputs, and
@@ -442,7 +443,7 @@ def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orient
     p4s = induced_p4s(g)
     p5 = _find_p5(g, p4s)
     if p5 is None:
-        o = _flip_orient(g, p4s, flip_cap)
+        o = _flip_orient(g, flip_cap)
         if not verify_orientation(o, OPPOSITION, p4s):
             raise PtolemaicOrientationError("flip-search completion failed verification")
         return o
@@ -568,12 +569,12 @@ def transitive_orient(g: Graph) -> Orientation | None:
     return Orientation(g, [(u if h == v else v, h) for (u, v), h in head.items()])
 
 
-def _transitive_member(g: Graph, p4s: list[P4], stats: dict) -> Verdict:
+def _transitive_member(g: Graph, stats: dict) -> Verdict:
     """Distance-hereditary coalition members are comparability graphs."""
     o = transitive_orient(g)
     if o is None:
         raise CertificateError("distance-hereditary coalition member is not a comparability graph")
-    return _checked_member(COALITION, "dh-transitive", o, p4s, stats)
+    return _checked_member(COALITION, "dh-transitive", o, None, stats)
 
 
 def recognize_coalition(
@@ -582,16 +583,17 @@ def recognize_coalition(
     """Fast paths: distance-hereditary (comparability), then
     (gem, house, hole)-free bipartiteness; the generic flip search over
     C(G) mirrors the opposition one and is marked as an extension."""
-    p4s, cg, res = _aux(g, COALITION)
+    cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
         if want_witness and is_distance_hereditary(g)[0]:
             nmatch = find_induced(g, GRAPH_N)
             if nmatch is not None:
                 witness = _checked_pattern(g, nmatch)
-        return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(p4s, cg), witness)
+        return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     if is_distance_hereditary(g)[0]:
-        return _transitive_member(g, p4s, _stats(p4s, cg, res, None))
+        return _transitive_member(g, _stats(cg, res, None))
+    p4s = induced_p4s(g)  # read by the hole test and the member check
     if _gem_house_hole_free(g, p4s):
         return _forced_member(COALITION, "gem-house-hole-free", p4s, cg, res)
     return _flip_verdict(COALITION, "flip-search-extension", p4s, cg, res, flip_cap)
@@ -607,7 +609,7 @@ def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = Non
         return Verdict(
             COALITION, NON_MEMBER, "dh-n-witness", _checked_pattern(g, nmatch), _stats()
         )
-    return _transitive_member(g, induced_p4s(g), _stats())
+    return _transitive_member(g, _stats())
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ reference that tests compare both P4 enumerators against.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 from .constraints import OddWalkCertificate
 from .graphs import Graph, Orientation
 from .p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
-from .patterns import GRAPH_N, PatternMatch
+from .patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, Pattern, PatternMatch, make_Tk
 from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, Verdict
 
 
@@ -252,11 +253,36 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
     return True, "ok"
 
 
+_OPPOSITION_OBSTRUCTIONS = {p.name: p for p in (GRAPH_A, GRAPH_G1, GRAPH_G2)}
+_TK_NAME = re.compile(r"T([1-9][0-9]{0,5})")
+
+
+def _named_obstruction(g: Graph, graph_class: str, name: str) -> Pattern | None:
+    """The canonical pattern a witness name stands for in a class: N for
+    coalition; A, G1, G2 or T<k> otherwise.  None for any other name, or
+    for a T<k> larger than the graph."""
+    if graph_class == COALITION:
+        return GRAPH_N if name == "N" else None
+    if name in _OPPOSITION_OBSTRUCTIONS:
+        return _OPPOSITION_OBSTRUCTIONS[name]
+    tk = _TK_NAME.fullmatch(name)
+    if tk is not None and 2 * int(tk[1]) + 6 <= g.n:
+        return make_Tk(int(tk[1]))
+    return None
+
+
 def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
-    """Dispatch a full verdict to the independent checkers."""
+    """Dispatch a full verdict to the independent checkers.
+
+    A witness is checked against the canonical pattern its name stands
+    for (``_named_obstruction``), never against the edges it carries.
+    """
     aux_kind = COALITION if v.graph_class == COALITION else OPPOSITION
     if v.witness is not None:
-        ok, msg = check_pattern_match(g, v.witness)
+        pattern = _named_obstruction(g, v.graph_class, v.witness.pattern.name)
+        if pattern is None:
+            return False, f"witness: {v.witness.pattern.name!r} is no {v.graph_class} obstruction"
+        ok, msg = check_pattern_match(g, PatternMatch(pattern, v.witness.mapping))
         if not ok:
             return False, f"witness: {msg}"
     if v.decision == MEMBER:

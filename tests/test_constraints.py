@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import isomorphic, random_graph
+from oppograph import constraints
 from oppograph.constraints import (
     _SHORTEST_WALK_BUDGET,
     Bipartition,
@@ -17,9 +18,10 @@ from oppograph.constraints import (
     forced_orientation,
     is_acyclic,
 )
-from oppograph.generate import random_distance_hereditary
+from oppograph.generate import random_distance_hereditary, random_ptolemaic
 from oppograph.graphs import (
     DirectedCycleCertificate,
+    Graph,
     PartialOrientation,
     complete_graph,
     cycle_graph,
@@ -216,14 +218,18 @@ def test_aux_dot_labels(co_c6_labeled):
 
 
 def _components(cg):
+    return _components_of(cg.adj)
+
+
+def _components_of(adj):
     seen = set()
-    for start in range(cg.var_count):
+    for start in range(len(adj)):
         if start in seen:
             continue
         comp = {start}
         stack = [start]
         while stack:
-            for t in cg.adj[stack.pop()]:
+            for t in adj[stack.pop()]:
                 if t not in comp:
                     comp.add(t)
                     stack.append(t)
@@ -232,6 +238,10 @@ def _components(cg):
 
 
 def _reference_odd_walk(cg):
+    return _reference_odd_walk_of(cg.vars, cg.adj)
+
+
+def _reference_odd_walk_of(vars_, adj):
     """Exhaustive all-roots search, kept as the reference for the pruned one.
 
     For each component in order of its least variable: a full BFS from
@@ -239,7 +249,7 @@ def _reference_odd_walk(cg):
     id order, keeping strict improvements only.  The first component
     with such an edge is the non-bipartite one the 2-coloring stops at.
     """
-    for verts in _components(cg):
+    for verts in _components_of(adj):
         best_len = None
         best_walk = None
         for root in verts:
@@ -248,20 +258,20 @@ def _reference_odd_walk(cg):
             queue = deque([root])
             while queue:
                 v = queue.popleft()
-                for w in cg.adj[v]:
+                for w in adj[v]:
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         par[w] = v
                         queue.append(w)
             for v in verts:
-                for w in cg.adj[v]:
+                for w in adj[v]:
                     if v < w and dist[v] == dist[w]:
                         length = 2 * dist[v] + 1
                         if best_len is None or length < best_len:
                             best_len = length
                             best_walk = _path_up(par, v)[::-1] + _path_up(par, w)
         if best_walk is not None:
-            return OddWalkCertificate(tuple(cg.vars[u] for u in best_walk))
+            return OddWalkCertificate(tuple(vars_[u] for u in best_walk))
     return None
 
 
@@ -321,3 +331,105 @@ def test_odd_walk_equals_exhaustive_reference_on_distance_hereditary(n, seed):
     g = random_distance_hereditary(n, seed)
     for kind in (OPPOSITION, COALITION):
         _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
+
+
+# ---------------------------------------------------------------------------
+# the block core against the eager per-P4 construction
+
+
+def _eager_aux(kind, g):
+    """Variables, sorted neighbour lists and P4 count of O(G) or C(G),
+    built from the P4 list by the definition's two links per P4."""
+    p4s = induced_p4s(g)
+    ends = sorted({e for p in p4s for e in p.end_edges()})
+    vars_ = [v for x, y in ends for v in ((x, y), (y, x))]
+    index = {v: i for i, v in enumerate(vars_)}
+    adj = [{i ^ 1} for i in range(len(vars_))]
+    for p in p4s:
+        a, b, c, d = p.vertices
+        if kind == OPPOSITION:
+            links = (((a, b), (c, d)), ((b, a), (d, c)))
+        else:
+            links = (((a, b), (d, c)), ((b, a), (c, d)))
+        for u, w in links:
+            adj[index[u]].add(index[w])
+            adj[index[w]].add(index[u])
+    return vars_, [sorted(a) for a in adj], len(p4s), len(ends)
+
+
+def _eager_bipartition_or_odd_walk(vars_, adj, budget):
+    """BFS 2-coloring in variable order; at the first conflict, the
+    exhaustive shortest walk under the budget, else the tree-path walk
+    through the conflict."""
+    n = len(vars_)
+    edge_count = sum(len(a) for a in adj) // 2
+    side, comp, parent = [-1] * n, [-1] * n, [-1] * n
+    comp_id = 0
+    for start in range(n):
+        if side[start] >= 0:
+            continue
+        side[start], comp[start] = 0, comp_id
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if side[w] < 0:
+                    side[w], comp[w], parent[w] = 1 - side[v], comp_id, v
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    if n * edge_count <= budget:
+                        return _reference_odd_walk_of(vars_, adj)
+                    px, py = _path_up(parent, v), _path_up(parent, w)
+                    on_px = set(px)
+                    lca = next(u for u in py if u in on_px)
+                    walk = px[: px.index(lca) + 1][::-1] + py[: py.index(lca) + 1]
+                    return OddWalkCertificate(tuple(vars_[u] for u in walk))
+        comp_id += 1
+    return Bipartition(tuple(side), tuple(comp), comp_id)
+
+
+def _assert_equals_eager(kind, g, budget):
+    cg = ConstraintGraph(kind, g)
+    # the certificate first, while no neighbour list has been generated
+    res = bipartition_or_odd_walk(cg)
+    vars_, adj, p4_count, ends = _eager_aux(kind, g)
+    assert cg.vars == vars_
+    assert cg.p4_count == p4_count
+    assert cg.edge_count == ends + 2 * p4_count == sum(len(a) for a in adj) // 2
+    assert cg.bipartite == isinstance(res, Bipartition)
+    assert res == _eager_bipartition_or_odd_walk(vars_, adj, budget)
+    assert list(cg.adj) == adj
+    assert all(cg.index[v] == i for i, v in enumerate(vars_))
+    return res
+
+
+@pytest.mark.parametrize("budget", [_SHORTEST_WALK_BUDGET, 0])
+@pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
+def test_block_core_equals_eager_on_random_graphs(kind, budget, monkeypatch):
+    monkeypatch.setattr(constraints, "_SHORTEST_WALK_BUDGET", budget)
+    kinds = set()
+    for seed in range(200):
+        g = random_graph(4 + seed % 13, 0.1 + 0.8 * ((seed * 53) % 100) / 100, seed + 9000)
+        kinds.add(type(_assert_equals_eager(kind, g, budget)))
+    assert kinds == {Bipartition, OddWalkCertificate}
+
+
+@pytest.mark.parametrize("budget", [_SHORTEST_WALK_BUDGET, 0])
+@pytest.mark.parametrize("n", [40, 72, 104, 140])
+def test_block_core_equals_eager_on_dh_and_ptolemaic(n, budget, monkeypatch):
+    monkeypatch.setattr(constraints, "_SHORTEST_WALK_BUDGET", budget)
+    for g in (random_distance_hereditary(n, n), random_ptolemaic(n, n)):
+        for kind in (OPPOSITION, COALITION):
+            _assert_equals_eager(kind, g, budget)
+
+
+def test_block_core_skips_dominated_blocks():
+    # in K_{2,k} the near side {other hub} of every mid-edge block is
+    # adjacent to its whole far side: no P4, no variable; a pendant on a
+    # leaf gives that leaf's blocks a near side that is not
+    k = 30
+    g = Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
+    for kind in (OPPOSITION, COALITION):
+        cg = ConstraintGraph(kind, g)
+        assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
+        _assert_equals_eager(kind, Graph(k + 3, list(g.edges) + [(k + 2, 0)]), _SHORTEST_WALK_BUDGET)

@@ -122,6 +122,25 @@ def test_graph6_long_form_roundtrip():
     assert s == nx.to_graph6_bytes(G, nodes=range(g.n), header=False).decode().strip()
 
 
+@pytest.mark.parametrize("n", [63, 64, 300])
+def test_graph6_long_form_sizes_roundtrip(n):
+    # 63 is the first size with the "~" header; 63 and 64 differ in padding
+    g = random_graph(n, 0.07, n)
+    s = encode_graph6(g)
+    assert s.startswith("~")
+    h = parse_graph6(s)
+    assert h == g
+    assert h.labels == tuple(str(v) for v in range(n))
+
+
+def test_graph6_long_form_rejects_nonzero_padding():
+    # n = 65 has 2080 adjacency bits: the last character holds two padding bits
+    s = encode_graph6(random_graph(65, 0.1, 2))
+    assert s.startswith("~")
+    with pytest.raises(GraphError, match=f"padding bits at offset {len(s) - 1}$"):
+        parse_graph6(s[:-1] + chr((ord(s[-1]) - 63 | 1) + 63))
+
+
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     for seed in range(10):

@@ -19,9 +19,10 @@ from oppograph.graphs import (
     path_graph,
 )
 from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
-from oppograph.patterns import GRAPH_N, HOUSE, Pattern, PatternMatch
+from oppograph.patterns import GRAPH_A, GRAPH_N, HOUSE, Pattern, PatternMatch, make_Tk
 from oppograph.recognize import (
     NON_MEMBER,
+    UNDECIDED,
     FlipExhaustion,
     Verdict,
     recognize_coalition,
@@ -147,6 +148,39 @@ def test_forged_n_pattern_rejected():
     fake_n = Pattern("N", 4, ((0, 1), (1, 2), (2, 3)))
     forged = Verdict(COALITION, NON_MEMBER, "forged", PatternMatch(fake_n, (0, 1, 2, 3)))
     _rejected(g, forged)
+
+
+def test_forged_witness_rejected():
+    # a "gem" carrying the edges of P4 embeds in C5; the witness must be
+    # checked against the pattern its name stands for
+    g = cycle_graph(5)
+    v = recognize_opposition(g)
+    assert check_verdict(g, v) == (True, "ok")
+    p4_edges = ((0, 1), (1, 2), (2, 3))
+    for name in ("gem", "A", "T1", "N"):
+        forged = PatternMatch(Pattern(name, 4, p4_edges), (0, 1, 2, 3))
+        assert "witness" in _rejected(g, replace(v, witness=forged)), name
+
+
+@pytest.mark.parametrize(
+    "graph_class, pattern",
+    [(OPPOSITION, GRAPH_A), (OPPOSITION, make_Tk(1)), (COALITION, GRAPH_N)],
+)
+def test_witness_checked_against_its_named_pattern(graph_class, pattern):
+    g = pattern.as_graph()
+    v = RECOGNIZERS[graph_class](g, want_witness=True)
+    assert v.witness is not None and v.witness.pattern.name == pattern.name
+    assert check_verdict(g, v) == (True, "ok")
+    # the same embedding under a name the class does not use
+    other = COALITION if graph_class == OPPOSITION else OPPOSITION
+    assert "witness" in _rejected(g, replace(v, graph_class=other, certificate=None, decision=UNDECIDED))
+
+
+def test_witness_larger_than_the_graph_rejected():
+    g = make_Tk(1).as_graph()
+    v = recognize_opposition(g, want_witness=True)
+    huge = PatternMatch(Pattern("T999999", g.n, v.witness.pattern.edges), v.witness.mapping)
+    assert "witness" in _rejected(g, replace(v, witness=huge))
 
 
 # ---------------------------------------------------------------------------
