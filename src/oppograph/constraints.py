@@ -57,13 +57,12 @@ class ConstraintGraph:
     end-edge), ``edge_side[k]`` the side of variable 2k relative to the
     least end-edge of its class, and ``class_bad[c]`` whether class c is
     not bipartite.  No aux link arises from two P4s, so there are
-    #end-edges + 2 #P4 aux edges.  ``adj`` and ``index`` are built on
-    first use.
+    #end-edges + 2 #P4 aux edges.  ``adj`` is built on first use.
     """
 
     __slots__ = (
         "kind", "base", "vars", "p4_count", "edge_count",
-        "edge_class", "edge_side", "class_bad", "_index", "_arcs", "_adj",
+        "edge_class", "edge_side", "class_bad", "_adj",
     )
 
     def __init__(self, kind: str, base: Graph):
@@ -94,20 +93,6 @@ class ConstraintGraph:
                 parent[y] = x
             return x, acc
 
-        n = base.n
-        codegree: dict[int, int] = {}  # |N(a) & N(c)| by a * n + c
-
-        def dominates(a: int, c: int, nc, common, size_r: int) -> bool:
-            """Is a adjacent to all of R?  |R & N(a)| is |N(a) & N(c)|
-            minus |N(a) & N(b) & N(c)| minus b itself."""
-            if len(adj[a]) <= size_r:
-                return False
-            key = a * n + c
-            cd = codegree.get(key)
-            if cd is None:
-                cd = codegree[key] = len(adj[a] & nc)
-            return cd - len(adj[a] & common) - 1 == size_r
-
         coalition = kind == COALITION
         p4_count = 0
         for b, c in edges:
@@ -117,13 +102,9 @@ class ConstraintGraph:
             left = nb.difference(nc, (c,))
             if not left:
                 continue
-            common = nb & nc
-            size_r = len(nc) - 1 - len(common)
-            # a block whose every a is adjacent to all of R has no P4; this
-            # is told without building R, which may be large
-            if not size_r or all(dominates(a, c, nc, common, size_r) for a in left):
-                continue
             right = nc.difference(nb, (b,))
+            if not right:
+                continue
             for a in left:
                 p4_count += len(right - adj[a])
             # components of the non-adjacency between left and right; each
@@ -154,12 +135,7 @@ class ConstraintGraph:
                 for x, vs, flip in ((b, comp_l, False), (c, comp_r, coalition)):
                     inc_x = inc[x]
                     for v in vs:
-                        e = inc_x[v]
-                        r = parent[e]
-                        if parent[r] == r:
-                            p = parity[e]  # 0 at a root
-                        else:
-                            r, p = find(e)
+                        r, p = find(inc_x[v])
                         need = p ^ p0 ^ (v > x) ^ flip  # parity r must have relative to r0
                         if r == r0:
                             if need:
@@ -203,8 +179,6 @@ class ConstraintGraph:
         self.edge_class = edge_class
         self.edge_side = edge_side
         self.class_bad = class_bad
-        self._index: dict[ArcVar, int] | None = None
-        self._arcs: list[dict[int, int]] | None = None
         self._adj: _Adjacency | None = None
 
     @property
@@ -217,46 +191,12 @@ class ConstraintGraph:
         return not any(self.class_bad)
 
     @property
-    def index(self) -> dict[ArcVar, int]:
-        """Variable -> id."""
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vars)}
-        return self._index
-
-    @property
     def adj(self) -> "_Adjacency":
         """Sorted neighbour ids of every variable, each list generated on
         first use."""
         if self._adj is None:
             self._adj = _Adjacency(self)
         return self._adj
-
-    def _neighbours(self, i: int) -> list[int]:
-        """Sorted neighbour ids of variable i = (x, y), from the base graph.
-
-        (x, y) is linked to (y, x), to the far end-edge of every P4
-        x-y-c-d, read (c, d) for opposition and (d, c) for coalition, and
-        to that of every P4 y-x-c-d, read the other way round.
-        """
-        if self._arcs is None:
-            self._arcs = [{} for _ in range(self.base.n)]
-            for j, (u, v) in enumerate(self.vars):
-                self._arcs[u][v] = j
-        arcs = self._arcs  # arcs[u][v] is the id of (u, v)
-        x, y = self.vars[i]
-        adj = self.base.adj
-        ax, ay = adj[x], adj[y]
-        closed = ax | ay  # holds x and y
-        beyond_y, beyond_x = ay.difference(ax, (x,)), ax.difference(ay, (y,))
-        if self.kind == COALITION:
-            out = [arcs[d][c] for c in beyond_y for d in adj[c] - closed]
-            out += [arcs[c][d] for c in beyond_x for d in adj[c] - closed]
-        else:
-            out = [arcs[c][d] for c in beyond_y for d in adj[c] - closed]
-            out += [arcs[d][c] for c in beyond_x for d in adj[c] - closed]
-        out.append(i ^ 1)
-        out.sort()
-        return out
 
     def var_label(self, i: int) -> str:
         x, y = self.vars[i]
@@ -282,12 +222,15 @@ class ConstraintGraph:
 
 class _Adjacency:
     """Read-only list view of the neighbour lists of a ConstraintGraph,
-    each generated by ``ConstraintGraph._neighbours`` on first read."""
+    each generated from the base graph on first read."""
 
-    __slots__ = ("_cg", "_lists")
+    __slots__ = ("_cg", "_arcs", "_lists")
 
     def __init__(self, cg: ConstraintGraph):
         self._cg = cg
+        self._arcs: list[dict[int, int]] = [{} for _ in range(cg.base.n)]
+        for j, (u, v) in enumerate(cg.vars):
+            self._arcs[u][v] = j  # the id of (u, v)
         self._lists: list[list[int] | None] = [None] * cg.var_count
 
     def __len__(self) -> int:
@@ -296,8 +239,31 @@ class _Adjacency:
     def __getitem__(self, i: int) -> list[int]:
         got = self._lists[i]
         if got is None:
-            got = self._lists[i] = self._cg._neighbours(i)
+            got = self._lists[i] = self._neighbours(i)
         return got
+
+    def _neighbours(self, i: int) -> list[int]:
+        """Sorted neighbour ids of variable i = (x, y).
+
+        (x, y) is linked to (y, x), to the far end-edge of every P4
+        x-y-c-d, read (c, d) for opposition and (d, c) for coalition, and
+        to that of every P4 y-x-c-d, read the other way round.
+        """
+        cg, arcs = self._cg, self._arcs
+        x, y = cg.vars[i]
+        adj = cg.base.adj
+        ax, ay = adj[x], adj[y]
+        closed = ax | ay  # holds x and y
+        beyond_y, beyond_x = ay.difference(ax, (x,)), ax.difference(ay, (y,))
+        if cg.kind == COALITION:
+            out = [arcs[d][c] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[c][d] for c in beyond_x for d in adj[c] - closed]
+        else:
+            out = [arcs[c][d] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[d][c] for c in beyond_x for d in adj[c] - closed]
+        out.append(i ^ 1)
+        out.sort()
+        return out
 
     def __iter__(self):
         return (self[i] for i in range(len(self._lists)))

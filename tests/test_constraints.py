@@ -304,7 +304,7 @@ def _assert_shortest_and_as_reference(cg):
         assert isinstance(res, Bipartition)
         return None
     assert res == ref
-    assert res.length() == _odd_girth_through(cg, cg.index[res.walk[0]])
+    assert res.length() == _odd_girth_through(cg, cg.vars.index(res.walk[0]))
     return res
 
 
@@ -399,7 +399,6 @@ def _assert_equals_eager(kind, g, budget):
     assert cg.bipartite == isinstance(res, Bipartition)
     assert res == _eager_bipartition_or_odd_walk(vars_, adj, budget)
     assert list(cg.adj) == adj
-    assert all(cg.index[v] == i for i, v in enumerate(vars_))
     return res
 
 
@@ -423,7 +422,7 @@ def test_block_core_equals_eager_on_dh_and_ptolemaic(n, budget, monkeypatch):
             _assert_equals_eager(kind, g, budget)
 
 
-def test_block_core_skips_dominated_blocks():
+def test_block_core_on_blocks_without_p4s():
     # in K_{2,k} the near side {other hub} of every mid-edge block is
     # adjacent to its whole far side: no P4, no variable; a pendant on a
     # leaf gives that leaf's blocks a near side that is not
