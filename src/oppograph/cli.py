@@ -179,7 +179,7 @@ def cmd_orient(args, out) -> int:
     g = load_graph(args.input, args.format)
     if args.method == "ptolemaic":
         try:
-            orientation = ptolemaic_opposition_orient(g, flip_cap=args.flip_cap)
+            orientation = ptolemaic_opposition_orient(g)
         except (ValueError, PtolemaicOrientationError) as exc:
             # non-members still deserve their certificate and exit code
             verdict = _run_recognizer(g, args.graph_class, args.flip_cap, want_witness=True)
@@ -216,19 +216,11 @@ def cmd_aux(args, out) -> int:
         walk = " ".join(f"({g.label(x)},{g.label(y)})" for x, y in res.walk)
         out.write(f"non-bipartite: odd walk of length {res.length()}: {walk}\n")
         return EXIT_NON_MEMBER
-    lines = ["graph {"]
-    for i in range(cg.var_count):
-        color = "lightblue" if res.side[i] == 0 else "lightyellow"
-        lines.append(
-            f'  "{cg.var_label(i)}" [style=filled, fillcolor={color}, '
-            f'comment="component {res.component[i]}"];'
-        )
-    for i in range(cg.var_count):
-        for j in cg.adj[i]:
-            if i < j:
-                lines.append(f'  "{cg.var_label(i)}" -- "{cg.var_label(j)}";')
-    lines.append("}")
-    out.write("\n".join(lines) + "\n")
+    colors = ("lightblue", "lightyellow")
+    out.write(cg.to_dot([
+        f'style=filled, fillcolor={colors[side]}, comment="component {k}"'
+        for side, k in zip(res.side, res.component)
+    ]))
     out.write(f"// bipartite, {res.component_count} component(s)\n")
     return EXIT_MEMBER
 
@@ -276,6 +268,10 @@ def _sweep_graphs(args):
 
 
 def cmd_sweep(args, out) -> int:
+    if args.max_n < 1:
+        raise CliError("--max-n must be at least 1", EXIT_USAGE)
+    if args.count < 0:
+        raise CliError("--count must be at least 0", EXIT_USAGE)
     classes = [args.graph_class] if args.graph_class else list((OPPOSITION, GENERALIZED_OPPOSITION, COALITION))
     counts = {c: {"graphs": 0, MEMBER: 0, NON_MEMBER: 0, UNDECIDED: 0, "oracle": 0} for c in classes}
     bad: list[str] = []

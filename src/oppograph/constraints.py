@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     Orientation,
     PartialOrientation,
+    dot_quote,
     orient_along,
     topo_order_or_cycle,
 )
@@ -208,14 +209,16 @@ class ConstraintGraph:
         ]
         return Graph(self.var_count, edges, labels=[self.var_label(i) for i in range(self.var_count)])
 
-    def to_dot(self) -> str:
+    def to_dot(self, attrs: list[str] | None = None) -> str:
+        """DOT text with one node per variable, named by its id and
+        labelled ``x->y``; ``attrs[i]`` adds attributes to node i."""
         lines = ["graph {"]
+        for i, (x, y) in enumerate(self.vars):
+            label = dot_quote(f"{self.base.label(x)}->{self.base.label(y)}")
+            extra = f", {attrs[i]}" if attrs else ""
+            lines.append(f"  {i} [label={label}{extra}];")
         for i in range(self.var_count):
-            lines.append(f'  "{self.var_label(i)}";')
-        for i in range(self.var_count):
-            for j in self.adj[i]:
-                if i < j:
-                    lines.append(f'  "{self.var_label(i)}" -- "{self.var_label(j)}";')
+            lines.extend(f"  {i} -- {j};" for j in self.adj[i] if i < j)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -406,9 +406,9 @@ def parse_graph6(line: str) -> Graph:
 # DOT output
 
 
-def _dot_name(g: Graph, v: int) -> str:
-    name = g.label(v)
-    return '"' + name.replace('"', '\\"') + '"'
+def dot_quote(text: str) -> str:
+    """A DOT quoted string: backslashes escaped first, then quotes."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def emit_dot(
@@ -429,12 +429,12 @@ def emit_dot(
         attrs = ""
         if v in marked:
             attrs = ' [style=filled, fillcolor=gray]'
-        lines.append(f"  {_dot_name(g, v)}{attrs};")
+        lines.append(f"  {dot_quote(g.label(v))}{attrs};")
     if orientation is not None:
         for t, h in orientation.arcs():
-            lines.append(f"  {_dot_name(g, t)} -> {_dot_name(g, h)};")
+            lines.append(f"  {dot_quote(g.label(t))} -> {dot_quote(g.label(h))};")
     else:
         for u, v in g.edges:
-            lines.append(f"  {_dot_name(g, u)} -- {_dot_name(g, v)};")
+            lines.append(f"  {dot_quote(g.label(u))} -- {dot_quote(g.label(v))};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -52,6 +52,7 @@ from .patterns import (
     find_induced,
     find_Tk_free_violation,
     has_hole,
+    is_chordal,
     is_distance_hereditary,
     is_ptolemaic,
 )
@@ -219,8 +220,6 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     whole forced orientation, found component by component from a cache
     (``_ComponentCycles``)."""
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    if cap < 1:
-        raise ValueError("flip cap must be at least 1")
     c = b.component_count
     total = 1 << (c - 1) if c > 0 else 1
     cycles = _ComponentCycles(cg, b)
@@ -253,13 +252,31 @@ def _aux(g: Graph, kind: str):
     return cg, bipartition_or_odd_walk(cg)
 
 
-def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition) -> Verdict:
-    """Member whose orientation extends the forced part of side 0; the
-    fast path's theorem guarantees that part is acyclic."""
+def _check_cap(flip_cap: int | None) -> None:
+    if flip_cap is not None and flip_cap < 1:
+        raise ValueError("flip cap must be at least 1")
+
+
+def _side0_orientation(cg: ConstraintGraph, b: Bipartition) -> Orientation:
+    """The acyclic completion of the forced part of side 0, which the fast
+    paths' theorems make acyclic; the flip search's first vector."""
     partial = forced_orientation(cg, b, (0,) * b.component_count)
     if isinstance(is_acyclic(partial), DirectedCycleCertificate):
-        raise CertificateError(f"{method}: a bipartite {cg.kind} aux graph gave a cyclic forced part")
-    return _checked_member(graph_class, method, extend_acyclic(partial), p4s, _stats(cg, b, 1))
+        raise CertificateError(f"a bipartite {cg.kind} aux graph gave a cyclic forced part")
+    return extend_acyclic(partial)
+
+
+def _dh_side0_orientation(g: Graph) -> Orientation:
+    """The side-0 orientation of O(G); ValueError when O(G) is not bipartite."""
+    cg, res = _aux(g, OPPOSITION)
+    if isinstance(res, OddWalkCertificate):
+        raise ValueError("O(G) is not bipartite: not an opposition graph")
+    return _side0_orientation(cg, res)
+
+
+def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition) -> Verdict:
+    """The member verdict of the side-0 orientation (``_side0_orientation``)."""
+    return _checked_member(graph_class, method, _side0_orientation(cg, b), p4s, _stats(cg, b, 1))
 
 
 def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
@@ -272,19 +289,6 @@ def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition,
     if outcome.undecided:
         return Verdict(graph_class, UNDECIDED, method, None, stats)
     return Verdict(graph_class, NON_MEMBER, method, FlipExhaustion(tuple(outcome.entries)), stats)
-
-
-def _flip_orient(g: Graph, flip_cap: int | None) -> Orientation:
-    """An opposition orientation from the flip search; ValueError when
-    O(G) has no acyclic flip choice within the cap."""
-    cg = ConstraintGraph(OPPOSITION, g)
-    res = bipartition_or_odd_walk(cg)
-    if isinstance(res, OddWalkCertificate):
-        raise ValueError("O(G) is not bipartite: not an opposition graph")
-    outcome = _flip_search(cg, res, flip_cap)
-    if outcome.orientation is None:
-        raise ValueError("no acyclic flip choice; not an opposition graph")
-    return outcome.orientation
 
 
 # ---------------------------------------------------------------------------
@@ -312,38 +316,30 @@ def _gem_house_free(g: Graph) -> bool:
     return find_induced(g, GEM) is None and find_induced(g, HOUSE) is None
 
 
-def _dh_opposition_order(g: Graph, flip_cap: int | None) -> list[int]:
+def _dh_opposition_order(g: Graph) -> list[int]:
     """Linear order realizing an opposition orientation of a
     distance-hereditary graph with bipartite O(G).
 
-    Ptolemaic inputs go through the layer constructor per component;
-    otherwise one twin is removed and re-inserted next to its partner,
-    which preserves membership.
+    Chordal inputs are ptolemaic and go through the layer constructor per
+    component; otherwise one twin is removed and re-inserted next to its
+    partner, which preserves membership, and a twin-free input takes the
+    side-0 orientation.
     """
-    ok, _ = is_ptolemaic(g)
-    if ok:
+    if not isinstance(is_chordal(g), PatternMatch):
         order: list[int] = []
         for comp in connected_components(g):
             sub, new_to_old = induced_subgraph(g, comp)
-            o = ptolemaic_opposition_orient(sub, flip_cap=flip_cap)
-            topo, _ = topo_order_or_cycle(sub.n, o.arcs())
+            topo, _ = topo_order_or_cycle(sub.n, _ptolemaic_orient(sub).arcs())
             order.extend(new_to_old[v] for v in topo)
         return order
-    twin = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] - {v} == g.adj[v] - {u}:
-                twin = (u, v)
-                break
-        if twin:
-            break
+    pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
+    twin = next(((u, v) for u, v in pairs if g.adj[u] - {v} == g.adj[v] - {u}), None)
     if twin is None:
-        topo, _ = topo_order_or_cycle(g.n, _flip_orient(g, flip_cap).arcs())
+        topo, _ = topo_order_or_cycle(g.n, _dh_side0_orientation(g).arcs())
         return topo
     keep, drop = twin
     sub, new_to_old = induced_subgraph(g, [v for v in range(g.n) if v != drop])
-    suborder = _dh_opposition_order(sub, flip_cap)
-    order = [new_to_old[v] for v in suborder]
+    order = [new_to_old[v] for v in _dh_opposition_order(sub)]
     order.insert(order.index(keep) + 1, drop)
     return order
 
@@ -367,6 +363,7 @@ def recognize_opposition(
 ) -> Verdict:
     """Structural fast paths (distance-hereditary, then (gem,house)-free)
     before the exact flip search over components of O(G)."""
+    _check_cap(flip_cap)
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
@@ -378,7 +375,7 @@ def recognize_opposition(
             OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
         )
     if is_distance_hereditary(g)[0]:
-        o = orient_along(g, _dh_opposition_order(g, flip_cap))
+        o = orient_along(g, _dh_opposition_order(g))
         return _checked_member(
             OPPOSITION, "dh-ptolemaic", o, None, _stats(cg, res, None)
         )
@@ -420,11 +417,11 @@ def _find_p5(g: Graph, p4s: list[P4]) -> tuple[int, int, int, int, int] | None:
     return None
 
 
-def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orientation:
+def ptolemaic_opposition_orient(g: Graph) -> Orientation:
     """The constructive orientation for connected ptolemaic graphs that
     are T_k-free and (G1, G2)-free.
 
-    P5-free graphs fall back to the exact flip search (the underlying
+    P5-free graphs take the side-0 orientation of O(G) (the underlying
     result for that case is non-constructive).  Otherwise the layer
     construction runs from one root after another: the midpoint of an
     induced P5 first, then every vertex in id order.  The first root whose
@@ -440,12 +437,18 @@ def ptolemaic_opposition_orient(g: Graph, flip_cap: int | None = None) -> Orient
     ok, wit = is_ptolemaic(g)
     if not ok:
         raise ValueError(f"not ptolemaic: contains {wit.pattern.name}")
+    return _ptolemaic_orient(g)
+
+
+def _ptolemaic_orient(g: Graph) -> Orientation:
+    """``ptolemaic_opposition_orient`` of a connected ptolemaic graph,
+    without the input checks."""
     p4s = induced_p4s(g)
     p5 = _find_p5(g, p4s)
     if p5 is None:
-        o = _flip_orient(g, flip_cap)
+        o = _dh_side0_orientation(g)
         if not verify_orientation(o, OPPOSITION, p4s):
-            raise PtolemaicOrientationError("flip-search completion failed verification")
+            raise PtolemaicOrientationError("side-0 completion failed verification")
         return o
     first_error = None
     for root in [p5[2]] + [v for v in range(g.n) if v != p5[2]]:
@@ -508,11 +511,7 @@ def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
 
 
 def _gem_house_hole_free(g: Graph, p4s) -> bool:
-    return (
-        find_induced(g, GEM) is None
-        and find_induced(g, HOUSE) is None
-        and has_hole(g, p4s) is None
-    )
+    return _gem_house_free(g) and has_hole(g, p4s) is None
 
 
 def transitive_orient(g: Graph) -> Orientation | None:
@@ -583,6 +582,7 @@ def recognize_coalition(
     """Fast paths: distance-hereditary (comparability), then
     (gem, house, hole)-free bipartiteness; the generic flip search over
     C(G) mirrors the opposition one and is marked as an extension."""
+    _check_cap(flip_cap)
     cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
@@ -602,6 +602,7 @@ def recognize_coalition(
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:
     """For distance-hereditary inputs, membership is exactly N-freeness
     and members are comparability graphs."""
+    _check_cap(flip_cap)
     if not is_distance_hereditary(g)[0]:
         return recognize_coalition(g, flip_cap=flip_cap)
     nmatch = find_induced(g, GRAPH_N)

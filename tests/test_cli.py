@@ -150,7 +150,7 @@ def test_aux_co_c6_labeled_dot(co_c6_el):
     code, out = run(["aux", "--kind", "opposition", co_c6_el])
     assert code == EXIT_MEMBER
     assert out.count(" -- ") == 18
-    assert '"15"' in out
+    assert '[label="1->5"]' in out
 
 
 def test_aux_coalition_n_check_bipartite(n_el):
@@ -165,6 +165,30 @@ def test_aux_p4_check_bipartite(tmp_path):
     code, out = run(["aux", "--kind", "opposition", "--check-bipartite", str(path)])
     assert code == EXIT_MEMBER
     assert "bipartite, 1 component" in out
+
+
+def test_dot_quotes_backslashes_and_quotes(tmp_path):
+    path = tmp_path / "quoted.el"
+    path.write_text('a\\ b\nb "c\n"c d\n')
+    code, out = run(["recognize", "--class", "opposition", "--output", "dot", str(path)])
+    assert code == EXIT_MEMBER
+    assert '  "a\\\\";' in out and '  "\\"c";' in out
+    code, out = run(["aux", "--kind", "opposition", "--check-bipartite", str(path)])
+    assert code == EXIT_MEMBER
+    assert '  0 [label="a\\\\->b", style=filled, fillcolor=lightblue, comment="component 0"];' in out
+    assert '[label="\\"c->d"' in out
+
+
+def test_aux_dot_keeps_variables_apart(tmp_path):
+    # joined labels would name both 1->12 and 11->2 "112"
+    path = tmp_path / "digits.el"
+    path.write_text("1 12\n12 5\n5 6\n11 2\n2 7\n7 8\n")
+    for extra in ([], ["--check-bipartite"]):
+        code, out = run(["aux", "--kind", "opposition", *extra, str(path)])
+        assert code == EXIT_MEMBER
+        nodes = [line.split()[0] for line in out.splitlines() if "[label=" in line]
+        assert nodes == [str(i) for i in range(8)]  # two P4s, two end-edges each
+        assert '[label="1->12"' in out and '[label="11->2"' in out
 
 
 def test_oracle_subcommand(n_el):
@@ -214,6 +238,9 @@ def test_usage_error_exit_11():
     assert code == EXIT_USAGE
     code, _ = run(["recognize", "--class", "opposition", "--flip-cap", "0", "x"])
     assert code == EXIT_USAGE
+    for sizes in (["--max-n", "0"], ["--max-n", "-3"], ["--count", "-1"]):
+        code, out = run(["sweep", "--generator", "dh", *sizes])
+        assert (code, out) == (EXIT_USAGE, "")
 
 
 def test_flip_cap_env(monkeypatch, co_c6_el):

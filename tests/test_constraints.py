@@ -213,7 +213,7 @@ def test_extend_acyclic_properties(data):
 def test_aux_dot_labels(co_c6_labeled):
     cg = ConstraintGraph(OPPOSITION, co_c6_labeled)
     dot = cg.to_dot()
-    assert '"15"' in dot and '"51"' in dot
+    assert '[label="1->5"]' in dot and '[label="5->1"]' in dot
     assert dot.count(" -- ") == 18
 
 

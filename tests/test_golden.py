@@ -5,8 +5,9 @@ its JSON payload with a recorded digest, so a refactor of the recognition
 pipeline cannot change a decision, a method, a certificate or a stats
 field unnoticed.  The corpus reaches every method string, both witness
 searches, `undecided` for opposition and coalition, and the graphs that
-`random_opposition_ptolemaic` returns.  After an intended change of
-output, print the new digests with
+`random_opposition_ptolemaic` returns; the arcs of
+`ptolemaic_opposition_orient` are pinned the same way.  After an
+intended change of output, print the new digests with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -21,6 +22,7 @@ from oppograph.generate import random_distance_hereditary, random_opposition_pto
 from oppograph.graphs import (
     Graph,
     complement,
+    complete_graph,
     cycle_graph,
     encode_graph6,
     parse_edge_list,
@@ -29,6 +31,8 @@ from oppograph.graphs import (
 )
 from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_N, HOUSE, make_Hk, make_Tk
 from oppograph.recognize import (
+    certificate_payload,
+    ptolemaic_opposition_orient,
     recognize_coalition,
     recognize_coalition_distance_hereditary,
     recognize_generalized_opposition,
@@ -153,6 +157,33 @@ def _payload_digest(case):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _orient_graphs():
+    """Inputs of the ptolemaic constructor: P5 graphs take the layer
+    construction, P5-free ones the side-0 orientation of O(G).  K_{2,5} has
+    an induced C4, so it pins the rejection; with its hubs joined it is
+    ptolemaic."""
+    k25 = [(a, 2 + j) for a in (0, 1) for j in range(5)]
+    return {
+        "p7": path_graph(7),
+        "h2": make_Hk(2).as_graph(),
+        "star": Graph(5, [(0, i) for i in range(1, 5)]),
+        "k4": complete_graph(4),
+        "k2,5": Graph(7, k25),
+        "k2,5-hubs-joined": Graph(7, [(0, 1)] + k25),
+        "p4": path_graph(4),
+        "bull": Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]),
+    }
+
+
+def _orient_digest(name):
+    g = _orient_graphs()[name]
+    try:
+        out = json.dumps(certificate_payload(ptolemaic_opposition_orient(g), g), sort_keys=True)
+    except ValueError as exc:
+        out = f"ValueError: {exc}"
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def _generator_digest():
     lines = "\n".join(encode_graph6(random_opposition_ptolemaic(n, s)) for n, s in _GENERATOR_PAIRS)
     return hashlib.sha256(lines.encode()).hexdigest()
@@ -217,6 +248,17 @@ GOLDEN = {
     "coal/union-co-c6-cap5": "0e1c8ee3caabaf8c56ed955e1fc78f3109b8ab0ea503bcb6e4faf11c5e3dbe42",
 }
 
+GOLDEN_ORIENT = {
+    "p7": "96634a5a7513c375f3d2ad2320027a4045bd015b3dca727014c3c8fa42dc6ead",
+    "h2": "682a3f9d1d28b0d685fd155561debffc92efc2676d951b7c03571489522de63c",
+    "star": "0660ccf22ffadd691cf6dec37a0a3b7a199dc5a3b8ed3827cc973f1ecc957b2c",
+    "k4": "ea233fe41b59ca37d26105567ce8ab51a24278ae873904ed7414bfb94631b39e",
+    "k2,5": "0b6733bcd9b3add319ad52239041e322a3afed57b84b4060da93ee8466a2e2d0",
+    "k2,5-hubs-joined": "b92e55ebe5af4c37721e5e2dbfdf3e0429e308b8b81f8786d32bb5e8d75a681e",
+    "p4": "21cafad1d4597c2be7dc3aafb38c0f5c3f0725307e3a36fd84c4b1e56ff7fa67",
+    "bull": "bb8644028b3f359ee1886f94ec8438c6d0fccb55c98d148683c339dc9f002704",
+}
+
 GOLDEN_GENERATOR = "e2ddac1f455f877cecfd97511bc870e0c5a27ff6f3112a60b33ff52bce5d3dcf"
 
 
@@ -250,6 +292,11 @@ def test_corpus_reaches_every_method():
         assert want in methods, want
 
 
+@pytest.mark.parametrize("name", list(GOLDEN_ORIENT))
+def test_orient_digest(name):
+    assert _orient_digest(name) == GOLDEN_ORIENT[name]
+
+
 def test_generator_digest():
     assert _generator_digest() == GOLDEN_GENERATOR
 
@@ -257,4 +304,6 @@ def test_generator_digest():
 if __name__ == "__main__":
     for case in _CASES:
         print(f'    "{case[0]}": "{_payload_digest(case)}",')
+    for name in _orient_graphs():
+        print(f'    "{name}": "{_orient_digest(name)}",')
     print(f'GOLDEN_GENERATOR = "{_generator_digest()}"')

@@ -18,6 +18,7 @@ from oppograph.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
+    induced_subgraph,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -40,6 +41,7 @@ from oppograph.recognize import (
     recognize_opposition_gem_house_free,
     _flip_search,
     _FlipOutcome,
+    _side0_orientation,
     transitive_orient,
     verdict_payload,
 )
@@ -177,9 +179,15 @@ def test_flip_cap_gives_undecided(co_c6):
 
 
 def test_flip_cap_below_one_is_rejected(co_c6_labeled):
-    for cap in (0, -1):
-        with pytest.raises(ValueError):
-            recognize_opposition(co_c6_labeled, flip_cap=cap)
+    # the cap is checked on entry, also where no flip search runs: P4 and
+    # P7 take the distance-hereditary routes, C5 has an odd walk
+    graphs = (co_c6_labeled, path_graph(4), path_graph(7), cycle_graph(5))
+    recognizers = (recognize_opposition, recognize_coalition, recognize_coalition_distance_hereditary)
+    for g in graphs:
+        for recognize in recognizers:
+            for cap in (0, -1):
+                with pytest.raises(ValueError, match="flip cap must be at least 1"):
+                    recognize(g, flip_cap=cap)
 
 
 def test_h1_constructor_is_source_orientation(h1):
@@ -451,11 +459,15 @@ def test_member_path_never_searches_hk(monkeypatch):
     import oppograph.recognize
     from oppograph.generate import random_opposition_ptolemaic
 
-    def forbidden(g):
-        raise AssertionError("find_max_Hk on the member path")
+    # the H_k search, the gem search of the ptolemaic test and any other
+    # backtracking pattern search are all off the member path
+    for name in ("find_max_Hk", "is_ptolemaic", "find_induced"):
 
-    monkeypatch.setattr(oppograph.patterns, "find_max_Hk", forbidden)
-    monkeypatch.setattr(oppograph.recognize, "find_max_Hk", forbidden, raising=False)
+        def forbidden(*args, name=name):
+            raise AssertionError(f"{name} on the member path")
+
+        monkeypatch.setattr(oppograph.patterns, name, forbidden)
+        monkeypatch.setattr(oppograph.recognize, name, forbidden, raising=False)
     for n in (40, 60, 80):
         g = random_opposition_ptolemaic(n, seed=n)
         v = recognize_opposition(g)
@@ -624,3 +636,33 @@ def test_flip_search_without_aux_components():
         got = _flip_search(cg, b, None)
         _assert_same_outcome(got, _whole_graph_flip_search(cg, b, None))
         assert got.tried == 1 and got.orientation is not None
+
+
+def test_side0_orientation_is_the_first_flip_vector():
+    # on (gem, house)-free graphs with bipartite O(G) the forced part of
+    # side 0 is acyclic, so the flip search stops at its first vector with
+    # the side-0 orientation; the distance-hereditary routes rely on it,
+    # the twin-free branch of the twin reduction included
+    from oppograph.generate import (
+        random_distance_hereditary,
+        random_opposition_ptolemaic,
+        random_ptolemaic,
+    )
+
+    rng = random.Random(8)
+    checked = several = 0
+    for i in range(300):
+        make = (random_distance_hereditary, random_ptolemaic, random_opposition_ptolemaic)[i % 3]
+        g = make(rng.randint(3, 40), rng.randrange(10**6))
+        keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for h in (g, induced_subgraph(g, keep)[0]):
+            cg = ConstraintGraph(OPPOSITION, h)
+            b = bipartition_or_odd_walk(cg)
+            if isinstance(b, OddWalkCertificate):
+                continue
+            checked += 1
+            several += b.component_count > 1  # more than one flip vector
+            outcome = _flip_search(cg, b, None)
+            assert outcome.tried == 1
+            assert outcome.orientation.arcs() == _side0_orientation(cg, b).arcs()
+    assert checked >= 300 and several >= 10
