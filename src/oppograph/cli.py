@@ -1,8 +1,8 @@
 """Command-line front end: recognize, orient, aux, oracle, and sweep.
 
 Exit codes: 0 member, 1 non-member, 2 undecided, 3 sweep disagreement,
-10 parse error, 11 usage error.  The flip cap defaults to the
-OPPO_FLIP_CAP environment variable when set.
+10 parse error, 11 usage error.  recognize, orient and sweep take a
+flip cap, which defaults to the OPPO_FLIP_CAP environment variable when set.
 """
 
 from __future__ import annotations
@@ -316,11 +316,11 @@ def build_parser() -> _Parser:
                 required=True,
             )
         p.add_argument("--format", choices=["auto", "edgelist", "graph6"], default="auto")
-        p.add_argument("--flip-cap", type=int, default=None)
         p.add_argument("input", help="input file, or - for stdin")
 
     p = sub.add_parser("recognize", help="decide membership with a certificate")
     common(p)
+    p.add_argument("--flip-cap", type=int, default=None)
     p.add_argument("--output", choices=["human", "json", "dot"], default="human")
     p.add_argument("--witness", action="store_true", help="also locate a forbidden pattern on rejection")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
@@ -328,6 +328,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("orient", help="emit a verified orientation of a member")
     common(p)
+    p.add_argument("--flip-cap", type=int, default=None)
     p.add_argument("--output", choices=["arcs", "dot"], default="dot")
     p.add_argument("--method", choices=["auto", "ptolemaic"], default="auto")
     p.set_defaults(func=cmd_orient)
@@ -365,10 +366,11 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "flip_cap", None) is None:
-            args.flip_cap = _flip_cap_default()
-        elif args.flip_cap < 1:
-            raise CliError("--flip-cap must be at least 1", EXIT_USAGE)
+        if "flip_cap" in args:
+            if args.flip_cap is None:
+                args.flip_cap = _flip_cap_default()
+            elif args.flip_cap < 1:
+                raise CliError("--flip-cap must be at least 1", EXIT_USAGE)
         return args.func(args, out)
     except CliError as exc:
         print(exc, file=sys.stderr)

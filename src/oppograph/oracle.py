@@ -41,8 +41,9 @@ def _scan_orders(g: Graph, graph_class: str, opposed: bool, enumerate_all: bool)
     if g.n > ORDER_CAP:
         raise OracleCapError(f"oracle order scan capped at n <= {ORDER_CAP}, got {g.n}")
     p4s = induced_p4s(g)
-    cons = [p.vertices for p in p4s]
     ends = end_edges(g, p4s)
+    # opposition asks a<b iff d<c, coalition a<b iff c<d
+    cons = [(a, b, d, c) if opposed else (a, b, c, d) for a, b, c, d in p4s]
     n = g.n
     pos = [0] * n
     witness = None
@@ -50,18 +51,10 @@ def _scan_orders(g: Graph, graph_class: str, opposed: bool, enumerate_all: bool)
     for perm in itertools.permutations(range(n)):
         for i, v in enumerate(perm):
             pos[v] = i
-        ok = True
-        if opposed:
-            for a, b, c, d in cons:
-                if (pos[a] < pos[b]) != (pos[d] < pos[c]):
-                    ok = False
-                    break
+        for a, b, x, y in cons:
+            if (pos[a] < pos[b]) != (pos[x] < pos[y]):
+                break
         else:
-            for a, b, c, d in cons:
-                if (pos[a] < pos[b]) != (pos[c] < pos[d]):
-                    ok = False
-                    break
-        if ok:
             if witness is None:
                 witness = perm
             if not enumerate_all:
@@ -97,19 +90,18 @@ def oracle_generalized_opposition(g: Graph) -> OracleResult:
     if t > END_EDGE_CAP:
         raise OracleCapError(f"oracle assignment scan capped at {END_EDGE_CAP} end-edges, got {t}")
     eidx = {e: i for i, e in enumerate(ends)}
-    # constraint per P4: the "a->b" bit differs from the "c->d" bit
+    # constraint per P4: the "a->b" bit differs from the "c->d" bit; bit 0
+    # means low->high on the edge, so the two edge bits differ exactly when
+    # both edges are read the same way
     cons = []
-    for p in p4s:
-        (ab, cd) = p.end_edges()
-        pol_ab = 0 if (p.a, p.b) == ab else 1  # bit 0 means low->high on the edge
-        pol_cd = 0 if (p.c, p.d) == cd else 1
-        cons.append((eidx[ab], eidx[cd], 1 ^ pol_ab ^ pol_cd))
+    for a, b, c, d in p4s:
+        ab = (a, b) if a < b else (b, a)
+        cd = (c, d) if c < d else (d, c)
+        cons.append((eidx[ab], eidx[cd], int((a < b) == (c < d))))
     for mask in range(1 << t):
-        ok = True
         for i, j, req in cons:
             if ((mask >> i) ^ (mask >> j)) & 1 != req:
-                ok = False
                 break
-        if ok:
+        else:
             return OracleResult(GENERALIZED_OPPOSITION, "member")
     return OracleResult(GENERALIZED_OPPOSITION, "non-member")

@@ -27,37 +27,12 @@ COALITION = "coalition"
 GRAPH_CLASSES = (OPPOSITION, GENERALIZED_OPPOSITION, COALITION)
 
 
-@dataclass(frozen=True)
-class P4:
-    """A chordless path a-b-c-d stored once, canonically with a < d."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def vertices(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def end_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        ab = (self.a, self.b) if self.a < self.b else (self.b, self.a)
-        cd = (self.c, self.d) if self.c < self.d else (self.d, self.c)
-        return ab, cd
-
-    def mid_edge(self) -> tuple[int, int]:
-        return (self.b, self.c) if self.b < self.c else (self.c, self.b)
-
-    def reversed(self) -> "P4":
-        return P4(self.d, self.c, self.b, self.a)
-
-
-def _canonical(a: int, b: int, c: int, d: int) -> P4:
-    return P4(a, b, c, d) if a < d else P4(d, c, b, a)
+# A chordless path a-b-c-d, stored once with a < d.
+P4 = tuple[int, int, int, int]
 
 
 def induced_p4s(g: Graph) -> list[P4]:
-    """All induced P4s, one canonical copy each, sorted.
+    """All induced P4s, one (a, b, c, d) tuple with a < d each, sorted.
 
     Iterates over mid-edges {b, c} and scans a in N(b)\\N[c],
     d in N(c)\\N[b] with {a, d} a non-edge.
@@ -73,8 +48,8 @@ def induced_p4s(g: Graph) -> list[P4]:
             na = g.adj[a]
             for d in right:
                 if d != a and d not in na:
-                    out.append(_canonical(a, b, c, d))
-    out.sort(key=lambda p: p.vertices)
+                    out.append((a, b, c, d) if a < d else (d, c, b, a))
+    out.sort()
     return out
 
 
@@ -96,27 +71,25 @@ def end_edges(g: Graph, p4s: list[P4] | None = None) -> list[tuple[int, int]]:
     if p4s is None:
         p4s = induced_p4s(g)
     seen = set()
-    for p in p4s:
-        seen.update(p.end_edges())
+    for a, b, c, d in p4s:
+        seen.add((a, b) if a < b else (b, a))
+        seen.add((c, d) if c < d else (d, c))
     return sorted(seen)
 
 
 def p4_type(p: P4, o: Orientation) -> int:
     """Classify an oriented P4 into types 0..3 (see module docstring)."""
-    if not is_induced_p4(o.base, *p.vertices):
+    a, b, c, d = p
+    if not is_induced_p4(o.base, a, b, c, d):
         raise ValueError(f"{p} is not an induced P4 of the base graph")
-    ab = o.forward(p.a, p.b)
-    cd = o.forward(p.c, p.d)
+    ab = o.forward(a, b)
+    cd = o.forward(c, d)
     if ab and not cd:
         return 0
     if not ab and cd:
         return 1
-    bc = o.forward(p.b, p.c)
+    bc = o.forward(b, c)
     return 2 if bc == ab else 3
-
-
-def _end_edges_opposed(p: P4, o) -> bool:
-    return o.forward(p.a, p.b) != o.forward(p.c, p.d)
 
 
 def orientation_good_for(p: P4, o, graph_class: str) -> bool:
@@ -124,7 +97,8 @@ def orientation_good_for(p: P4, o, graph_class: str) -> bool:
 
     Requires both end-edges of the P4 to be directed.
     """
-    opposed = _end_edges_opposed(p, o)
+    a, b, c, d = p
+    opposed = o.forward(a, b) != o.forward(c, d)
     if graph_class in (OPPOSITION, GENERALIZED_OPPOSITION):
         return opposed
     if graph_class == COALITION:
@@ -192,7 +166,7 @@ class LayerTypeError(ValueError):
     """No layer type matches: the ptolemaic structural assumptions fail."""
 
 
-def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, tuple[int, int, int, int]]:
+def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, P4]:
     """Match a P4 against the five layer patterns.
 
     Returns the type letter and the relabeled path (a, b, c, d) realizing
@@ -203,7 +177,7 @@ def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, tuple[i
       E: a,b,c@i, d@i+1
     """
     lv = layers.layer
-    for order in (p.vertices, p.reversed().vertices):
+    for order in (p, p[::-1]):
         la, lb, lc, ld = (lv[v] for v in order)
         if (lb, lc, ld) == (la + 1, la + 2, la + 3):
             return "A", order
@@ -215,4 +189,4 @@ def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, tuple[i
             return "D", order
         if la == lb == lc and ld == lc + 1:
             return "E", order
-    raise LayerTypeError(f"P4 {p.vertices} fits no layer pattern from root {layers.root}")
+    raise LayerTypeError(f"P4 {p} fits no layer pattern from root {layers.root}")

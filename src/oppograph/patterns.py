@@ -248,8 +248,7 @@ def has_hole(g: Graph, p4s: list[P4] | None = None) -> PatternMatch | None:
     """
     if p4s is None:
         p4s = induced_p4s(g)
-    for p in p4s:
-        a, b, c, d = p.vertices
+    for a, b, c, d in p4s:
         blocked = (g.adj[b] | g.adj[c] | {b, c}) - {a, d}
         prev = {a: -1}
         queue = deque([a])

@@ -406,8 +406,7 @@ recognize_opposition_distance_hereditary = recognize_opposition
 
 
 def _find_p5(g: Graph, p4s: list[P4]) -> tuple[int, int, int, int, int] | None:
-    for p in p4s:
-        a, b, c, d = p.vertices
+    for a, b, c, d in p4s:
         closed = g.adj[a] | g.adj[b] | g.adj[c] | {a, b, c}
         for w in sorted(g.adj[d] - closed):
             return (a, b, c, d, w)

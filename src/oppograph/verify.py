@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .constraints import OddWalkCertificate
 from .graphs import Graph, Orientation
-from .p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
+from .p4 import COALITION, GENERALIZED_OPPOSITION, GRAPH_CLASSES, OPPOSITION
 from .patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, Pattern, PatternMatch, make_Tk
 from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, Verdict
 
@@ -235,6 +235,8 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
     seen = set()
     index = {v: i for i, v in enumerate(vars_)}
     for flips, cycle in cert.entries:
+        if not isinstance(flips, tuple):
+            return False, f"flip vector {flips!r} is not a tuple"
         if len(flips) != comps or flips[0] != 0 or flips in seen:
             return False, "malformed or duplicate flip vector"
         if any(f not in (0, 1) for f in flips):
@@ -277,6 +279,8 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
     A witness is checked against the canonical pattern its name stands
     for (``_named_obstruction``), never against the edges it carries.
     """
+    if v.graph_class not in GRAPH_CLASSES:
+        return False, f"unknown graph class {v.graph_class!r}"
     aux_kind = COALITION if v.graph_class == COALITION else OPPOSITION
     if v.witness is not None:
         pattern = _named_obstruction(g, v.graph_class, v.witness.pattern.name)
@@ -294,6 +298,10 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
         if isinstance(cert, OddWalkCertificate):
             return check_odd_walk(g, aux_kind, cert)
         if isinstance(cert, FlipExhaustion):
+            # generalized opposition allows cycles, so exhausted flips
+            # refute nothing there
+            if v.graph_class == GENERALIZED_OPPOSITION:
+                return False, "a flip exhaustion refutes only opposition and coalition"
             return check_flip_exhaustion(g, aux_kind, cert)
         if isinstance(cert, PatternMatch):
             # N is the one pattern known to lie outside a class (coalition);

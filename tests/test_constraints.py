@@ -28,7 +28,7 @@ from oppograph.graphs import (
     path_graph,
 )
 from oppograph.oracle import oracle_generalized_opposition
-from oppograph.p4 import COALITION, OPPOSITION, induced_p4s, orientation_good_for
+from oppograph.p4 import COALITION, OPPOSITION, end_edges, induced_p4s, orientation_good_for
 from oppograph.patterns import GRAPH_N
 from oppograph.verify import _rebuild_aux, aux_adjacent, check_odd_walk
 
@@ -131,7 +131,7 @@ def test_forced_orientation_every_flip_makes_all_p4s_good():
             res = bipartition_or_odd_walk(cg)
             if not isinstance(res, Bipartition):
                 continue
-            ends = {e for p in p4s for e in p.end_edges()}
+            ends = set(end_edges(g, p4s))
             for flips in itertools.product((0, 1), repeat=res.component_count):
                 d = forced_orientation(cg, res, flips)
                 assert set(d.domain()) == ends
@@ -341,12 +341,11 @@ def _eager_aux(kind, g):
     """Variables, sorted neighbour lists and P4 count of O(G) or C(G),
     built from the P4 list by the definition's two links per P4."""
     p4s = induced_p4s(g)
-    ends = sorted({e for p in p4s for e in p.end_edges()})
+    ends = end_edges(g, p4s)
     vars_ = [v for x, y in ends for v in ((x, y), (y, x))]
     index = {v: i for i, v in enumerate(vars_)}
     adj = [{i ^ 1} for i in range(len(vars_))]
-    for p in p4s:
-        a, b, c, d = p.vertices
+    for a, b, c, d in p4s:
         if kind == OPPOSITION:
             links = (((a, b), (c, d)), ((b, a), (d, c)))
         else:

@@ -29,8 +29,9 @@ from oppograph.graphs import (
     parse_graph6,
     path_graph,
 )
-from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_N, HOUSE, make_Hk, make_Tk
+from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, HOUSE, make_Hk, make_Tk
 from oppograph.recognize import (
+    PtolemaicOrientationError,
     certificate_payload,
     ptolemaic_opposition_orient,
     recognize_coalition,
@@ -161,7 +162,8 @@ def _orient_graphs():
     """Inputs of the ptolemaic constructor: P5 graphs take the layer
     construction, P5-free ones the side-0 orientation of O(G).  K_{2,5} has
     an induced C4, so it pins the rejection; with its hubs joined it is
-    ptolemaic."""
+    ptolemaic.  T_1, T_2, G1 and G2 are ptolemaic but no opposition graphs,
+    so they pin the layer constructor's failures."""
     k25 = [(a, 2 + j) for a in (0, 1) for j in range(5)]
     return {
         "p7": path_graph(7),
@@ -172,6 +174,10 @@ def _orient_graphs():
         "k2,5-hubs-joined": Graph(7, [(0, 1)] + k25),
         "p4": path_graph(4),
         "bull": Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)]),
+        "t1": make_Tk(1).as_graph(),
+        "t2": make_Tk(2).as_graph(),
+        "g1": GRAPH_G1.as_graph(),
+        "g2": GRAPH_G2.as_graph(),
     }
 
 
@@ -179,8 +185,8 @@ def _orient_digest(name):
     g = _orient_graphs()[name]
     try:
         out = json.dumps(certificate_payload(ptolemaic_opposition_orient(g), g), sort_keys=True)
-    except ValueError as exc:
-        out = f"ValueError: {exc}"
+    except (ValueError, PtolemaicOrientationError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(out.encode()).hexdigest()
 
 
@@ -257,6 +263,10 @@ GOLDEN_ORIENT = {
     "k2,5-hubs-joined": "b92e55ebe5af4c37721e5e2dbfdf3e0429e308b8b81f8786d32bb5e8d75a681e",
     "p4": "21cafad1d4597c2be7dc3aafb38c0f5c3f0725307e3a36fd84c4b1e56ff7fa67",
     "bull": "bb8644028b3f359ee1886f94ec8438c6d0fccb55c98d148683c339dc9f002704",
+    "t1": "3d9f1333a19301a6ac3f9c9d94fa9a89af74e327bf39a54a996f221957e653ef",
+    "t2": "3d9f1333a19301a6ac3f9c9d94fa9a89af74e327bf39a54a996f221957e653ef",
+    "g1": "1fa2bd1b841decc5553d619af9beafe9be5aacdd105939399da9a54dcc1b9ef2",
+    "g2": "1fa2bd1b841decc5553d619af9beafe9be5aacdd105939399da9a54dcc1b9ef2",
 }
 
 GOLDEN_GENERATOR = "e2ddac1f455f877cecfd97511bc870e0c5a27ff6f3112a60b33ff52bce5d3dcf"
@@ -295,6 +305,22 @@ def test_corpus_reaches_every_method():
 @pytest.mark.parametrize("name", list(GOLDEN_ORIENT))
 def test_orient_digest(name):
     assert _orient_digest(name) == GOLDEN_ORIENT[name]
+
+
+@pytest.mark.parametrize(
+    "name, p4s",
+    [
+        ("t1", ((5, 4, 3, 7),)),
+        ("t2", ((7, 6, 5, 9),)),
+        ("g1", ((3, 6, 7, 8), (5, 4, 3, 6))),
+        ("g2", ((5, 4, 3, 6), (6, 3, 7, 8))),
+    ],
+)
+def test_orient_error_carries_its_p4s(name, p4s):
+    # the offending P4s are the (a, b, c, d) tuples of `induced_p4s`
+    with pytest.raises(PtolemaicOrientationError) as info:
+        ptolemaic_opposition_orient(_orient_graphs()[name])
+    assert info.value.p4s == p4s
 
 
 def test_generator_digest():

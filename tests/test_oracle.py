@@ -37,8 +37,8 @@ def test_h1_exactly_two_assignments(h1):
 def test_witness_order_satisfies_predicate(h1):
     res = oracle_opposition(h1)
     pos = {v: i for i, v in enumerate(res.witness_order)}
-    for p in induced_p4s(h1):
-        assert (pos[p.a] < pos[p.b]) == (pos[p.d] < pos[p.c])
+    for a, b, c, d in induced_p4s(h1):
+        assert (pos[a] < pos[b]) == (pos[d] < pos[c])
 
 
 def test_oracle_coalition_examples(co_c6):

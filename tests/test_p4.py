@@ -8,7 +8,6 @@ from oppograph.p4 import (
     COALITION,
     GENERALIZED_OPPOSITION,
     OPPOSITION,
-    P4,
     DisconnectedRootError,
     LayerTypeError,
     classify_layer_type,
@@ -23,19 +22,19 @@ from oppograph.verify import brute_force_p4s, path_extension_p4s
 
 
 def test_p4_itself():
-    assert [p.vertices for p in induced_p4s(path_graph(4))] == [(0, 1, 2, 3)]
+    assert induced_p4s(path_graph(4)) == [(0, 1, 2, 3)]
 
 
 def test_c5_has_five_p4s():
     got = induced_p4s(cycle_graph(5))
     assert len(got) == 5
-    assert [p.vertices for p in got] == brute_force_p4s(cycle_graph(5))
+    assert got == brute_force_p4s(cycle_graph(5))
 
 
 def test_co_c6_labeled_end_edges_are_triangle_edges(co_c6_labeled):
     # labels 1,3,5,2,4,6 map to ids 0,1,2,3,4,5; the triangles carry all end-edges
     assert end_edges(co_c6_labeled) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    mids = {p.mid_edge() for p in induced_p4s(co_c6_labeled)}
+    mids = {(min(b, c), max(b, c)) for _, b, c, _ in induced_p4s(co_c6_labeled)}
     assert mids == {(0, 4), (1, 5), (2, 3)}  # the matching edges 1-4, 3-6, 5-2
 
 
@@ -57,9 +56,7 @@ def test_complete_graphs_have_no_p4s():
 @settings(max_examples=80, deadline=None)
 def test_induced_p4s_matches_bruteforce(n, data):
     g = random_graph(n, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 10**6)))
-    expected = brute_force_p4s(g)
-    assert [p.vertices for p in induced_p4s(g)] == expected
-    assert path_extension_p4s(g) == expected
+    assert induced_p4s(g) == path_extension_p4s(g) == brute_force_p4s(g)
 
 
 @pytest.mark.parametrize("n", range(8, 41, 4))
@@ -68,9 +65,7 @@ def test_p4_enumerators_match_bruteforce_sweep(n):
     # 4-subset scan, past the sizes the hypothesis test draws
     for p in (0.1, 0.3, 0.6):
         g = random_graph(n, p, 1000 * n + int(10 * p))
-        expected = brute_force_p4s(g)
-        assert [q.vertices for q in induced_p4s(g)] == expected, (n, p)
-        assert path_extension_p4s(g) == expected, (n, p)
+        assert induced_p4s(g) == path_extension_p4s(g) == brute_force_p4s(g), (n, p)
 
 
 def _orient(g, arcs):
@@ -79,7 +74,7 @@ def _orient(g, arcs):
 
 def test_p4_type_representative_cases():
     g = path_graph(4)
-    p = P4(0, 1, 2, 3)
+    p = (0, 1, 2, 3)
     assert p4_type(p, _orient(g, [(0, 1), (1, 2), (3, 2)])) == 0
     assert p4_type(p, _orient(g, [(1, 0), (1, 2), (2, 3)])) == 1
     assert p4_type(p, _orient(g, [(0, 1), (1, 2), (2, 3)])) == 2
@@ -88,8 +83,8 @@ def test_p4_type_representative_cases():
 
 def test_p4_type_rejects_non_induced():
     g = complete_graph(4)
-    with pytest.raises(ValueError):
-        p4_type(P4(0, 1, 2, 3), _orient(g, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    with pytest.raises(ValueError, match=r"^\(0, 1, 2, 3\) is not an induced P4"):
+        p4_type((0, 1, 2, 3), _orient(g, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
 
 
 def test_p4_type_path_reading_invariant():
@@ -103,7 +98,7 @@ def test_p4_type_path_reading_invariant():
         [(1, 0), (2, 1), (3, 2)],
     ]:
         o = _orient(g, arcs)
-        assert p4_type(P4(0, 1, 2, 3), o) == p4_type(P4(3, 2, 1, 0), o)
+        assert p4_type((0, 1, 2, 3), o) == p4_type((3, 2, 1, 0), o)
 
 
 @given(st.data())
@@ -168,12 +163,12 @@ def test_layer_decompose_disconnected_rejects():
 def test_classify_layer_type_examples(h1):
     chain = path_graph(4)
     layers = layer_decompose(chain, 0)
-    letter, order = classify_layer_type(P4(0, 1, 2, 3), layers)
+    letter, order = classify_layer_type((0, 1, 2, 3), layers)
     assert letter == "A" and order == (0, 1, 2, 3)
 
     # H1 case from the layer example: P4 v0''-v0'-v1-v0 is type C with i=0
     layers = layer_decompose(h1, 0)
-    letter, order = classify_layer_type(P4(5, 4, 0, 3), layers)
+    letter, order = classify_layer_type((5, 4, 0, 3), layers)
     assert letter == "C"
     assert order in ((3, 0, 4, 5), (5, 4, 0, 3))
     assert layers.of(order[1]) == 0
@@ -184,7 +179,7 @@ def test_classify_layer_type_b_case():
     g = parse_edge_list("w b\nw c\nb c\na b\nc d")
     layers = layer_decompose(g, 0)
     p = induced_p4s(g)
-    target = [q for q in p if set(q.vertices) == {1, 2, 3, 4}]
+    target = [q for q in p if set(q) == {1, 2, 3, 4}]
     assert len(target) == 1
     letter, order = classify_layer_type(target[0], layers)
     assert letter == "B"
@@ -205,7 +200,7 @@ def test_classify_layer_type_total_and_unique_on_ptolemaic():
             layers = layer_decompose(g, root)
             for p in p4s:
                 letters = set()
-                for order in (p.vertices, p.reversed().vertices):
+                for order in (p, p[::-1]):
                     la, lb, lc, ld = (layers.of(v) for v in order)
                     if (lb, lc, ld) == (la + 1, la + 2, la + 3):
                         letters.add("A")
@@ -224,6 +219,6 @@ def test_classify_layer_type_total_and_unique_on_ptolemaic():
 def test_classify_layer_type_fails_off_ptolemaic():
     g = cycle_graph(6)
     layers = layer_decompose(g, 0)
-    p = [q for q in induced_p4s(g) if set(q.vertices) == {1, 2, 3, 4}][0]
+    p = [q for q in induced_p4s(g) if set(q) == {1, 2, 3, 4}][0]
     with pytest.raises(LayerTypeError):
         classify_layer_type(p, layers)

@@ -117,6 +117,32 @@ def test_cycle_arc_not_selected_by_flips_rejected():
     assert "not selected" in msg
 
 
+def test_list_flip_vector_rejected():
+    g, v = _flip_exhaustion()
+    flips, cycle = v.certificate.entries[0]
+    entries = ((list(flips), cycle),) + v.certificate.entries[1:]
+    msg = _rejected(g, replace(v, certificate=FlipExhaustion(entries)))
+    assert "not a tuple" in msg
+
+
+def test_flip_exhaustion_refutes_no_generalized_opposition():
+    # generalized opposition allows cycles: co-C6 is a member although
+    # every opposition flip vector of it forces a directed cycle
+    g = complement(cycle_graph(6))
+    v = recognize_opposition(g)
+    assert isinstance(v.certificate, FlipExhaustion)
+    assert recognize_generalized_opposition(g).is_member
+    msg = _rejected(g, replace(v, graph_class=GENERALIZED_OPPOSITION))
+    assert "only opposition and coalition" in msg
+
+
+def test_unknown_class_rejected():
+    g = path_graph(4)
+    v = recognize_coalition(g)
+    assert check_verdict(g, v) == (True, "ok")
+    assert "unknown graph class" in _rejected(g, replace(v, graph_class="bogus"))
+
+
 def test_even_walk_rejected():
     g = cycle_graph(5)
     v = recognize_opposition(g)
