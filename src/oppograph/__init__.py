@@ -72,6 +72,7 @@ from .patterns import (
 from .recognize import (
     DEFAULT_FLIP_CAP,
     FlipExhaustion,
+    InducedSubgraph,
     PtolemaicOrientationError,
     Verdict,
     ptolemaic_opposition_orient,

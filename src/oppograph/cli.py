@@ -2,7 +2,8 @@
 
 Exit codes: 0 member, 1 non-member, 2 undecided, 3 sweep disagreement,
 10 parse error, 11 usage error.  recognize, orient and sweep take a
-flip cap, which defaults to the OPPO_FLIP_CAP environment variable when set.
+flip cap, a budget for each connected component, which defaults to the
+OPPO_FLIP_CAP environment variable when set.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ EXIT_PARSE = 10
 EXIT_USAGE = 11
 
 _DECISION_EXIT = {MEMBER: EXIT_MEMBER, NON_MEMBER: EXIT_NON_MEMBER, UNDECIDED: EXIT_UNDECIDED}
+
+
+_FLIP_CAP_HELP = (
+    "flip vectors each connected component may try before the verdict is "
+    "undecided (default: OPPO_FLIP_CAP, else 2^20)"
+)
 
 
 class CliError(Exception):
@@ -118,6 +125,26 @@ def _run_recognizer(g: Graph, graph_class: str, flip_cap: int, want_witness: boo
     return recognize_generalized_opposition(g)
 
 
+def _write_certificate(out, cert: dict, indent: str = "  ") -> None:
+    """The lines under a certificate payload's kind line."""
+    if cert["kind"] == "orientation":
+        arcs = " ".join(f"{t}->{h}" for t, h in cert["arcs"])
+        out.write(f"{indent}arcs: {arcs}\n")
+    elif cert["kind"] == "odd-closed-walk":
+        walk = " ".join(f"({x},{y})" for x, y in cert["walk"])
+        out.write(f"{indent}walk[{len(cert['walk']) - 1}]: {walk}\n")
+    elif cert["kind"] == "flip-exhaustion":
+        out.write(f"{indent}flips exhausted: {len(cert['entries'])}\n")
+        for entry in cert["entries"]:
+            flips = "".join(str(b) for b in entry["flips"])
+            out.write(f"{indent}flips {flips or '-'}: cycle {'->'.join(entry['cycle'])}\n")
+    elif cert["kind"] == "induced-subgraph":
+        inner = cert["certificate"]
+        out.write(f"{indent}vertices: {' '.join(cert['vertices'])}\n")
+        out.write(f"{indent}certificate: {inner['kind']}\n")
+        _write_certificate(out, inner, indent + "  ")
+
+
 def _print_human(out, g: Graph, verdict, show_witness: bool) -> None:
     payload = verdict_payload(verdict, g)
     out.write(f"class: {payload['class']}\n")
@@ -125,17 +152,7 @@ def _print_human(out, g: Graph, verdict, show_witness: bool) -> None:
     out.write(f"method: {payload['method']}\n")
     cert = payload["certificate"]
     out.write(f"certificate: {cert['kind']}\n")
-    if cert["kind"] == "orientation":
-        arcs = " ".join(f"{t}->{h}" for t, h in cert["arcs"])
-        out.write(f"  arcs: {arcs}\n")
-    elif cert["kind"] == "odd-closed-walk":
-        walk = " ".join(f"({x},{y})" for x, y in cert["walk"])
-        out.write(f"  walk[{len(cert['walk']) - 1}]: {walk}\n")
-    elif cert["kind"] == "flip-exhaustion":
-        out.write(f"  flips exhausted: {len(cert['entries'])}\n")
-        for entry in cert["entries"]:
-            flips = "".join(str(b) for b in entry["flips"])
-            out.write(f"  flips {flips or '-'}: cycle {'->'.join(entry['cycle'])}\n")
+    _write_certificate(out, cert)
     if show_witness and "witness" in payload:
         wit = payload["witness"]
         pairs = " ".join(f"{k}:{v}" for k, v in sorted(wit["map"].items(), key=lambda kv: int(kv[0])))
@@ -320,7 +337,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("recognize", help="decide membership with a certificate")
     common(p)
-    p.add_argument("--flip-cap", type=int, default=None)
+    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
     p.add_argument("--output", choices=["human", "json", "dot"], default="human")
     p.add_argument("--witness", action="store_true", help="also locate a forbidden pattern on rejection")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
@@ -328,7 +345,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("orient", help="emit a verified orientation of a member")
     common(p)
-    p.add_argument("--flip-cap", type=int, default=None)
+    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
     p.add_argument("--output", choices=["arcs", "dot"], default="dot")
     p.add_argument("--method", choices=["auto", "ptolemaic"], default="auto")
     p.set_defaults(func=cmd_orient)
@@ -356,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flip-cap", type=int, default=None)
+    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
     p.set_defaults(func=cmd_sweep)
     return parser
 

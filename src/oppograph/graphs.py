@@ -220,14 +220,25 @@ class DirectedCycleCertificate:
         return len(self.vertices)
 
 
-def kahn(
+def topo_order_or_cycle(
     n: int, arcs: Iterable[tuple[int, int]]
-) -> tuple[list[int] | None, int, DirectedCycleCertificate | None]:
-    """Kahn's algorithm over all n vertices, smallest id first, with the
-    cycle rule of ``topo_order_or_cycle``.
+) -> tuple[list[int] | None, DirectedCycleCertificate | None]:
+    """Kahn's algorithm over all n vertices, smallest id first.
 
-    Returns (order, -1, None) when the arc set is acyclic, else
-    (None, least leftover vertex, cycle).
+    Returns (order, None) when the arc set is acyclic, else (None, cycle).
+    The vertices Kahn's algorithm cannot remove are left over; each has a
+    leftover predecessor.  The cycle is found by starting at the least
+    leftover vertex and stepping to its least leftover predecessor until
+    a vertex repeats; the repeated stretch, read along the arcs, is the
+    cycle.  So the cycle depends only on the arc set, not on its order.
+
+    Every step follows an arc, so the walk never leaves the weakly
+    connected component of its start.  Hence when only one component of
+    a disjoint union has arcs, the cycle is the one this function finds
+    in that component alone, and renumbering the component's vertices in
+    increasing order (as ``induced_subgraph`` does) keeps every
+    comparison the rule makes.  The flip search relies on this to check
+    one component of G at a time.
     """
     out: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
@@ -245,7 +256,7 @@ def kahn(
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
     if len(order) == n:
-        return order, -1, None
+        return order, None
     # walk predecessors inside the leftover set until a vertex repeats
     left = {v for v in range(n) if indeg[v] > 0}
     pred: dict[int, list[int]] = {v: [] for v in left}
@@ -253,7 +264,7 @@ def kahn(
         for h in out[t]:
             if h in left:
                 pred[h].append(t)
-    least = v = min(left)
+    v = min(left)
     seen: dict[int, int] = {}
     trail: list[int] = []
     while v not in seen:
@@ -262,32 +273,7 @@ def kahn(
         v = min(pred[v])
     cyc = trail[seen[v]:]
     cyc.reverse()  # pred-walk reversed = arc direction
-    return None, least, DirectedCycleCertificate(tuple(cyc))
-
-
-def topo_order_or_cycle(
-    n: int, arcs: Iterable[tuple[int, int]]
-) -> tuple[list[int] | None, DirectedCycleCertificate | None]:
-    """Kahn's algorithm over all n vertices, smallest id first.
-
-    Returns (order, None) when the arc set is acyclic, else (None, cycle).
-    The vertices Kahn's algorithm cannot remove are left over; each has a
-    leftover predecessor.  The cycle is found by starting at the least
-    leftover vertex and stepping to its least leftover predecessor until
-    a vertex repeats; the repeated stretch, read along the arcs, is the
-    cycle.  So the cycle depends only on the arc set, not on its order.
-
-    Every step follows an arc, so the walk never leaves the weakly
-    connected component of its start.  Hence on a disjoint union the
-    cycle is the one this function finds in the component that holds the
-    least leftover vertex, and renumbering a component's vertices in
-    increasing order (as ``induced_subgraph`` does) keeps every
-    comparison the rule makes.  The flip search relies on this to check
-    one component at a time (``kahn`` also returns the least leftover
-    vertex).
-    """
-    order, _, cycle = kahn(n, arcs)
-    return order, cycle
+    return None, DirectedCycleCertificate(tuple(cyc))
 
 
 # ---------------------------------------------------------------------------

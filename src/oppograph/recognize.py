@@ -26,7 +26,6 @@ from .graphs import (
     PartialOrientation,
     connected_components,
     induced_subgraph,
-    kahn,
     orient_along,
     topo_order_or_cycle,
 )
@@ -69,6 +68,17 @@ class FlipExhaustion:
     """Every flip vector in the reversal quotient forced a directed cycle."""
 
     entries: tuple[tuple[tuple[int, ...], DirectedCycleCertificate], ...]
+
+
+@dataclass(frozen=True)
+class InducedSubgraph:
+    """G[S] is no member, so neither is G: both classes are hereditary.
+
+    ``vertices`` is S in increasing order; ``certificate`` refutes G[S]
+    in its own ids, local vertex i standing for ``vertices[i]``."""
+
+    vertices: tuple[int, ...]
+    certificate: FlipExhaustion | OddWalkCertificate
 
 
 @dataclass(frozen=True)
@@ -141,104 +151,129 @@ def _checked_pattern(g: Graph, match: PatternMatch) -> PatternMatch:
 
 @dataclass
 class _FlipOutcome:
+    """A member's orientation, or a non-member's certificate, or neither
+    when a part hit the cap; ``tried`` is the ``flips_tried`` stat."""
+
     orientation: Orientation | None
-    entries: list
-    undecided: bool
+    certificate: FlipExhaustion | InducedSubgraph | None
     tried: int
 
 
-class _ComponentCycles:
-    """The directed cycle that ``topo_order_or_cycle`` finds in the forced
-    orientation of a flip vector, checked one connected component of G at
-    a time.
+class _Part:
+    """A connected component of G that holds aux variables.
 
-    The forced arcs inside a component of G depend only on the flip bits
-    of the aux components whose variables lie there.  When several
-    components hold aux variables, each is checked once per choice of its
-    bits and the result is cached for the rest of the search; with one,
-    every vector is a new choice and nothing is cached.  The whole-graph
-    cycle is the cycle of the cyclic component holding the least leftover
-    vertex (see ``topo_order_or_cycle``); a component whose least vertex
-    is above the best leftover vertex so far cannot hold it and is not
-    checked.
+    ``vertices`` are its vertices in increasing order; local vertex i is
+    ``vertices[i]``, as in ``induced_subgraph``.  ``aux`` lists the aux
+    components inside it in increasing order, and ``vars`` each of its
+    variables as (position of its aux component in ``aux``, side, local
+    arc).  The classes of O(G[S]) or C(G[S]) are those of the part in the
+    same order with the same sides, so local bit vectors are the flip
+    vectors of G[S].
     """
 
-    def __init__(self, cg: ConstraintGraph, b: Bipartition):
-        g = cg.base
-        comps = connected_components(g)
-        comp_of = [0] * g.n
-        local = [0] * g.n
-        for ci, comp in enumerate(comps):
-            for i, v in enumerate(comp):
-                comp_of[v], local[v] = ci, i
-        # per component of G: the aux components inside it, and each of
-        # its variables as (position of its aux component, side, local arc)
-        auxes: list[list[int]] = [[] for _ in comps]
-        vars_: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
-        pos: dict[int, int] = {}
-        for i, (x, y) in enumerate(cg.vars):
-            k, ci = b.component[i], comp_of[x]
-            if k not in pos:
-                pos[k] = len(auxes[ci])
-                auxes[ci].append(k)
-            vars_[ci].append((pos[k], b.side[i], local[x], local[y]))
-        # components without P4s have no forced arcs and are never cyclic
-        self.parts = [
-            (comps[ci][0], *induced_subgraph(g, comps[ci]), auxes[ci], vars_[ci], {})
-            for ci in range(len(comps))
-            if auxes[ci]
-        ]
-        self.caching = len(self.parts) > 1
+    __slots__ = ("vertices", "aux", "vars")
 
-    def cycle(self, flips: tuple[int, ...]) -> DirectedCycleCertificate | None:
-        best = None  # (least leftover vertex, cycle)
-        for least_vertex, sub, new_to_old, aux, vars_, cache in self.parts:
-            if best is not None and least_vertex > best[0]:
-                break
-            bits = tuple(flips[k] for k in aux)
-            if bits in cache:
-                hit = cache[bits]
-            else:
-                arcs = [(x, y) for j, side, x, y in vars_ if side == bits[j]]
-                _, least, cyc = kahn(sub.n, PartialOrientation(sub, arcs).arcs())
-                hit = None if cyc is None else (
-                    new_to_old[least],
-                    DirectedCycleCertificate(tuple(new_to_old[v] for v in cyc.vertices)),
-                )
-                if self.caching:
-                    cache[bits] = hit
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-        return None if best is None else best[1]
+    def __init__(self, vertices: tuple[int, ...]):
+        self.vertices = vertices
+        self.aux: list[int] = []
+        self.vars: list[tuple[int, int, int, int]] = []
+
+    def search(self, pinned: int, cap: int):
+        """Local vectors by rank, bit ``pinned`` held at 0 and the other
+        bits in increasing order as the bits of the rank, for at most
+        ``cap`` vectors.  Returns the first vector whose forced part of
+        G[S] is acyclic (or None) and the (vector, cycle) entries before
+        it, each cycle the one ``is_acyclic`` reports, in local ids."""
+        free = [j for j in range(len(self.aux)) if j != pinned]
+        entries = []
+        for rank in range(min(1 << len(free), cap)):
+            bits = [0] * len(self.aux)
+            for i, j in enumerate(free):
+                bits[j] = (rank >> i) & 1
+            arcs = [(x, y) for j, side, x, y in self.vars if side == bits[j]]
+            cyc = topo_order_or_cycle(len(self.vertices), arcs)[1]
+            if cyc is None:
+                return tuple(bits), entries
+            entries.append((tuple(bits), cyc))
+        return None, entries
+
+
+def _parts(cg: ConstraintGraph, b: Bipartition) -> list[_Part]:
+    """The components of G that hold aux variables, by least vertex.
+
+    Aux components are numbered by least variable, so each part meets its
+    own in increasing order."""
+    comps = connected_components(cg.base)
+    comp_of = [0] * cg.base.n
+    local = [0] * cg.base.n
+    for ci, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v], local[v] = ci, i
+    parts: dict[int, _Part] = {}
+    pos: dict[int, int] = {}  # aux component -> its position in its part
+    for i, (x, y) in enumerate(cg.vars):
+        ci, k = comp_of[x], b.component[i]
+        if ci not in parts:
+            parts[ci] = _Part(tuple(comps[ci]))
+        part = parts[ci]
+        if k not in pos:
+            pos[k] = len(part.aux)
+            part.aux.append(k)
+        part.vars.append((pos[k], b.side[i], local[x], local[y]))
+    return [parts[ci] for ci in sorted(parts)]
 
 
 def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
-    """Enumerate per-component side choices by rank, component 0 pinned
-    (global reversal quotient); first acyclic forced orientation wins.
+    """The least flip vector in rank order (aux component 0 pinned: the
+    global reversal quotient) whose forced orientation is acyclic, found
+    one component of G at a time.
 
-    Each vector's cycle is the one ``is_acyclic`` would report for its
-    whole forced orientation, found component by component from a cache
-    (``_ComponentCycles``)."""
+    A P4 lies inside one component and a union of acyclic orientations is
+    acyclic, so a vector is acyclic exactly when its restriction to every
+    part is.  The part holding aux component 0 searches with that bit
+    pinned.  Reversing one other part complements its bits, so its least
+    acyclic choice has its top bit 0, which it pins instead.  The parts
+    use disjoint bit positions of the rank, so the least acyclic vector is
+    the sum of the least acyclic choices, and ``flips_tried`` is its rank
+    plus 1, as if every vector before it had been tried.  Each part may
+    try ``flip_cap`` vectors.
+
+    The first part whose search exhausts refutes G: with one part the
+    certificate is its whole-graph ``FlipExhaustion``, with more it is an
+    ``InducedSubgraph`` holding the exhaustion of G[S].  With no
+    exhaustion, a part that hit the cap leaves the verdict undecided.
+    """
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    c = b.component_count
-    total = 1 << (c - 1) if c > 0 else 1
-    cycles = _ComponentCycles(cg, b)
-    entries = []
-    rank = 0
-    while rank < total:
-        if rank >= cap:
-            return _FlipOutcome(None, entries, True, rank)
-        if c > 0:
-            flips = (0,) + tuple((rank >> i) & 1 for i in range(c - 1))
+    parts = _parts(cg, b)
+    flips = [0] * b.component_count
+    tried = 0
+    capped = False
+    for part in parts:
+        pinned = 0 if part.aux[0] == 0 else len(part.aux) - 1
+        bits, entries = part.search(pinned, cap)
+        tried += len(entries)
+        if bits is not None:
+            tried += 1
+            for k, bit in zip(part.aux, bits):
+                flips[k] = bit
+        elif len(entries) < 1 << (len(part.aux) - 1):
+            capped = True
+        elif len(parts) == 1:
+            exhaustion = FlipExhaustion(tuple(
+                (bits, DirectedCycleCertificate(tuple(part.vertices[v] for v in cyc.vertices)))
+                for bits, cyc in entries
+            ))
+            return _FlipOutcome(None, exhaustion, len(entries))
         else:
-            flips = ()
-        cyc = cycles.cycle(flips)
-        if cyc is None:
-            orientation = extend_acyclic(forced_orientation(cg, b, flips))
-            return _FlipOutcome(orientation, entries, False, rank + 1)
-        entries.append((flips, cyc))
-        rank += 1
-    return _FlipOutcome(None, entries, False, total)
+            if pinned:
+                entries = part.search(0, cap)[1]
+            inner = InducedSubgraph(part.vertices, FlipExhaustion(tuple(entries)))
+            return _FlipOutcome(None, inner, len(entries))
+    if capped:
+        return _FlipOutcome(None, None, tried)
+    rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
+    orientation = extend_acyclic(forced_orientation(cg, b, tuple(flips)))
+    return _FlipOutcome(orientation, None, rank + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +321,9 @@ def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition,
     stats = _stats(cg, b, outcome.tried)
     if outcome.orientation is not None:
         return _checked_member(graph_class, method, outcome.orientation, p4s, stats)
-    if outcome.undecided:
+    if outcome.certificate is None:
         return Verdict(graph_class, UNDECIDED, method, None, stats)
-    return Verdict(graph_class, NON_MEMBER, method, FlipExhaustion(tuple(outcome.entries)), stats)
+    return Verdict(graph_class, NON_MEMBER, method, outcome.certificate, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +676,15 @@ def certificate_payload(cert, g: Graph) -> dict:
                 {"flips": list(flips), "cycle": _labels(g, cyc.vertices)}
                 for flips, cyc in cert.entries
             ],
+        }
+    if isinstance(cert, InducedSubgraph):
+        # G[S] numbered as S, labelled as in G: the inner payload reads
+        # only labels
+        labels = _labels(g, cert.vertices)
+        return {
+            "kind": "induced-subgraph",
+            "vertices": labels,
+            "certificate": certificate_payload(cert.certificate, Graph(len(labels), labels=labels)),
         }
     if isinstance(cert, PatternMatch):
         return {

@@ -15,10 +15,10 @@ import re
 from itertools import combinations
 
 from .constraints import OddWalkCertificate
-from .graphs import Graph, Orientation
+from .graphs import DirectedCycleCertificate, Graph, Orientation
 from .p4 import COALITION, GENERALIZED_OPPOSITION, GRAPH_CLASSES, OPPOSITION
 from .patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, Pattern, PatternMatch, make_Tk
-from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, Verdict
+from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, InducedSubgraph, Verdict
 
 
 def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
@@ -137,17 +137,28 @@ def aux_adjacent(g: Graph, kind: str, p, q) -> bool:
     return _ip4(g, x, y, v, u) or _ip4(g, v, u, x, y)
 
 
+def _vertex_ids(g: Graph, vs) -> bool:
+    """``vs`` is a tuple of vertex ids of g."""
+    return isinstance(vs, tuple) and all(isinstance(v, int) and 0 <= v < g.n for v in vs)
+
+
 def check_odd_walk(g: Graph, kind: str, cert: OddWalkCertificate) -> tuple[bool, str]:
     walk = cert.walk
+    if not isinstance(walk, tuple):
+        return False, "walk steps are not pairs of vertex ids"
     if len(walk) < 4:
         return False, "walk too short"
     if walk[0] != walk[-1]:
         return False, "walk is not closed"
     if (len(walk) - 1) % 2 == 0:
         return False, "walk has even length"
-    for x, y in walk:
-        if not g.has_edge(x, y):
-            return False, f"variable ({x}, {y}) is not an edge of the graph"
+    try:
+        for x, y in walk:
+            if not (0 <= x < g.n and y in g.adj[x]):
+                return False, f"variable ({x}, {y}) is not an edge of the graph"
+    except (TypeError, ValueError):
+        # a step that is no pair, or holds something other than vertex ids
+        return False, "walk steps are not pairs of vertex ids"
     for i in range(len(walk) - 1):
         if not aux_adjacent(g, kind, walk[i], walk[i + 1]):
             return False, f"hop {i} fails the auxiliary adjacency predicate"
@@ -234,7 +245,12 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
         return False, f"expected {expected} flip vectors, got {len(cert.entries)}"
     seen = set()
     index = {v: i for i, v in enumerate(vars_)}
-    for flips, cycle in cert.entries:
+    for entry in cert.entries:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            return False, f"entry {entry!r} is not a (flips, cycle) pair"
+        flips, cycle = entry
+        if not isinstance(cycle, DirectedCycleCertificate) or not _vertex_ids(g, cycle.vertices):
+            return False, f"cycle {cycle!r} is not a directed cycle over vertex ids"
         if not isinstance(flips, tuple):
             return False, f"flip vector {flips!r} is not a tuple"
         if len(flips) != comps or flips[0] != 0 or flips in seen:
@@ -253,6 +269,27 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
             if side[k] != flips[comp[k]]:
                 return False, f"cycle arc ({x}, {y}) is not selected by flips {flips}"
     return True, "ok"
+
+
+def check_induced_subgraph(g: Graph, kind: str, cert: InducedSubgraph) -> tuple[bool, str]:
+    """Build G[S] and check the inner flip exhaustion or odd walk on it;
+    opposition and coalition graphs are closed under induced subgraphs,
+    so refuting G[S] refutes G."""
+    s = cert.vertices
+    if not _vertex_ids(g, s):
+        return False, "subgraph vertices are not vertex ids of the graph"
+    if any(u >= v for u, v in zip(s, s[1:])):
+        return False, "subgraph vertices are not sorted and distinct"
+    pos = {v: i for i, v in enumerate(s)}
+    sub = Graph(len(s), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
+    inner = cert.certificate
+    if isinstance(inner, FlipExhaustion):
+        ok, msg = check_flip_exhaustion(sub, kind, inner)
+    elif isinstance(inner, OddWalkCertificate):
+        ok, msg = check_odd_walk(sub, kind, inner)
+    else:
+        return False, "an induced subgraph is refuted only by a flip exhaustion or an odd walk"
+    return (True, "ok") if ok else (False, f"induced subgraph: {msg}")
 
 
 _OPPOSITION_OBSTRUCTIONS = {p.name: p for p in (GRAPH_A, GRAPH_G1, GRAPH_G2)}
@@ -297,12 +334,15 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
         cert = v.certificate
         if isinstance(cert, OddWalkCertificate):
             return check_odd_walk(g, aux_kind, cert)
+        # generalized opposition allows cycles, so exhausted flips refute
+        # nothing there; induced subgraphs come from the flip search and
+        # are held to its classes
+        if isinstance(cert, (FlipExhaustion, InducedSubgraph)) and v.graph_class == GENERALIZED_OPPOSITION:
+            return False, "flip exhaustions and induced subgraphs refute only opposition and coalition"
         if isinstance(cert, FlipExhaustion):
-            # generalized opposition allows cycles, so exhausted flips
-            # refute nothing there
-            if v.graph_class == GENERALIZED_OPPOSITION:
-                return False, "a flip exhaustion refutes only opposition and coalition"
             return check_flip_exhaustion(g, aux_kind, cert)
+        if isinstance(cert, InducedSubgraph):
+            return check_induced_subgraph(g, aux_kind, cert)
         if isinstance(cert, PatternMatch):
             # N is the one pattern known to lie outside a class (coalition);
             # its edges come from GRAPH_N, never from the certificate

@@ -54,3 +54,13 @@ def disjoint_union(gs) -> Graph:
         edges += [(u + off, v + off) for u, v in g.edges]
         off += g.n
     return Graph(off, edges)
+
+
+def shuffled_union(gs, seed) -> Graph:
+    """The disjoint union with its vertex ids permuted by a seeded shuffle,
+    so no component keeps a block of consecutive ids."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    g = disjoint_union(gs)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

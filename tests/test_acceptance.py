@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST, isomorphic
+from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST, disjoint_union, isomorphic
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -23,6 +23,7 @@ from oppograph.graphs import (
     induced_subgraph,
     parse_edge_list,
     parse_graph6,
+    path_graph,
 )
 from oppograph.oracle import (
     oracle_coalition,
@@ -338,6 +339,8 @@ def test_criterion_6_certificate_self_validation(atlas_stream, dh_corpus):
         make_Hk(1).as_graph(),
         make_Hk(2).as_graph(),
         make_Hk(2, "minus").as_graph(),
+        # refuted by its co-C6 component alone
+        disjoint_union([path_graph(5), complement(cycle_graph(6))]),
     ]
     lines = atlas_stream.splitlines()
     instances += [parse_graph6(line) for line in lines[:: max(1, len(lines) // 150)]]
@@ -361,7 +364,7 @@ def test_criterion_6_certificate_self_validation(atlas_stream, dh_corpus):
             ok, msg = check_verdict(g, v)
             if not ok:
                 bad.append((encode_graph6(g), v.graph_class, v.method, msg))
-    expected_kinds = {"Orientation", "OddWalkCertificate", "FlipExhaustion", "PatternMatch"}
+    expected_kinds = {"Orientation", "OddWalkCertificate", "FlipExhaustion", "InducedSubgraph", "PatternMatch"}
     ok = not bad and expected_kinds <= kinds
     _report(
         "criterion-6 certificates",

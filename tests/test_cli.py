@@ -72,6 +72,26 @@ def test_recognize_json_schema_and_determinism(co_c6_el):
     assert payload["certificate"]["kind"] == "flip-exhaustion"
 
 
+def test_recognize_union_prints_induced_subgraph(tmp_path):
+    # P4 on a..d beside co-C6 on 1..6: the co-C6 component refutes the
+    # union, printed in the input's labels
+    path = tmp_path / "union.el"
+    path.write_text("a b\nb c\nc d\n" + CO_C6_EDGE_LIST)
+    code, out = run(["recognize", "--class", "opposition", str(path)])
+    assert code == EXIT_NON_MEMBER
+    lines = out.splitlines()
+    start = lines.index("certificate: induced-subgraph")
+    assert lines[start + 1 : start + 4] == [
+        "  vertices: 1 3 5 2 4 6",
+        "  certificate: flip-exhaustion",
+        "    flips exhausted: 1",
+    ]
+    assert lines[start + 4].startswith("    flips 0: cycle ")
+    code, out = run(["recognize", "--class", "opposition", "--output", "json", str(path)])
+    cert = json.loads(out)["certificate"]
+    assert cert["kind"] == "induced-subgraph" and cert["certificate"]["kind"] == "flip-exhaustion"
+
+
 def test_recognize_oracle_crosscheck(c5_g6):
     code, out = run(["recognize", "--class", "opposition", "--oracle", c5_g6])
     assert code == EXIT_NON_MEMBER

@@ -13,11 +13,10 @@ intended change of output, print the new digests with
 
 import hashlib
 import json
-import random
 
 import pytest
 
-from conftest import CO_C6_EDGE_LIST, disjoint_union
+from conftest import CO_C6_EDGE_LIST, disjoint_union, shuffled_union
 from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_tree
 from oppograph.graphs import (
     Graph,
@@ -42,15 +41,6 @@ from oppograph.recognize import (
     recognize_opposition_gem_house_free,
     verdict_payload,
 )
-
-
-def _shuffled_union(seed: int, *gs: Graph) -> Graph:
-    """The disjoint union with its vertex ids permuted by a seeded shuffle,
-    so no component keeps a block of consecutive ids."""
-    g = disjoint_union(gs)
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def _graphs():
@@ -80,10 +70,14 @@ def _graphs():
         "opp-flip-non-member": parse_graph6("EYnO"),
         "opp-two-components": parse_graph6("FUxqO"),
         "coal-two-components": parse_graph6("EfWo"),
-        # the flip search checks components one at a time; these unions
-        # pin the certificates it must still produce for the whole graph
-        "union-c5": _shuffled_union(5, cycle_graph(5), co_c6, path_graph(5), house),
-        "union-co-c6": _shuffled_union(6, co_c6, path_graph(5), gem, complement(cycle_graph(6))),
+        # the flip search checks components one at a time; a union that
+        # is no member is refuted by one component
+        "union-c5": shuffled_union([cycle_graph(5), co_c6, path_graph(5), house], 5),
+        "union-co-c6": shuffled_union([co_c6, path_graph(5), gem, complement(cycle_graph(6))], 6),
+        # the exhausting component does not hold aux component 0, so its
+        # search pins its top bit
+        "union-top-pinned": shuffled_union([parse_graph6("F}SyO"), parse_graph6("FUxqO")], 1),
+        "f-x2": disjoint_union([parse_graph6("F}SyO")] * 2),
     }
 
 
@@ -145,6 +139,8 @@ _CASES = [
     ("opp/union-co-c6-cap5", "union-co-c6", recognize_opposition, {"flip_cap": 5}),
     ("coal/union-co-c6", "union-co-c6", recognize_coalition, {}),
     ("coal/union-co-c6-cap5", "union-co-c6", recognize_coalition, {"flip_cap": 5}),
+    ("opp/union-top-pinned", "union-top-pinned", recognize_opposition, {}),
+    ("opp/f-x2-cap1", "f-x2", recognize_opposition, {"flip_cap": 1}),
 ]
 
 # (n, seed) pairs whose generated graph6 strings are pinned
@@ -211,8 +207,8 @@ GOLDEN = {
     "opp/flip-member": "d86beeed6a3c6080d60d02e78a1b56e475002ee23584a190ad7982f3ba5cbc97",
     "opp/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
     "opp/flip-non-member": "05ac4ecd27f0cdb57eaac4770ef7edcc91730f4d149ab25d37af4f9c54f62a91",
-    "opp/co-c6x3": "bfe75f34e02ce038d6df10ad047093c6b24c218232a08d9513f28ebf91ec5895",
-    "opp/co-c6x3-cap2": "9a19e1b8a1c85e7e43dc0e42f66f6bac523b935c2f41d9870c94b64be609d8bd",
+    "opp/co-c6x3": "d1fe1c15c68ee5e78382ecd916b5e7971b8e8ba3d14a64e43fdecb9c7664ea6e",
+    "opp/co-c6x3-cap2": "d1fe1c15c68ee5e78382ecd916b5e7971b8e8ba3d14a64e43fdecb9c7664ea6e",
     "opp/undecided-cap1": "1af1c1dcc585b0584ffa6048fa9eaa3daf9466f8c873a1eeffbce923ceecdf68",
     "opp/two-components": "86237a2f6bccffc6a7d05b7713d5e911c337c7dd505515404ac36376fb6a6835",
     "ghf/p7": "072759b3c4d4b260ce8399b8b9faddcf22458adf1a768a1b8e925f7eb2db504a",
@@ -246,12 +242,14 @@ GOLDEN = {
     "coal-dh/dh-twins": "4b26666bdaf62471e53b0ef410b69389ed132cc2fa6339ad2ba053ef8089c2e7",
     "coal-dh/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",
     "opp/union-c5": "8b07489b69c45c0c161fe29ed6b2ed2d65344d0fbecb4cf901e8f52473fbd5e4",
-    "coal/union-c5": "1bc0d0f0a09f06cbf6d4f938f9d327b9d7151257730de502b7223d829f227c8f",
-    "coal/union-c5-cap5": "0e1c8ee3caabaf8c56ed955e1fc78f3109b8ab0ea503bcb6e4faf11c5e3dbe42",
-    "opp/union-co-c6": "60d79ff052eae2f800268492576909889d7f570a4e6a205a78a1281774be9833",
-    "opp/union-co-c6-cap5": "5529b32c2a62d2bea41ecd70f9d59bf27531efee9b50d21851b11d393e418bc9",
-    "coal/union-co-c6": "3cdcfa14da11da57d7eae8f80cf1c6ed686e76cef9139f7c06e9ac756103d505",
-    "coal/union-co-c6-cap5": "0e1c8ee3caabaf8c56ed955e1fc78f3109b8ab0ea503bcb6e4faf11c5e3dbe42",
+    "coal/union-c5": "e122f7210e159c8ee9268c12ea5a42307a408e20cad11d8e887c2de2dfad9dcf",
+    "coal/union-c5-cap5": "e122f7210e159c8ee9268c12ea5a42307a408e20cad11d8e887c2de2dfad9dcf",
+    "opp/union-co-c6": "634933bb0ba96635f2b3b551e5c47c968bbe30911e08f930c2dfc0bb4c7f328f",
+    "opp/union-co-c6-cap5": "634933bb0ba96635f2b3b551e5c47c968bbe30911e08f930c2dfc0bb4c7f328f",
+    "coal/union-co-c6": "5a88215a33770fdc4ae4b6124f2f0ab6b54477c89d02dfb05fe258a8f1ead3f3",
+    "coal/union-co-c6-cap5": "5a88215a33770fdc4ae4b6124f2f0ab6b54477c89d02dfb05fe258a8f1ead3f3",
+    "opp/union-top-pinned": "2cff883740503ed4c60bc50b105531b898dda9e4cb373143c99f0d9e4cabbf2f",
+    "opp/f-x2-cap1": "bf3935a07b1ff6e2ca85326c236b65e468ce1fe2943c2920f6052fdedc71b3d2",
 }
 
 GOLDEN_ORIENT = {
@@ -279,9 +277,13 @@ def test_payload_digest(case):
 
 def test_corpus_reaches_every_method():
     methods = set()
+    kinds = set()
     for _, graph_name, recognize, kwargs in _CASES:
         v = recognize(_graphs()[graph_name], **kwargs)
         methods.add((v.graph_class, v.method, v.decision, v.witness is not None))
+        kinds.add((v.graph_class, type(v.certificate).__name__))
+    for graph_class in ("opposition", "coalition"):
+        assert (graph_class, "InducedSubgraph") in kinds
     for want in [
         ("generalized-opposition", "aux-odd-walk", "non-member", False),
         ("generalized-opposition", "aux-bipartite", "member", False),

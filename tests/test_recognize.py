@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from conftest import disjoint_union, random_graph
+from conftest import disjoint_union, random_graph, shuffled_union
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -30,6 +32,7 @@ from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, HOUSE,
 from oppograph.recognize import (
     DEFAULT_FLIP_CAP,
     FlipExhaustion,
+    InducedSubgraph,
     PtolemaicOrientationError,
     opposition_obstruction,
     ptolemaic_opposition_orient,
@@ -159,23 +162,29 @@ def test_opposition_non_chordal_dh_twin_route():
 
 
 def test_flip_cap_gives_undecided(co_c6):
-    # three disjoint co-C6 copies: not DH, not (gem,house)-free, and O(G)
-    # splits into three components, so the quotient has four flip vectors
-    edges = []
-    for i in range(3):
-        edges += [(u + 6 * i, v + 6 * i) for u, v in co_c6.edges]
-    g = Graph(18, edges)
-    v = recognize_opposition(g, flip_cap=2)
+    # the cap bounds the search of each component of G; two copies of the
+    # rank-1 member F}SyO need two vectors each, so a cap of one leaves
+    # the union undecided after one vector per copy
+    f = parse_graph6("F}SyO")
+    g = disjoint_union([f, f])
+    v = recognize_opposition(g, flip_cap=1)
     assert v.decision == "undecided"
     ok, msg = check_verdict(g, v)
     assert ok, msg
     assert v.stats["flips_tried"] == 2
-    # uncapped, the search exhausts all four vectors and rejects
+    assert recognize_opposition(g, flip_cap=2).is_member
+    # a component that exhausts within the cap decides, even after one
+    # that hit it: co-C6 is refuted by its one vector
+    g = disjoint_union([f, co_c6])
+    v = recognize_opposition(g, flip_cap=1)
+    _assert_verdict(g, v, "non-member")
+    assert v.certificate.vertices == tuple(range(7, 13))
+    # three disjoint co-C6 copies: the first one refutes the union
+    g = disjoint_union([co_c6] * 3)
     full = recognize_opposition(g)
-    assert full.decision == "non-member"
-    assert len(full.certificate.entries) == 4
-    ok, msg = check_verdict(g, full)
-    assert ok, msg
+    _assert_verdict(g, full, "non-member")
+    assert full.certificate == InducedSubgraph(tuple(range(6)), recognize_opposition(co_c6).certificate)
+    assert full.stats["flips_tried"] == 1
 
 
 def test_flip_cap_below_one_is_rejected(co_c6_labeled):
@@ -547,29 +556,36 @@ def test_oracle_agreement_n8_n9_random():
 
 def _whole_graph_flip_search(cg, b, flip_cap):
     """The flip search with one forced orientation and one acyclicity
-    check of the whole graph per flip vector, kept as the reference."""
+    check of the whole graph per flip vector in rank order, kept as the
+    reference."""
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
     c = b.component_count
     total = 1 << (c - 1) if c > 0 else 1
     entries = []
     for rank in range(total):
         if rank >= cap:
-            return _FlipOutcome(None, entries, True, rank)
+            return _FlipOutcome(None, None, rank)
         flips = (0,) + tuple((rank >> i) & 1 for i in range(c - 1)) if c > 0 else ()
         partial = forced_orientation(cg, b, flips)
         res = is_acyclic(partial)
         if not isinstance(res, DirectedCycleCertificate):
-            return _FlipOutcome(extend_acyclic(partial), entries, False, rank + 1)
+            return _FlipOutcome(extend_acyclic(partial), None, rank + 1)
         entries.append((flips, res))
-    return _FlipOutcome(None, entries, False, total)
+    return _FlipOutcome(None, FlipExhaustion(tuple(entries)), total)
+
+
+def _reference(g, kind, flip_cap=None):
+    cg = ConstraintGraph(kind, g)
+    b = bipartition_or_odd_walk(cg)
+    return _whole_graph_flip_search(cg, b, flip_cap)
 
 
 def _assert_same_outcome(got, want):
     assert (got.orientation is None) == (want.orientation is None)
     if want.orientation is not None:
         assert got.orientation.arcs() == want.orientation.arcs()
-    assert got.entries == want.entries
-    assert (got.undecided, got.tried) == (want.undecided, want.tried)
+    assert got.certificate == want.certificate
+    assert got.tried == want.tried
 
 
 _WITH_P4S = (
@@ -583,24 +599,30 @@ _WITH_P4S = (
     # connected members whose first flip vector is cyclic
     parse_graph6("F}SyO"),  # opposition
     parse_graph6("FNccw"),  # coalition
+    # connected non-members with two aux components
+    parse_graph6("FUxqO"),  # opposition
+    parse_graph6("FtGZO"),  # coalition
 )
 _WITHOUT_P4S = (complete_graph(3), complete_graph(2), complete_graph(1))
 
 
 def test_flip_search_per_component_matches_whole_graph():
+    # a graph with one component holding aux variables searches as the
+    # whole-graph reference does; a union decides a member at the
+    # reference's least acyclic vector, and refutes a non-member by the
+    # first component (by least vertex) whose search exhausts, with the
+    # reference's exhaustion of that component
     rng = random.Random(5)
     seen = dict.fromkeys(
-        ("later component", "member at rank > 0", "cap partway", "no P4s"), 0
+        ("one part", "member at rank > 0", "cap partway", "no P4s", "induced subgraph",
+         "top bit pinned", "decided past the cap"), 0
     )
     for _ in range(250):
         gs = [rng.choice(_WITH_P4S) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.5:
             gs.append(rng.choice(_WITHOUT_P4S))
         rng.shuffle(gs)
-        g = disjoint_union(gs)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        g = shuffled_union(gs, rng)
         comps = connected_components(g)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
@@ -608,22 +630,36 @@ def test_flip_search_per_component_matches_whole_graph():
             if isinstance(b, OddWalkCertificate):
                 continue
             ends = {x for x, _ in cg.vars}
-            seen["no P4s"] += any(ends.isdisjoint(comp) for comp in comps)
+            parts = [comp for comp in comps if not ends.isdisjoint(comp)]
+            seen["no P4s"] += len(parts) < len(comps)
+            want = _whole_graph_flip_search(cg, b, None)
             for cap in (None, 1, 2, 5):
-                want = _whole_graph_flip_search(cg, b, cap)
-                _assert_same_outcome(_flip_search(cg, b, cap), want)
-                seen["member at rank > 0"] += want.orientation is not None and want.tried > 1
-                seen["cap partway"] += want.undecided and len(want.entries) > 1
-            for flips, cyc in _whole_graph_flip_search(cg, b, None).entries:
-                # the first component of G (by least vertex) whose forced
-                # part is cyclic need not hold the reported cycle
-                arcs = forced_orientation(cg, b, flips).arcs()
-                first = next(
-                    comp
-                    for comp in comps
-                    if topo_order_or_cycle(g.n, [a for a in arcs if a[0] in comp])[1]
-                )
-                seen["later component"] += cyc.vertices[0] not in first
+                got = _flip_search(cg, b, cap)
+                if len(parts) <= 1:
+                    seen["one part"] += 1
+                    _assert_same_outcome(got, _whole_graph_flip_search(cg, b, cap))
+                    continue
+                if got.orientation is None and got.certificate is None:
+                    assert cap is not None and got.tried <= cap * len(parts)
+                    seen["cap partway"] += 1
+                elif want.orientation is not None:
+                    _assert_same_outcome(got, want)
+                    seen["member at rank > 0"] += want.tried > 1
+                    seen["decided past the cap"] += cap is not None and want.tried > cap
+                else:
+                    cert = got.certificate
+                    assert isinstance(cert, InducedSubgraph)
+                    assert list(cert.vertices) in parts
+                    sub = induced_subgraph(g, cert.vertices)[0]
+                    inner = _reference(sub, kind).certificate
+                    assert cert.certificate == inner and got.tried == len(inner.entries)
+                    # earlier components are members or hit the cap
+                    for comp in parts[: parts.index(list(cert.vertices))]:
+                        earlier = _reference(induced_subgraph(g, comp)[0], kind, cap)
+                        assert earlier.certificate is None
+                    seen["induced subgraph"] += 1
+                    aux0 = next(x for x, _ in cg.vars)
+                    seen["top bit pinned"] += aux0 not in cert.vertices and len(inner.entries) > 1
     assert all(seen.values()), seen
 
 
@@ -636,6 +672,68 @@ def test_flip_search_without_aux_components():
         got = _flip_search(cg, b, None)
         _assert_same_outcome(got, _whole_graph_flip_search(cg, b, None))
         assert got.tried == 1 and got.orientation is not None
+
+
+_BLOCKS = (
+    complement(cycle_graph(6)),
+    cycle_graph(6),
+    cycle_graph(5),
+    path_graph(5),
+    path_graph(4),
+    GEM.as_graph(),
+    HOUSE.as_graph(),
+    complete_graph(3),
+    parse_graph6("F}SyO"),
+    parse_graph6("FNccw"),
+)
+
+
+def test_unions_are_decided_and_members_match_whole_graph_scan():
+    # every block has at most two aux components, so no union may come
+    # back undecided; members of the flip search take the least acyclic
+    # vector of the whole-graph rank scan
+    rng = random.Random(10)
+    flip_members = 0
+    for _ in range(100):
+        gs = []
+        while sum(h.n for h in gs) < 34:
+            gs.append(rng.choice(_BLOCKS))
+        g = shuffled_union(gs, rng)
+        for kind, recognize in ((OPPOSITION, recognize_opposition), (COALITION, recognize_coalition)):
+            v = recognize(g)
+            assert v.decision != "undecided"
+            ok, msg = check_verdict(g, v)
+            assert ok, msg
+            if v.is_member and v.method.startswith("flip-search") and v.stats["aux_components"] <= 12:
+                want = _reference(g, kind)
+                assert v.certificate.arcs() == want.orientation.arcs()
+                assert v.stats["flips_tried"] == want.tried
+                flip_members += 1
+    assert flip_members >= 20
+
+
+def test_roadmap_unions_are_decided():
+    # both were undecided after 2^20 whole-graph flip vectors
+    co_c6 = complement(cycle_graph(6))
+    g = disjoint_union([co_c6] + [path_graph(5)] * 12)
+    v = recognize_opposition(g)
+    _assert_verdict(g, v, "non-member")
+    assert isinstance(v.certificate, InducedSubgraph) and len(v.certificate.vertices) == 6
+    f = parse_graph6("F}SyO")
+    g = disjoint_union([f] * 12)
+    _assert_verdict(g, recognize_opposition(g), "member")
+
+
+def test_eight_copies_keep_their_payload():
+    # the least acyclic vector of 8 copies of F}SyO has rank 10923; the
+    # payload is the one the whole-graph search gave
+    g = disjoint_union([parse_graph6("F}SyO")] * 8)
+    v = recognize_opposition(g)
+    assert v.stats["flips_tried"] == 10924
+    payload = json.dumps(verdict_payload(v, g), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "df0c60060a79fa95372c6d064c8705dc72384d181a3ed6ff02535bb86c5d82c7"
+    )
 
 
 def test_side0_orientation_is_the_first_flip_vector():

@@ -16,6 +16,7 @@ from oppograph.graphs import (
     complement,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
 )
 from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
@@ -23,7 +24,9 @@ from oppograph.patterns import GRAPH_A, GRAPH_N, HOUSE, Pattern, PatternMatch, m
 from oppograph.recognize import (
     NON_MEMBER,
     UNDECIDED,
+    MEMBER,
     FlipExhaustion,
+    InducedSubgraph,
     Verdict,
     recognize_coalition,
     recognize_coalition_distance_hereditary,
@@ -50,14 +53,28 @@ def _rejected(g, v):
 
 
 def _flip_exhaustion():
-    # co-C6 is one aux component, P5 two more: four flip vectors, every
-    # entry holding the same co-C6 cycle
-    g = disjoint_union([complement(cycle_graph(6)), path_graph(5)])
-    v = recognize_opposition(g)
-    assert isinstance(v.certificate, FlipExhaustion)
+    # co-C6 is one aux component, P5 two more: a whole-graph exhaustion
+    # lists four flip vectors, every entry holding the same co-C6 cycle
+    co_c6 = complement(cycle_graph(6))
+    g = disjoint_union([co_c6, path_graph(5)])
+    ((_, cycle),) = recognize_opposition(co_c6).certificate.entries
+    entries = tuple((flips, cycle) for flips in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))
+    v = Verdict(OPPOSITION, NON_MEMBER, "flip-search", FlipExhaustion(entries))
     assert [flips for flips, _ in v.certificate.entries] == [
         (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)
     ]
+    assert check_verdict(g, v) == (True, "ok")
+    return g, v
+
+
+def _induced_subgraph(graph_class=COALITION):
+    # co-C6 on 0..5 is no member of either class; on 6..11 C6 is a
+    # coalition member and P6 an opposition member
+    other = cycle_graph(6) if graph_class == COALITION else path_graph(6)
+    g = disjoint_union([complement(cycle_graph(6)), other])
+    v = RECOGNIZERS[graph_class](g)
+    assert isinstance(v.certificate, InducedSubgraph)
+    assert v.certificate.vertices == tuple(range(6))
     assert check_verdict(g, v) == (True, "ok")
     return g, v
 
@@ -154,6 +171,113 @@ def test_even_walk_rejected():
 
 
 # ---------------------------------------------------------------------------
+# malformed certificate parts are rejected, not raised on
+
+
+def test_plain_tuple_cycle_rejected():
+    g = complement(cycle_graph(6))
+    v = recognize_opposition(g)
+    ((flips, cycle),) = v.certificate.entries
+    forged = FlipExhaustion(((flips, cycle.vertices),))
+    assert "not a directed cycle" in _rejected(g, replace(v, certificate=forged))
+
+
+@pytest.mark.parametrize("entry", [(), ((0,),), ((0,), None, None)])
+def test_malformed_flip_entry_rejected(entry):
+    g = complement(cycle_graph(6))
+    v = recognize_opposition(g)
+    assert "pair" in _rejected(g, replace(v, certificate=FlipExhaustion((entry,))))
+
+
+def test_cycle_outside_the_graph_rejected():
+    g = complement(cycle_graph(6))
+    v = recognize_opposition(g)
+    ((flips, _),) = v.certificate.entries
+    forged = FlipExhaustion(((flips, DirectedCycleCertificate((0, 2, 6))),))
+    assert "vertex ids" in _rejected(g, replace(v, certificate=forged))
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda walk: tuple(step + (0,) for step in walk), "pairs of vertex ids"),
+        (lambda walk: tuple(step[:1] for step in walk), "pairs of vertex ids"),
+        (lambda walk: tuple((str(x), y) for x, y in walk), "pairs of vertex ids"),
+        (lambda walk: tuple((x, [y]) for x, y in walk), "pairs of vertex ids"),
+        (lambda walk: list(walk), "pairs of vertex ids"),
+        # adj[-1] is the last vertex's neighbourhood, which holds 0
+        (lambda walk: ((-1, 0),) + walk[1:-1] + ((-1, 0),), "not an edge"),
+    ],
+)
+def test_malformed_walk_steps_rejected(mangle, message):
+    g = cycle_graph(5)
+    v = recognize_opposition(g)
+    forged = OddWalkCertificate(mangle(v.certificate.walk))
+    assert message in _rejected(g, replace(v, certificate=forged))
+
+
+# ---------------------------------------------------------------------------
+# induced-subgraph certificates
+
+
+@pytest.mark.parametrize("graph_class", [OPPOSITION, COALITION])
+def test_induced_subgraph_accepted(graph_class):
+    g, v = _induced_subgraph(graph_class)
+    assert isinstance(v.certificate.certificate, FlipExhaustion)
+    # an odd walk of a component refutes the union too
+    h = cycle_graph(5) if graph_class == OPPOSITION else GRAPH_N.as_graph()
+    walk = RECOGNIZERS[graph_class](h).certificate
+    assert isinstance(walk, OddWalkCertificate)
+    g = disjoint_union([path_graph(4), h])
+    wrapped = replace(v, certificate=InducedSubgraph(tuple(range(4, 4 + h.n)), walk))
+    assert check_verdict(g, wrapped) == (True, "ok")
+
+
+@pytest.mark.parametrize(
+    "vertices", [(0, 1, 2, 3, 4, 4), (0, 1, 2, 3, 4, 12), (-1, 0, 1, 2, 3, 4), (1, 0, 2, 3, 4, 5), [0, 1, 2, 3, 4, 5]]
+)
+def test_bad_subgraph_vertices_rejected(vertices):
+    g, v = _induced_subgraph()
+    forged = replace(v.certificate, vertices=vertices)
+    assert "subgraph vertices" in _rejected(g, replace(v, certificate=forged))
+
+
+def test_certificate_of_another_component_rejected():
+    # the co-C6 exhaustion does not refute the C6 component
+    g, v = _induced_subgraph()
+    forged = replace(v.certificate, vertices=tuple(range(6, 12)))
+    assert "induced subgraph" in _rejected(g, replace(v, certificate=forged))
+
+
+def test_nested_induced_subgraph_rejected():
+    g, v = _induced_subgraph()
+    nested = InducedSubgraph(tuple(range(12)), v.certificate)
+    assert "only by a flip exhaustion or an odd walk" in _rejected(g, replace(v, certificate=nested))
+
+
+def test_orientation_or_pattern_inside_rejected():
+    g, v = _induced_subgraph()
+    c6 = cycle_graph(6)
+    member = recognize_coalition(c6).certificate
+    n_match = PatternMatch(GRAPH_N, (0, 1, 2, 3, 4, 5))
+    for inner, vertices in ((member, tuple(range(6, 12))), (n_match, tuple(range(6)))):
+        forged = InducedSubgraph(vertices, inner)
+        assert "only by a flip exhaustion or an odd walk" in _rejected(g, replace(v, certificate=forged))
+
+
+def test_induced_subgraph_refutes_no_generalized_opposition():
+    g, v = _induced_subgraph(OPPOSITION)
+    assert recognize_generalized_opposition(g).is_member
+    msg = _rejected(g, replace(v, graph_class=GENERALIZED_OPPOSITION))
+    assert "only opposition and coalition" in msg
+
+
+def test_member_with_induced_subgraph_rejected():
+    g, v = _induced_subgraph()
+    assert "without an orientation" in _rejected(g, replace(v, decision=MEMBER))
+
+
+# ---------------------------------------------------------------------------
 # pattern certificates
 
 
@@ -224,6 +348,7 @@ def no_subset_scan(monkeypatch):
 def _kinds():
     co_c6 = complement(cycle_graph(6))
     co_c6_thrice = disjoint_union([co_c6] * 3)
+    f_twice = disjoint_union([parse_graph6("F}SyO")] * 2)
     k2 = _k2(200)
     tree = random_tree(1000, 1)
     return [
@@ -233,7 +358,8 @@ def _kinds():
         (co_c6, recognize_opposition(co_c6)),
         (co_c6, recognize_generalized_opposition(co_c6)),
         (GRAPH_N.as_graph(), recognize_coalition_distance_hereditary(GRAPH_N.as_graph())),
-        (co_c6_thrice, recognize_opposition(co_c6_thrice, flip_cap=2)),
+        (co_c6_thrice, recognize_opposition(co_c6_thrice)),
+        (f_twice, recognize_opposition(f_twice, flip_cap=1)),
     ]
 
 
@@ -247,6 +373,7 @@ def test_check_verdict_without_subset_scan(no_subset_scan):
         ("member", "Orientation"),
         ("non-member", "OddWalkCertificate"),
         ("non-member", "FlipExhaustion"),
+        ("non-member", "InducedSubgraph"),
         ("non-member", "PatternMatch"),
         ("undecided", "NoneType"),
     }
