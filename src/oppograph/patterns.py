@@ -3,12 +3,19 @@
 Covers backtracking induced-subgraph search, hole finding, chordality with
 certificates, ptolemaic and distance-hereditary recognition by pruning,
 the T_k and H_k obstruction families, and twin/pendant queries.
+
+The chordality and distance-hereditary tests have yes/no forms
+(``_perfect_elimination_order``, ``_pruning``) for the recognizers;
+witnesses are built only by the public functions that return them, and
+only when the test fails.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graphs import Graph
 from .p4 import P4, induced_p4s
@@ -274,25 +281,35 @@ def has_hole(g: Graph, p4s: list[P4] | None = None) -> PatternMatch | None:
 
 
 def _mcs_elimination_order(g: Graph) -> list[int]:
-    weight = [0] * g.n
-    visited = [False] * g.n
+    """Maximum cardinality search, reversed: the vertex with the most
+    visited neighbours is visited next, the least id on ties.
+
+    A heap holds the int key ``v - weight * n`` per vertex (stale keys are
+    skipped when they surface), so the order costs O((n + m) log n).
+    """
+    n = g.n
+    weight = [0] * n
+    visited = [False] * n
     visit_order = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
-        visit_order.append(best)
-        for u in g.adj[best]:
+    heap = list(range(n))  # every weight 0: already a heap
+    while heap:
+        key = heappop(heap)
+        v = key % n
+        if visited[v] or key != v - weight[v] * n:
+            continue
+        visited[v] = True
+        visit_order.append(v)
+        for u in g.adj[v]:
             if not visited[u]:
                 weight[u] += 1
+                heappush(heap, u - weight[u] * n)
     visit_order.reverse()
     return visit_order
 
 
-def is_chordal(g: Graph) -> tuple[int, ...] | PatternMatch:
-    """Perfect elimination order, or an induced C_k (k >= 4) witness."""
+def _perfect_elimination_order(g: Graph) -> tuple[int, ...] | None:
+    """The MCS order when it is a perfect elimination order, else None:
+    ``is_chordal`` without the witness, in O((n + m) log n)."""
     order = _mcs_elimination_order(g)
     pos = [0] * g.n
     for i, v in enumerate(order):
@@ -304,12 +321,24 @@ def is_chordal(g: Graph) -> tuple[int, ...] | PatternMatch:
         parent = min(later, key=lambda u: pos[u])
         for u in later:
             if u != parent and u not in g.adj[parent]:
-                witness = find_induced(g, cycle_pattern(4))
-                if witness is None:
-                    witness = has_hole(g)
-                assert witness is not None, "PEO test failed but no induced cycle found"
-                return witness
+                return None
     return tuple(order)
+
+
+def is_chordal(g: Graph) -> tuple[int, ...] | PatternMatch:
+    """Perfect elimination order, or an induced C_k (k >= 4) witness.
+
+    The order test costs O((n + m) log n); only a failure pays for the
+    witness search (an induced C4, else a hole).
+    """
+    order = _perfect_elimination_order(g)
+    if order is not None:
+        return order
+    witness = find_induced(g, cycle_pattern(4))
+    if witness is None:
+        witness = has_hole(g)
+    assert witness is not None, "PEO test failed but no induced cycle found"
+    return witness
 
 
 def is_ptolemaic(g: Graph) -> tuple[bool, PatternMatch | None]:
@@ -339,29 +368,80 @@ class PruningSequence:
     steps: tuple[PruneStep, ...]
 
 
-def _twin_or_pendant(adj: dict[int, set[int]]) -> PruneStep | None:
-    for v in sorted(adj):
-        if len(adj[v]) == 1:
-            return PruneStep("pendant", v, next(iter(adj[v])))
-    open_groups: dict[frozenset[int], int] = {}
-    closed_groups: dict[frozenset[int], int] = {}
-    best: PruneStep | None = None
-    for v in sorted(adj):
-        nb = frozenset(adj[v])
-        if nb in open_groups:
-            cand = PruneStep("false-twin", v, open_groups[nb])
-            if best is None or (cand.anchor, cand.removed) < (best.anchor, best.removed):
-                best = cand
+def _pruning(g: Graph) -> PruningSequence | None:
+    """The pruning sequence of ``is_distance_hereditary``, or None when
+    the pruning gets stuck: the yes/no test, with no witness search.
+
+    Each step removes the least pendant (its neighbour the anchor), or,
+    with no pendant, the twin pair with the least (anchor, removed).
+    Vertices are grouped by open and by closed neighbourhood, keyed by
+    int bitmask; each group is a sorted list, so a group's best pair is
+    its first two members.  Heaps hold the pendants and each group's
+    first two, and entries gone stale are skipped when they surface.
+    Removing v regroups only v and its neighbours.
+    """
+    nbrs = [set(s) for s in g.adj]
+    mask = [sum(1 << u for u in s) for s in g.adj]
+    alive = [True] * g.n
+    groups: tuple[dict, dict] = ({}, {})  # open, closed: mask -> sorted members
+    pendants = [v for v in range(g.n) if len(nbrs[v]) == 1]  # sorted: a heap
+    twins: list[tuple[int, int, int]] = []  # (anchor, removed, 1 if true twins)
+
+    def key(v: int, closed: int) -> int:
+        return mask[v] | 1 << v if closed else mask[v]
+
+    def join(v: int) -> None:
+        for closed, by_key in enumerate(groups):
+            group = by_key.setdefault(key(v, closed), [])
+            i = bisect_left(group, v)
+            group.insert(i, v)
+            if i <= 1 and len(group) > 1:
+                heappush(twins, (group[0], group[1], closed))
+
+    def leave(v: int) -> None:
+        for closed, by_key in enumerate(groups):
+            k = key(v, closed)
+            group = by_key[k]
+            i = bisect_left(group, v)
+            del group[i]
+            if not group:
+                del by_key[k]
+            elif i <= 1 and len(group) > 1:
+                heappush(twins, (group[0], group[1], closed))
+
+    for v in range(g.n):
+        join(v)
+    edges = g.m
+    steps: list[PruneStep] = []
+    while edges:
+        while pendants and not (alive[pendants[0]] and len(nbrs[pendants[0]]) == 1):
+            heappop(pendants)
+        if pendants:
+            v = heappop(pendants)
+            step = PruneStep("pendant", v, next(iter(nbrs[v])))
         else:
-            open_groups[nb] = v
-        cnb = nb | {v}
-        if cnb in closed_groups:
-            cand = PruneStep("true-twin", v, closed_groups[cnb])
-            if best is None or (cand.anchor, cand.removed) < (best.anchor, best.removed):
-                best = cand
-        else:
-            closed_groups[cnb] = v
-    return best
+            while twins:
+                a, b, closed = twins[0]
+                if alive[a] and alive[b] and key(a, closed) == key(b, closed):
+                    break
+                heappop(twins)
+            if not twins:
+                return None
+            a, v, closed = heappop(twins)
+            step = PruneStep("true-twin" if closed else "false-twin", v, a)
+        steps.append(step)
+        leave(v)
+        alive[v] = False
+        bit = 1 << v
+        for u in nbrs[v]:
+            leave(u)
+            nbrs[u].discard(v)
+            mask[u] ^= bit  # v is a neighbour: clear its bit
+            join(u)
+            if len(nbrs[u]) == 1:
+                heappush(pendants, u)
+        edges -= len(nbrs[v])
+    return PruningSequence(tuple(steps))
 
 
 def is_distance_hereditary(
@@ -370,26 +450,21 @@ def is_distance_hereditary(
     """Prune pendants and twins down to an edgeless graph.
 
     Success returns the pruning sequence; failure returns one of the
-    forbidden patterns (gem, house, domino, or a hole) as witness.
+    forbidden patterns (gem, house, domino, or a hole) as witness.  The
+    pruning (``_pruning``) costs O(m * n / w) big-int digit operations
+    (w bits per digit) plus the group list shifts; only a failure pays for the backtracking
+    witness search.
     """
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    steps: list[PruneStep] = []
-    while any(adj.values()):
-        step = _twin_or_pendant(adj)
-        if step is None:
-            for p in (GEM, HOUSE, DOMINO):
-                witness = find_induced(g, p)
-                if witness is not None:
-                    return False, None, witness
-            witness = has_hole(g)
-            assert witness is not None, "pruning stuck but no forbidden pattern found"
+    seq = _pruning(g)
+    if seq is not None:
+        return True, seq, None
+    for p in (GEM, HOUSE, DOMINO):
+        witness = find_induced(g, p)
+        if witness is not None:
             return False, None, witness
-        v = step.removed
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-        steps.append(step)
-    return True, PruningSequence(tuple(steps)), None
+    witness = has_hole(g)
+    assert witness is not None, "pruning stuck but no forbidden pattern found"
+    return False, None, witness
 
 
 def twins_and_pendants(g: Graph) -> list[tuple[str, tuple[int, ...]]]:

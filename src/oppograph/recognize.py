@@ -48,11 +48,11 @@ from .patterns import (
     GRAPH_N,
     HOUSE,
     PatternMatch,
+    _perfect_elimination_order,
+    _pruning,
     find_induced,
     find_Tk_free_violation,
     has_hole,
-    is_chordal,
-    is_distance_hereditary,
     is_ptolemaic,
 )
 
@@ -360,7 +360,7 @@ def _dh_opposition_order(g: Graph) -> list[int]:
     partner, which preserves membership, and a twin-free input takes the
     side-0 orientation.
     """
-    if not isinstance(is_chordal(g), PatternMatch):
+    if _perfect_elimination_order(g) is not None:
         order: list[int] = []
         for comp in connected_components(g):
             sub, new_to_old = induced_subgraph(g, comp)
@@ -402,14 +402,14 @@ def recognize_opposition(
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
-        if want_witness and is_distance_hereditary(g)[0]:
+        if want_witness and _pruning(g) is not None:
             hit = opposition_obstruction(g)
             if hit is not None:
                 witness = _checked_pattern(g, hit[1])
         return Verdict(
             OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
         )
-    if is_distance_hereditary(g)[0]:
+    if _pruning(g) is not None:
         o = orient_along(g, _dh_opposition_order(g))
         return _checked_member(
             OPPOSITION, "dh-ptolemaic", o, None, _stats(cg, res, None)
@@ -620,12 +620,12 @@ def recognize_coalition(
     cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
         witness = None
-        if want_witness and is_distance_hereditary(g)[0]:
+        if want_witness and _pruning(g) is not None:
             nmatch = find_induced(g, GRAPH_N)
             if nmatch is not None:
                 witness = _checked_pattern(g, nmatch)
         return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
-    if is_distance_hereditary(g)[0]:
+    if _pruning(g) is not None:
         return _transitive_member(g, _stats(cg, res, None))
     p4s = induced_p4s(g)  # read by the hole test and the member check
     if _gem_house_hole_free(g, p4s):
@@ -637,7 +637,7 @@ def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = Non
     """For distance-hereditary inputs, membership is exactly N-freeness
     and members are comparability graphs."""
     _check_cap(flip_cap)
-    if not is_distance_hereditary(g)[0]:
+    if _pruning(g) is None:
         return recognize_coalition(g, flip_cap=flip_cap)
     nmatch = find_induced(g, GRAPH_N)
     if nmatch is not None:

@@ -1,8 +1,10 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from conftest import isomorphic, random_graph
+from conftest import disjoint_union, isomorphic, random_graph, shuffled_union
 from oppograph.graphs import (
     Graph,
     complement,
@@ -20,7 +22,9 @@ from oppograph.patterns import (
     GRAPH_N,
     HOUSE,
     PatternMatch,
+    PruneStep,
     PruningSequence,
+    _mcs_elimination_order,
     cycle_pattern,
     find_induced,
     find_max_Hk,
@@ -220,10 +224,9 @@ def test_is_distance_hereditary_matches_definition():
             assert check_pattern_match(g, wit) == (True, "ok")
 
 
-def test_pruning_sequence_replays():
-    g = GRAPH_N.as_graph()
-    ok, seq, _ = is_distance_hereditary(g)
-    assert ok
+def _assert_replays(g, seq):
+    """Each step removes a pendant or a twin of a vertex still present,
+    and the steps leave an edgeless graph."""
     alive = set(range(g.n))
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     for step in seq.steps:
@@ -240,6 +243,152 @@ def test_pruning_sequence_replays():
         del adj[v]
         alive.discard(v)
     assert all(not adj[v] for v in alive)
+
+
+def test_pruning_sequence_replays():
+    g = GRAPH_N.as_graph()
+    ok, seq, _ = is_distance_hereditary(g)
+    assert ok
+    _assert_replays(g, seq)
+
+
+# ---------------------------------------------------------------------------
+# the rescanning pruning loop and the linear-scan MCS, kept as references
+
+
+def _reference_step(adj):
+    """The least pendant, else the twin pair with the least (anchor,
+    removed), found by rescanning every vertex."""
+    for v in sorted(adj):
+        if len(adj[v]) == 1:
+            return PruneStep("pendant", v, next(iter(adj[v])))
+    open_groups, closed_groups = {}, {}
+    best = None
+    for v in sorted(adj):
+        nb = frozenset(adj[v])
+        for groups, key, kind in (
+            (open_groups, nb, "false-twin"),
+            (closed_groups, nb | {v}, "true-twin"),
+        ):
+            if key in groups:
+                cand = PruneStep(kind, v, groups[key])
+                if best is None or (cand.anchor, cand.removed) < (best.anchor, best.removed):
+                    best = cand
+            else:
+                groups[key] = v
+    return best
+
+
+def reference_is_distance_hereditary(g):
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    steps = []
+    while any(adj.values()):
+        step = _reference_step(adj)
+        if step is None:
+            for p in (GEM, HOUSE, DOMINO):
+                witness = find_induced(g, p)
+                if witness is not None:
+                    return False, None, witness
+            return False, None, has_hole(g)
+        for u in adj[step.removed]:
+            adj[u].discard(step.removed)
+        del adj[step.removed]
+        steps.append(step)
+    return True, PruningSequence(tuple(steps)), None
+
+
+def reference_mcs_order(g):
+    weight = [0] * g.n
+    visited = [False] * g.n
+    visit_order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not visited[v] and (best < 0 or weight[v] > weight[best]):
+                best = v
+        visited[best] = True
+        visit_order.append(best)
+        for u in g.adj[best]:
+            if not visited[u]:
+                weight[u] += 1
+    visit_order.reverse()
+    return visit_order
+
+
+def reference_is_chordal(g):
+    order = reference_mcs_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+        if later:
+            parent = min(later, key=lambda u: pos[u])
+            if any(u != parent and not g.has_edge(u, parent) for u in later):
+                return find_induced(g, cycle_pattern(4)) or has_hole(g)
+    return tuple(order)
+
+
+def _reference_corpus():
+    from oppograph.generate import random_distance_hereditary, random_ptolemaic, random_tree
+
+    rng = random.Random(1101)
+    for _ in range(3000):
+        yield random_graph(rng.randint(0, 12), rng.uniform(0.1, 0.9), rng)
+    for n in range(9):
+        yield Graph(n)  # one false-twin group, nothing to prune
+        yield complete_graph(n)  # all true twins
+    # isolated vertices are false twins of each other, and (0, 1) comes
+    # before the C4's pairs
+    yield disjoint_union([Graph(2), cycle_graph(4)])
+    yield disjoint_union([cycle_graph(4), Graph(3), complete_graph(3)])
+    for seed in range(100):
+        parts = [random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.8), rng) for _ in range(3)]
+        yield shuffled_union(parts, seed)
+    for n in (10, 20, 40, 80):
+        for seed in range(3):
+            for make in (random_tree, random_distance_hereditary, random_ptolemaic):
+                g = make(n, seed)
+                yield g
+                yield shuffled_union([g], seed)
+                yield shuffled_union([g, make(n // 2, seed + 1), Graph(2)], seed)
+
+
+def test_pruning_and_mcs_match_references():
+    kinds = Counter()
+    for g in _reference_corpus():
+        got = is_distance_hereditary(g)
+        assert got == reference_is_distance_hereditary(g), g
+        assert _mcs_elimination_order(g) == reference_mcs_order(g), g
+        assert is_chordal(g) == reference_is_chordal(g), g
+        kinds[got[0]] += 1
+        if got[0]:
+            kinds.update(step.kind for step in got[1].steps)
+    # both outcomes and every step kind are exercised
+    assert min(kinds.values()) >= 500, kinds
+
+
+def _hub_last_k2(k):
+    return Graph(k + 2, [(i, h) for i in range(k) for h in (k, k + 1)])
+
+
+def test_pruning_and_chordality_at_scale():
+    from oppograph.generate import random_tree
+
+    k2 = _hub_last_k2(3000)
+    ok, seq, _ = is_distance_hereditary(k2)
+    assert ok and len(seq.steps) == 3001
+    _assert_replays(k2, seq)
+    assert isinstance(is_chordal(k2), PatternMatch)
+    star = Graph(5001, [(i, 5000) for i in range(5000)])
+    ok, seq, _ = is_distance_hereditary(star)
+    assert ok and all(step.kind == "pendant" for step in seq.steps)
+    tree = random_tree(5000, 1)
+    ok, seq, _ = is_distance_hereditary(tree)
+    assert ok and all(step.kind == "pendant" for step in seq.steps)
+    order = is_chordal(tree)
+    assert sorted(order) == list(range(tree.n))
+    pos = {v: i for i, v in enumerate(order)}
+    # a tree's PEO puts at most one neighbour of each vertex after it
+    assert all(sum(pos[u] > pos[v] for u in tree.adj[v]) <= 1 for v in order)
 
 
 def test_make_tk_structure():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -487,6 +488,40 @@ def test_member_path_never_searches_hk(monkeypatch):
     v = recognize_opposition(g)
     assert v.is_member and v.method == "dh-ptolemaic"
     assert verify_orientation(v.certificate, OPPOSITION)
+
+
+def _count_searches(monkeypatch):
+    """Count ``find_induced`` calls by pattern name and ``has_hole`` calls,
+    patched in every module that looks either name up."""
+    import oppograph.patterns
+    import oppograph.recognize
+
+    calls = Counter()
+    for name in ("find_induced", "has_hole"):
+        inner = getattr(oppograph.patterns, name)
+
+        def spy(g, *args, name=name, inner=inner):
+            calls[args[0].name if name == "find_induced" else name] += 1
+            return inner(g, *args)
+
+        for module in (oppograph.patterns, oppograph.recognize):
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_route_tests_build_no_witness(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    # hub-last K_{2,50}: distance-hereditary, not chordal at any twin level
+    # but the last
+    k2 = Graph(52, [(i, h) for i in range(50) for h in (50, 51)])
+    assert recognize_opposition(k2).method == "dh-ptolemaic"
+    assert recognize_coalition(k2).method == "dh-transitive"
+    assert not calls
+    # not distance-hereditary: the failed pruning searches nothing, and
+    # the (gem, house)-free test searches each pattern once
+    g = disjoint_union([complement(cycle_graph(6)), HOUSE.as_graph()] + [path_graph(5)] * 5)
+    recognize_opposition(g)
+    assert calls == {"gem": 1, "house": 1}
 
 
 def test_constructor_scan_later_root_rescues(monkeypatch):
