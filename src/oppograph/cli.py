@@ -1,9 +1,9 @@
 """Command-line front end: recognize, orient, aux, oracle, and sweep.
 
-Exit codes: 0 member, 1 non-member, 2 undecided, 3 sweep disagreement,
-10 parse error, 11 usage error.  recognize, orient and sweep take a
-flip cap, a budget for each connected component, which defaults to the
-OPPO_FLIP_CAP environment variable when set.
+Exit codes: 0 member, 1 non-member, 2 undecided, 3 a sweep or --oracle
+disagreement or a --verify rejection, 10 parse error, 11 usage error.
+recognize, orient and sweep take a flip cap, a budget for each connected
+component, which defaults to the OPPO_FLIP_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .recognize import (
     recognize_opposition,
     verdict_payload,
 )
+from .verify import check_verdict
 
 EXIT_MEMBER = 0
 EXIT_NON_MEMBER = 1
@@ -178,6 +179,11 @@ def cmd_recognize(args, out) -> int:
             out.write(emit_dot(g, highlight=marked))
     else:
         _print_human(out, g, verdict, args.witness)
+    code = _DECISION_EXIT[verdict.decision]
+    if args.verify:
+        ok, msg = check_verdict(g, verdict)
+        out.write("verify: ok\n" if ok else f"verify: rejected: {msg}\n")
+        code = code if ok else EXIT_DISAGREEMENT
     if args.oracle:
         try:
             res = _oracle(args.graph_class)(g)
@@ -187,7 +193,7 @@ def cmd_recognize(args, out) -> int:
         if (res.decision == MEMBER) != verdict.is_member and verdict.decision != UNDECIDED:
             out.write("oracle disagreement\n")
             return EXIT_DISAGREEMENT
-    return _DECISION_EXIT[verdict.decision]
+    return code
 
 
 def cmd_orient(args, out) -> int:
@@ -341,6 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", choices=["human", "json", "dot"], default="human")
     p.add_argument("--witness", action="store_true", help="also locate a forbidden pattern on rejection")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
+    p.add_argument("--verify", action="store_true", help="re-check the verdict with oppograph.verify")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("orient", help="emit a verified orientation of a member")

@@ -55,9 +55,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def sorted_neighbors(self, v: int) -> list[int]:
         return sorted(self.adj[v])
 
@@ -66,9 +63,6 @@ class Graph:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other) -> bool:
         # structural equality; labels intentionally ignored

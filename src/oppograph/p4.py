@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, Orientation, topo_order_or_cycle
+from .graphs import Graph, Orientation
 
 OPPOSITION = "opposition"
 GENERALIZED_OPPOSITION = "generalized-opposition"
@@ -106,23 +106,12 @@ def orientation_good_for(p: P4, o, graph_class: str) -> bool:
     raise ValueError(f"unknown graph class {graph_class!r}")
 
 
-def verify_orientation(
-    o: Orientation, graph_class: str, p4s: list[P4] | None = None
-) -> bool:
-    """The universal membership verifier.
+def verify_orientation(o: Orientation, graph_class: str) -> bool:
+    """Does o witness the class (see the module docstring)?  A yes/no
+    wrapper of `verify.check_orientation`, the package's one checker."""
+    from .verify import check_orientation  # verify imports this module
 
-    opposition: acyclic and every induced P4 of type 0 or 1.
-    coalition: acyclic and every type in {2, 3}.
-    generalized-opposition: types only, cycles allowed.
-    """
-    if p4s is None:
-        p4s = induced_p4s(o.base)
-    if not all(orientation_good_for(p, o, graph_class) for p in p4s):
-        return False
-    if graph_class == GENERALIZED_OPPOSITION:
-        return True
-    order, _ = topo_order_or_cycle(o.base.n, o.arcs())
-    return order is not None
+    return check_orientation(o.base, o, graph_class)[0]
 
 
 # ---------------------------------------------------------------------------

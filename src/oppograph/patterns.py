@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graphs import Graph
-from .p4 import P4, induced_p4s
+from .p4 import induced_p4s
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,6 @@ GRAPH_N = _pat(
 
 def cycle_pattern(k: int) -> Pattern:
     return _pat(f"C{k}", k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def path_pattern(k: int) -> Pattern:
-    return _pat(f"P{k}", k, [(i, i + 1) for i in range(k - 1)])
 
 
 CATALOG = {p.name: p for p in (GEM, HOUSE, DOMINO, GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N)}
@@ -246,16 +242,14 @@ def find_max_Hk(g: Graph) -> tuple[int, str, PatternMatch] | None:
 # holes and chordality
 
 
-def has_hole(g: Graph, p4s: list[P4] | None = None) -> PatternMatch | None:
+def has_hole(g: Graph) -> PatternMatch | None:
     """Find an induced cycle of length >= 5, or None.
 
     For each induced P4 a-b-c-d, searches a shortest a-d path avoiding
     (N[b] u N[c]) minus {a, d}; such a path closes an induced cycle
     through the seed.
     """
-    if p4s is None:
-        p4s = induced_p4s(g)
-    for a, b, c, d in p4s:
+    for a, b, c, d in induced_p4s(g):
         blocked = (g.adj[b] | g.adj[c] | {b, c}) - {a, d}
         prev = {a: -1}
         queue = deque([a])

@@ -1,7 +1,7 @@
 """Decision procedures with machine-checkable certificates.
 
 Every recognizer returns a Verdict.  Members carry an orientation that is
-re-checked by the universal P4 verifier before being returned; rejections
+re-checked by `verify.check_orientation` before being returned; rejections
 carry an odd closed walk in the auxiliary graph, an exhausted flip search
 with one directed cycle per flip vector, or a forbidden-pattern embedding.
 """
@@ -38,7 +38,6 @@ from .p4 import (
     induced_p4s,
     layer_decompose,
     orientation_good_for,
-    verify_orientation,
 )
 from .patterns import (
     GEM,
@@ -126,26 +125,22 @@ def _complete_with_id_order(partial: PartialOrientation) -> Orientation:
     return Orientation(partial.base, arcs)
 
 
-def _checked_member(graph_class, method, orientation, p4s, stats, witness=None) -> Verdict:
-    """The member verdict once the orientation passes the P4 verifier;
-    ``p4s`` is the P4 list when the caller has one, else None."""
-    if not verify_orientation(orientation, graph_class, p4s):
-        raise CertificateError(
-            f"{method} produced an orientation failing the {graph_class} verifier"
-        )
-    return Verdict(graph_class, MEMBER, method, orientation, stats, witness)
+def _checked_member(graph_class, method, orientation, stats) -> Verdict:
+    """The member verdict once the orientation passes `verify.check_orientation`."""
+    from .verify import check_orientation  # verify imports this module
+
+    ok, msg = check_orientation(orientation.base, orientation, graph_class)
+    if not ok:
+        raise CertificateError(f"{method} produced an orientation failing the {graph_class} verifier: {msg}")
+    return Verdict(graph_class, MEMBER, method, orientation, stats)
 
 
 def _checked_pattern(g: Graph, match: PatternMatch) -> PatternMatch:
-    pat = match.pattern
-    m = match.mapping
-    if len(set(m)) != pat.n:
-        raise CertificateError(f"{pat.name} embedding is not injective")
-    want = {tuple(sorted(e)) for e in pat.edges}
-    for i in range(pat.n):
-        for j in range(i + 1, pat.n):
-            if ((i, j) in want) != g.has_edge(m[i], m[j]):
-                raise CertificateError(f"{pat.name} embedding does not induce the pattern")
+    from .verify import check_pattern_match  # verify imports this module
+
+    ok, msg = check_pattern_match(g, match)
+    if not ok:
+        raise CertificateError(f"{match.pattern.name} {msg}")
     return match
 
 
@@ -309,18 +304,18 @@ def _dh_side0_orientation(g: Graph) -> Orientation:
     return _side0_orientation(cg, res)
 
 
-def _forced_member(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition) -> Verdict:
+def _forced_member(graph_class, method, cg: ConstraintGraph, b: Bipartition) -> Verdict:
     """The member verdict of the side-0 orientation (``_side0_orientation``)."""
-    return _checked_member(graph_class, method, _side0_orientation(cg, b), p4s, _stats(cg, b, 1))
+    return _checked_member(graph_class, method, _side0_orientation(cg, b), _stats(cg, b, 1))
 
 
-def _flip_verdict(graph_class, method, p4s, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
+def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
     """The exact flip search: a member, an exhaustion of every flip
     vector, or undecided when the cap is hit first."""
     outcome = _flip_search(cg, b, flip_cap)
     stats = _stats(cg, b, outcome.tried)
     if outcome.orientation is not None:
-        return _checked_member(graph_class, method, outcome.orientation, p4s, stats)
+        return _checked_member(graph_class, method, outcome.orientation, stats)
     if outcome.certificate is None:
         return Verdict(graph_class, UNDECIDED, method, None, stats)
     return Verdict(graph_class, NON_MEMBER, method, outcome.certificate, stats)
@@ -338,9 +333,7 @@ def recognize_generalized_opposition(g: Graph) -> Verdict:
         )
     partial = forced_orientation(cg, res, (0,) * res.component_count)
     o = _complete_with_id_order(partial)
-    return _checked_member(
-        GENERALIZED_OPPOSITION, "aux-bipartite", o, None, _stats(cg, res, 0)
-    )
+    return _checked_member(GENERALIZED_OPPOSITION, "aux-bipartite", o, _stats(cg, res, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +404,10 @@ def recognize_opposition(
         )
     if _pruning(g) is not None:
         o = orient_along(g, _dh_opposition_order(g))
-        return _checked_member(
-            OPPOSITION, "dh-ptolemaic", o, None, _stats(cg, res, None)
-        )
+        return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
     if _gem_house_free(g):
-        return _forced_member(OPPOSITION, "gem-house-free", None, cg, res)
-    return _flip_verdict(OPPOSITION, "flip-search", None, cg, res, flip_cap)
+        return _forced_member(OPPOSITION, "gem-house-free", cg, res)
+    return _flip_verdict(OPPOSITION, "flip-search", cg, res, flip_cap)
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
@@ -427,7 +418,7 @@ def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg))
-    return _forced_member(OPPOSITION, "gem-house-free", None, cg, res)
+    return _forced_member(OPPOSITION, "gem-house-free", cg, res)
 
 
 # O(G) bipartiteness decides for distance-hereditary inputs, and
@@ -477,11 +468,13 @@ def ptolemaic_opposition_orient(g: Graph) -> Orientation:
 def _ptolemaic_orient(g: Graph) -> Orientation:
     """``ptolemaic_opposition_orient`` of a connected ptolemaic graph,
     without the input checks."""
+    from .verify import check_orientation  # verify imports this module
+
     p4s = induced_p4s(g)
     p5 = _find_p5(g, p4s)
     if p5 is None:
         o = _dh_side0_orientation(g)
-        if not verify_orientation(o, OPPOSITION, p4s):
+        if not check_orientation(g, o, OPPOSITION)[0]:
             raise PtolemaicOrientationError("side-0 completion failed verification")
         return o
     first_error = None
@@ -544,10 +537,6 @@ def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
 # coalition
 
 
-def _gem_house_hole_free(g: Graph, p4s) -> bool:
-    return _gem_house_free(g) and has_hole(g, p4s) is None
-
-
 def transitive_orient(g: Graph) -> Orientation | None:
     """Edge-forcing closure (shared tail with non-adjacent heads, shared
     head with non-adjacent tails), one implication class at a time, then a
@@ -607,7 +596,7 @@ def _transitive_member(g: Graph, stats: dict) -> Verdict:
     o = transitive_orient(g)
     if o is None:
         raise CertificateError("distance-hereditary coalition member is not a comparability graph")
-    return _checked_member(COALITION, "dh-transitive", o, None, stats)
+    return _checked_member(COALITION, "dh-transitive", o, stats)
 
 
 def recognize_coalition(
@@ -627,10 +616,9 @@ def recognize_coalition(
         return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     if _pruning(g) is not None:
         return _transitive_member(g, _stats(cg, res, None))
-    p4s = induced_p4s(g)  # read by the hole test and the member check
-    if _gem_house_hole_free(g, p4s):
-        return _forced_member(COALITION, "gem-house-hole-free", p4s, cg, res)
-    return _flip_verdict(COALITION, "flip-search-extension", p4s, cg, res, flip_cap)
+    if _gem_house_free(g) and has_hole(g) is None:
+        return _forced_member(COALITION, "gem-house-hole-free", cg, res)
+    return _flip_verdict(COALITION, "flip-search-extension", cg, res, flip_cap)
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:

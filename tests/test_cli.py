@@ -1,10 +1,12 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST
-from oppograph.cli import EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_UNDECIDED, EXIT_USAGE, main
+from oppograph import cli
+from oppograph.cli import EXIT_DISAGREEMENT, EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_UNDECIDED, EXIT_USAGE, main
 from oppograph.graphs import cycle_graph, encode_graph6
 from oppograph.patterns import make_Hk, make_Tk
 
@@ -96,6 +98,30 @@ def test_recognize_oracle_crosscheck(c5_g6):
     code, out = run(["recognize", "--class", "opposition", "--oracle", c5_g6])
     assert code == EXIT_NON_MEMBER
     assert "oracle: non-member" in out
+
+
+@pytest.mark.parametrize("output", ["human", "json", "dot"])
+def test_recognize_verify_adds_one_line(c5_g6, co_c6_el, output):
+    for graph_class, path in (("opposition", c5_g6), ("generalized-opposition", co_c6_el)):
+        argv = ["recognize", "--class", graph_class, "--output", output, path]
+        plain_code, plain = run(argv)
+        code, out = run(argv + ["--verify"])
+        assert code == plain_code
+        assert out == plain + "verify: ok\n"
+
+
+def test_recognize_verify_before_oracle(c5_g6):
+    code, out = run(["recognize", "--class", "opposition", "--oracle", "--verify", c5_g6])
+    assert code == EXIT_NON_MEMBER
+    assert out.endswith("verify: ok\noracle: non-member\n")
+
+
+def test_recognize_verify_rejection_exits_3(monkeypatch, c5_g6):
+    recognize = cli._run_recognizer
+    monkeypatch.setattr(cli, "_run_recognizer", lambda *args: replace(recognize(*args), certificate=None))
+    code, out = run(["recognize", "--class", "opposition", "--verify", c5_g6])
+    assert code == EXIT_DISAGREEMENT
+    assert out.endswith("verify: rejected: non-member verdict without a certificate\n")
 
 
 def test_orient_h1_dot_v1_source(h1_el):

@@ -17,6 +17,7 @@ from oppograph.constraints import (
 from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
+    Orientation,
     complement,
     complete_graph,
     connected_components,
@@ -32,6 +33,7 @@ from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION, end_edge
 from oppograph.patterns import GEM, GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, HOUSE, make_Hk, make_Tk
 from oppograph.recognize import (
     DEFAULT_FLIP_CAP,
+    CertificateError,
     FlipExhaustion,
     InducedSubgraph,
     PtolemaicOrientationError,
@@ -799,3 +801,13 @@ def test_side0_orientation_is_the_first_flip_vector():
             assert outcome.tried == 1
             assert outcome.orientation.arcs() == _side0_orientation(cg, b).arcs()
     assert checked >= 300 and several >= 10
+
+
+def test_member_self_check_raises_on_a_bad_orientation(monkeypatch):
+    # every arc of P5 low -> high aligns the end-edges of both P4s, which
+    # breaks generalized opposition; the self-check raises, never returns it
+    import oppograph.recognize as rec
+
+    monkeypatch.setattr(rec, "_complete_with_id_order", lambda partial: Orientation(partial.base, partial.base.edges))
+    with pytest.raises(CertificateError, match=r"P4 \(0, 1, 2, 3\) violates the generalized-opposition condition"):
+        recognize_generalized_opposition(path_graph(5))

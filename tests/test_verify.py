@@ -1,7 +1,10 @@
 """The independent checkers reject tampered certificates, and certify
 large verdicts without the 4-subset P4 scan."""
 
+import random
+import re
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -16,10 +19,12 @@ from oppograph.graphs import (
     complement,
     complete_graph,
     cycle_graph,
+    orient_along,
     parse_graph6,
     path_graph,
+    topo_order_or_cycle,
 )
-from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, OPPOSITION
+from oppograph.p4 import COALITION, GENERALIZED_OPPOSITION, GRAPH_CLASSES, OPPOSITION
 from oppograph.patterns import GRAPH_A, GRAPH_N, HOUSE, Pattern, PatternMatch, make_Tk
 from oppograph.recognize import (
     NON_MEMBER,
@@ -33,7 +38,7 @@ from oppograph.recognize import (
     recognize_generalized_opposition,
     recognize_opposition,
 )
-from oppograph.verify import check_verdict
+from oppograph.verify import check_orientation, check_verdict
 
 RECOGNIZERS = {
     OPPOSITION: recognize_opposition,
@@ -377,3 +382,73 @@ def test_check_verdict_without_subset_scan(no_subset_scan):
         ("non-member", "PatternMatch"),
         ("undecided", "NoneType"),
     }
+
+
+# ---------------------------------------------------------------------------
+# the mid-edge orientation checker
+
+
+def _reference_check(g, o, graph_class):
+    """Acceptance by the definition over the 4-subset P4 scan, and the
+    P4s that break the class condition."""
+    opposed_wanted = graph_class != COALITION
+    bad = [
+        p for p in verify.brute_force_p4s(g)
+        if (o.forward(p[0], p[1]) != o.forward(p[2], p[3])) != opposed_wanted
+    ]
+    acyclic = topo_order_or_cycle(g.n, o.arcs())[0] is not None
+    return not bad and (acyclic or graph_class == GENERALIZED_OPPOSITION), bad
+
+
+def test_check_orientation_matches_subset_reference():
+    rng = random.Random(12)
+    reasons = set()
+    for _ in range(2000):
+        n = rng.randint(0, 9)
+        density = rng.random()
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        if rng.random() < 0.5:
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
+        else:
+            # acyclic, then a few arcs reversed
+            arcs = orient_along(g, rng.sample(range(n), n)).arcs()
+            for i in rng.sample(range(len(arcs)), min(len(arcs), rng.randint(0, 2))):
+                arcs[i] = arcs[i][::-1]
+        o = Orientation(g, arcs)
+        for graph_class in GRAPH_CLASSES:
+            want, bad = _reference_check(g, o, graph_class)
+            ok, msg = check_orientation(g, o, graph_class)
+            assert ok == want, (g.edges, arcs, graph_class, msg)
+            if bad:
+                # the P4 named is a real induced P4 that breaks the condition
+                hit = re.fullmatch(rf"P4 \((\d+), (\d+), (\d+), (\d+)\) violates the {graph_class} condition", msg)
+                assert hit is not None and tuple(map(int, hit.groups())) in bad, (msg, bad)
+                reasons.add("P4")
+            elif not ok:
+                assert msg == "orientation contains a directed cycle"
+                reasons.add("cycle")
+    assert reasons == {"P4", "cycle"}
+
+
+def test_check_orientation_on_k2_2000():
+    # hub-last K_{2,2000} has no P4; this order makes 0 -> 2000 -> 1 -> 2001
+    # a path, so reversing the arc 0 -> 2001 closes a directed cycle
+    k = 2000
+    g = _k2(k)
+    o = orient_along(g, [0, k, 1, k + 1, *range(2, k)])
+    for graph_class in GRAPH_CLASSES:
+        assert check_orientation(g, o, graph_class) == (True, "ok")
+    cyclic = Orientation(g, [(h, t) if (t, h) == (0, k + 1) else (t, h) for t, h in o.arcs()])
+    for graph_class in (OPPOSITION, COALITION):
+        assert check_orientation(g, cyclic, graph_class) == (False, "orientation contains a directed cycle")
+    assert check_orientation(g, cyclic, GENERALIZED_OPPOSITION) == (True, "ok")
+
+
+@pytest.mark.parametrize("graph_class", [GENERALIZED_OPPOSITION, COALITION])
+def test_k2_2000_members_certified(graph_class, no_subset_scan):
+    # opposition on hub-last K_{2,k} for k >= 1100 still overflows the
+    # twin recursion of the distance-hereditary route
+    g = _k2(2000)
+    v = RECOGNIZERS[graph_class](g)
+    assert v.decision == MEMBER
+    assert check_verdict(g, v) == (True, "ok")
