@@ -82,29 +82,20 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
 
 
-def _looks_like_graph6(line: str) -> bool:
-    if not line or " " in line or "\t" in line:
-        return False
-    try:
-        parse_graph6(line)
-        return True
-    except GraphError:
-        return False
-
-
 def load_graph(path: str, fmt: str) -> Graph:
     """Read one graph; format auto-detection falls back to edge list."""
     text = _read_text(path)
-    if fmt == "auto":
-        if path.endswith(".g6"):
-            fmt = "graph6"
-        else:
-            first = next((ln for ln in text.splitlines() if ln.strip()), "")
-            fmt = "graph6" if _looks_like_graph6(first.strip()) else "edgelist"
+    first = next((ln for ln in text.splitlines() if ln.strip()), "").strip()
+    if fmt == "auto" and path.endswith(".g6"):
+        fmt = "graph6"
+    elif fmt == "auto" and first and " " not in first and "\t" not in first:
+        try:
+            return parse_graph6(first)
+        except GraphError:
+            pass
     try:
         if fmt == "graph6":
-            first = next((ln for ln in text.splitlines() if ln.strip()), "")
-            return parse_graph6(first.strip())
+            return parse_graph6(first)
         return parse_edge_list(text)
     except GraphError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc

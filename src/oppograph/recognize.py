@@ -8,7 +8,7 @@ with one directed cycle per flip vector, or a forbidden-pattern embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .constraints import (
     Bipartition,
@@ -287,26 +287,17 @@ def _check_cap(flip_cap: int | None) -> None:
         raise ValueError("flip cap must be at least 1")
 
 
-def _side0_orientation(cg: ConstraintGraph, b: Bipartition) -> Orientation:
-    """The acyclic completion of the forced part of side 0, which the fast
-    paths' theorems make acyclic; the flip search's first vector."""
-    partial = forced_orientation(cg, b, (0,) * b.component_count)
-    if isinstance(is_acyclic(partial), DirectedCycleCertificate):
-        raise CertificateError(f"a bipartite {cg.kind} aux graph gave a cyclic forced part")
-    return extend_acyclic(partial)
-
-
 def _dh_side0_orientation(g: Graph) -> Orientation:
-    """The side-0 orientation of O(G); ValueError when O(G) is not bipartite."""
+    """The flip search's first vector of O(G), side 0, which the
+    distance-hereditary theorems make acyclic; ValueError when O(G) is not
+    bipartite."""
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         raise ValueError("O(G) is not bipartite: not an opposition graph")
-    return _side0_orientation(cg, res)
-
-
-def _forced_member(graph_class, method, cg: ConstraintGraph, b: Bipartition) -> Verdict:
-    """The member verdict of the side-0 orientation (``_side0_orientation``)."""
-    return _checked_member(graph_class, method, _side0_orientation(cg, b), _stats(cg, b, 1))
+    o = _flip_search(cg, res, 1).orientation
+    if o is None:
+        raise CertificateError("a bipartite opposition aux graph gave a cyclic forced part")
+    return o
 
 
 def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
@@ -389,8 +380,10 @@ def opposition_obstruction(g: Graph) -> tuple[str, PatternMatch] | None:
 def recognize_opposition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
-    """Structural fast paths (distance-hereditary, then (gem,house)-free)
-    before the exact flip search over components of O(G)."""
+    """The distance-hereditary route, else the exact flip search over O(G).
+    Its first vector is side 0, which the (gem, house)-free theorem makes
+    acyclic: a member found there is labelled ``gem-house-free`` if the
+    input is (gem, house)-free, the one time the patterns are searched."""
     _check_cap(flip_cap)
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
@@ -405,20 +398,24 @@ def recognize_opposition(
     if _pruning(g) is not None:
         o = orient_along(g, _dh_opposition_order(g))
         return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
-    if _gem_house_free(g):
-        return _forced_member(OPPOSITION, "gem-house-free", cg, res)
-    return _flip_verdict(OPPOSITION, "flip-search", cg, res, flip_cap)
+    v = _flip_verdict(OPPOSITION, "flip-search", cg, res, flip_cap)
+    if v.is_member and v.stats["flips_tried"] == 1 and _gem_house_free(g):
+        return replace(v, method="gem-house-free")
+    return v
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
-    """Bipartiteness of O(G) alone decides for (gem, house)-free inputs;
-    any bipartition side extends acyclically."""
+    """Bipartiteness of O(G) alone decides for (gem, house)-free inputs:
+    the flip search's first vector, side 0, extends acyclically."""
     if not _gem_house_free(g):
         return recognize_opposition(g)
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg))
-    return _forced_member(OPPOSITION, "gem-house-free", cg, res)
+    v = _flip_verdict(OPPOSITION, "gem-house-free", cg, res, 1)
+    if not v.is_member:
+        raise CertificateError("a (gem, house)-free input with bipartite O(G) gave a cyclic forced part")
+    return v
 
 
 # O(G) bipartiteness decides for distance-hereditary inputs, and
@@ -602,9 +599,10 @@ def _transitive_member(g: Graph, stats: dict) -> Verdict:
 def recognize_coalition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
-    """Fast paths: distance-hereditary (comparability), then
-    (gem, house, hole)-free bipartiteness; the generic flip search over
-    C(G) mirrors the opposition one and is marked as an extension."""
+    """The distance-hereditary route (comparability), else the flip search
+    over C(G), marked as an extension.  A member at its first vector, side
+    0, is labelled ``gem-house-hole-free`` if the input is (gem, house,
+    hole)-free, as the theorem for such inputs says it must be."""
     _check_cap(flip_cap)
     cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
@@ -616,9 +614,10 @@ def recognize_coalition(
         return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     if _pruning(g) is not None:
         return _transitive_member(g, _stats(cg, res, None))
-    if _gem_house_free(g) and has_hole(g) is None:
-        return _forced_member(COALITION, "gem-house-hole-free", cg, res)
-    return _flip_verdict(COALITION, "flip-search-extension", cg, res, flip_cap)
+    v = _flip_verdict(COALITION, "flip-search-extension", cg, res, flip_cap)
+    if v.is_member and v.stats["flips_tried"] == 1 and _gem_house_free(g) and has_hole(g) is None:
+        return replace(v, method="gem-house-hole-free")
+    return v
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:

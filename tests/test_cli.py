@@ -289,6 +289,30 @@ def test_usage_error_exit_11():
         assert (code, out) == (EXIT_USAGE, "")
 
 
+def test_autodetection_parses_graph6_once(monkeypatch, tmp_path):
+    # one parse both detects graph6 and returns the graph; a first line that
+    # is no graph6 falls back to the edge list, and one with a space is
+    # never tried as graph6
+    calls = []
+    parse = cli.parse_graph6
+    monkeypatch.setattr(cli, "parse_graph6", lambda line: calls.append(line) or parse(line))
+    path = tmp_path / "data"
+    for text, n, tries in (
+        (encode_graph6(cycle_graph(5)) + "\n", 5, 1),
+        ("#c3\na b\nb c\nc a\n", 3, 1),
+        ("a b\nb c\n", 3, 0),
+    ):
+        calls.clear()
+        path.write_text(text)
+        assert cli.load_graph(str(path), "auto").n == n
+        assert len(calls) == tries
+    calls.clear()
+    path.write_text("x\n")
+    with pytest.raises(cli.CliError, match="expected 2 tokens") as info:
+        cli.load_graph(str(path), "auto")
+    assert info.value.code == EXIT_PARSE and len(calls) == 1
+
+
 def test_flip_cap_env(monkeypatch, co_c6_el):
     monkeypatch.setenv("OPPO_FLIP_CAP", "1")
     code, _ = run(["recognize", "--class", "opposition", co_c6_el])

@@ -47,7 +47,6 @@ from oppograph.recognize import (
     recognize_opposition_gem_house_free,
     _flip_search,
     _FlipOutcome,
-    _side0_orientation,
     transitive_orient,
     verdict_payload,
 )
@@ -520,10 +519,22 @@ def test_route_tests_build_no_witness(monkeypatch):
     assert recognize_coalition(k2).method == "dh-transitive"
     assert not calls
     # not distance-hereditary: the failed pruning searches nothing, and
-    # the (gem, house)-free test searches each pattern once
+    # neither does a flip search that refutes or finds a member past its
+    # first vector
     g = disjoint_union([complement(cycle_graph(6)), HOUSE.as_graph()] + [path_graph(5)] * 5)
-    recognize_opposition(g)
+    assert not recognize_opposition(g).is_member
+    f = parse_graph6("F}SyO")
+    v = recognize_opposition(f)
+    assert v.is_member and v.stats["flips_tried"] > 1
+    assert calls == {}
+    # a member at the first vector searches each pattern once to name it,
+    # and coalition looks for a hole too
+    domino = parse_graph6("Er_g")
+    assert recognize_opposition(domino).method == "gem-house-free"
     assert calls == {"gem": 1, "house": 1}
+    calls.clear()
+    assert recognize_coalition(domino).method == "gem-house-hole-free"
+    assert calls == {"gem": 1, "house": 1, "has_hole": 1}
 
 
 def test_constructor_scan_later_root_rescues(monkeypatch):
@@ -774,15 +785,32 @@ def test_eight_copies_keep_their_payload():
 
 
 def test_side0_orientation_is_the_first_flip_vector():
-    # on (gem, house)-free graphs with bipartite O(G) the forced part of
-    # side 0 is acyclic, so the flip search stops at its first vector with
-    # the side-0 orientation; the distance-hereditary routes rely on it,
-    # the twin-free branch of the twin reduction included
+    # on (gem, house)-free graphs with bipartite O(G), and (gem, house,
+    # hole)-free ones with bipartite C(G), the forced part of side 0 is
+    # acyclic, so the flip search stops at its first vector with the side-0
+    # orientation; the distance-hereditary routes rely on it, the twin-free
+    # branch of the twin reduction included, and the other routes name such
+    # members after the theorem
+    nx = pytest.importorskip("networkx")
     from oppograph.generate import (
         random_distance_hereditary,
         random_opposition_ptolemaic,
         random_ptolemaic,
     )
+    from oppograph.patterns import _pruning, find_induced, has_hole
+
+    def first_vector(kind, h):
+        """The number of aux components once the flip search is checked to
+        stop at side 0, or None when the aux graph is not bipartite."""
+        cg = ConstraintGraph(kind, h)
+        b = bipartition_or_odd_walk(cg)
+        if isinstance(b, OddWalkCertificate):
+            return None
+        outcome = _flip_search(cg, b, None)
+        assert outcome.tried == 1
+        side0 = extend_acyclic(forced_orientation(cg, b, (0,) * b.component_count))
+        assert outcome.orientation.arcs() == side0.arcs()
+        return b.component_count
 
     rng = random.Random(8)
     checked = several = 0
@@ -791,16 +819,36 @@ def test_side0_orientation_is_the_first_flip_vector():
         g = make(rng.randint(3, 40), rng.randrange(10**6))
         keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
         for h in (g, induced_subgraph(g, keep)[0]):
-            cg = ConstraintGraph(OPPOSITION, h)
-            b = bipartition_or_odd_walk(cg)
-            if isinstance(b, OddWalkCertificate):
-                continue
-            checked += 1
-            several += b.component_count > 1  # more than one flip vector
-            outcome = _flip_search(cg, b, None)
-            assert outcome.tried == 1
-            assert outcome.orientation.arcs() == _side0_orientation(cg, b).arcs()
+            count = first_vector(OPPOSITION, h)
+            if count is not None:
+                checked += 1
+                several += count > 1  # more than one flip vector
     assert checked >= 300 and several >= 10
+
+    # not distance-hereditary: holes C_k with pendants, and the (gem,
+    # house)-free graphs of the atlas
+    inputs = []
+    for k in range(5, 13):
+        for _ in range(8):
+            ends = sorted(rng.sample(range(k), rng.randint(0, k)))
+            cycle = [(v, (v + 1) % k) for v in range(k)]
+            inputs.append(Graph(k + len(ends), cycle + [(v, k + i) for i, v in enumerate(ends)]))
+    for a in nx.graph_atlas_g()[1:]:
+        h = Graph(a.number_of_nodes(), list(a.edges()))
+        if find_induced(h, GEM) is None and find_induced(h, HOUSE) is None:
+            inputs.append(h)
+    named = Counter()
+    for h in inputs:
+        dh = _pruning(h) is not None
+        if first_vector(OPPOSITION, h) is not None and not dh:
+            v = recognize_opposition(h)
+            assert (v.method, v.stats["flips_tried"]) == ("gem-house-free", 1)
+            named[OPPOSITION] += 1
+        if has_hole(h) is None and first_vector(COALITION, h) is not None and not dh:
+            v = recognize_coalition(h)
+            assert (v.method, v.stats["flips_tried"]) == ("gem-house-hole-free", 1)
+            named[COALITION] += 1
+    assert named[OPPOSITION] >= 10 and named[COALITION] >= 8, named
 
 
 def test_member_self_check_raises_on_a_bad_orientation(monkeypatch):
