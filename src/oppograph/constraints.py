@@ -27,7 +27,9 @@ from .graphs import (
     Graph,
     Orientation,
     PartialOrientation,
+    bits,
     dot_quote,
+    neighbour_bits,
     orient_along,
     topo_order_or_cycle,
 )
@@ -50,15 +52,20 @@ class ConstraintGraph:
     each component is merged once into a union-find over end-edges that
     keeps each edge's side relative to its root and marks a class bad
     when a merge contradicts it.  The classes are the components of the
-    auxiliary graph; a class is bipartite unless bad.
+    auxiliary graph; a class is bipartite unless bad.  L and R are
+    Python-int bitsets, with b the end of smaller degree.  Sweeps from L
+    find the components, each visited vertex taking its unvisited
+    non-neighbours across with one AND-NOT, so the pass costs O(sum over
+    edges of the smaller side + #P4s) big-int operations, O(k) on K_{2,k}.
 
     ``vars`` holds both arcs of every end-edge, sorted by edge: variable
     2k is the k-th end-edge (x, y) with x < y and 2k + 1 is (y, x).
     ``edge_class[k]`` is the class of end-edge k (numbered by least
-    end-edge), ``edge_side[k]`` the side of variable 2k relative to the
-    least end-edge of its class, and ``class_bad[c]`` whether class c is
-    not bipartite.  No aux link arises from two P4s, so there are
-    #end-edges + 2 #P4 aux edges.  ``adj`` is built on first use.
+    end-edge), ``class_bad[c]`` whether class c is not bipartite, and
+    ``edge_side[k]`` the side of variable 2k relative to the least
+    end-edge of its class; sides are defined only in bipartite classes.
+    No aux link arises from two P4s, so there are #end-edges + 2 #P4 aux
+    edges.  ``adj`` is built on first use.
     """
 
     __slots__ = (
@@ -95,45 +102,43 @@ class ConstraintGraph:
             return x, acc
 
         coalition = kind == COALITION
+        nbr = neighbour_bits(base)
         p4_count = 0
         for b, c in edges:
-            nb, nc = adj[b], adj[c]
-            if len(nb) > len(nc):
-                b, c, nb, nc = c, b, nc, nb
-            left = nb.difference(nc, (c,))
-            if not left:
-                continue
-            right = nc.difference(nb, (b,))
-            if not right:
-                continue
-            for a in left:
-                p4_count += len(right - adj[a])
-            # components of the non-adjacency between left and right; each
-            # vertex leaves the unvisited sets once
-            unl, unr = set(left), set(right)
+            if len(adj[b]) > len(adj[c]):
+                b, c = c, b
+            nb, nc = nbr[b], nbr[c]
+            unl, unr = nb & ~nc & ~(1 << c), nc & ~nb & ~(1 << b)  # in no component yet
             while unl and unr:
-                first = unl.pop()
-                comp_l, comp_r = [first], []
-                frontier, on_left = comp_l, True
-                while frontier:
-                    new = []
-                    other = unr if on_left else unl
+                first = (unl & -unl).bit_length() - 1
+                comp, before = ([first], []), unr
+                # here, there: the unvisited of the frontier's side and of side far
+                frontier, far, here, there = comp[0], 1, unl ^ 1 << first, unr
+                while there:
+                    new = 0
                     for v in frontier:
-                        if not other:
-                            break
-                        got = other - adj[v]
+                        got = there & ~nbr[v]
                         if got:
-                            other -= got
-                            new.extend(got)
-                    (comp_r if on_left else comp_l).extend(new)
-                    frontier, on_left = new, not on_left
+                            there ^= got
+                            new |= got
+                            if not there:
+                                break
+                    if not new:
+                        break
+                    frontier = list(bits(new))
+                    comp[far].extend(frontier)
+                    far, here, there = 1 - far, there, here
+                unl, unr = (here, there) if far else (there, here)
+                comp_r = before ^ unr  # the component's part of R
                 if not comp_r:
                     continue  # first has no P4 in this block
-                # a->b for a in comp_l and d->c (c->d for coalition) for
-                # d in comp_r all take the side of first->b
+                for a in comp[0]:
+                    p4_count += (comp_r & ~nbr[a]).bit_count()
+                # a->b for a in comp[0] and d->c (c->d for coalition) for
+                # d in comp[1] all take the side of first->b
                 r0, p0 = find(inc[b][first])
                 p0 ^= first > b
-                for x, vs, flip in ((b, comp_l, False), (c, comp_r, coalition)):
+                for x, vs, flip in ((b, comp[0], False), (c, comp[1], coalition)):
                     inc_x = inc[x]
                     for v in vs:
                         r, p = find(inc_x[v])

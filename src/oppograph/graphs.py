@@ -75,6 +75,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def neighbour_bits(g: Graph) -> list[int]:
+    """A fresh list of neighbourhood bitsets: bit w of entry v is set iff vw is an edge."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def bits(x: int) -> Iterator[int]:
+    """The set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def path_graph(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graphs import Graph
+from .graphs import Graph, neighbour_bits
 from .p4 import induced_p4s
 
 
@@ -375,7 +375,7 @@ def _pruning(g: Graph) -> PruningSequence | None:
     Removing v regroups only v and its neighbours.
     """
     nbrs = [set(s) for s in g.adj]
-    mask = [sum(1 << u for u in s) for s in g.adj]
+    mask = neighbour_bits(g)
     alive = [True] * g.n
     groups: tuple[dict, dict] = ({}, {})  # open, closed: mask -> sorted members
     pendants = [v for v in range(g.n) if len(nbrs[v]) == 1]  # sorted: a heap

@@ -15,7 +15,7 @@ import re
 from itertools import combinations
 
 from .constraints import OddWalkCertificate
-from .graphs import DirectedCycleCertificate, Graph, Orientation
+from .graphs import DirectedCycleCertificate, Graph, Orientation, bits, neighbour_bits
 from .p4 import COALITION, GENERALIZED_OPPOSITION, GRAPH_CLASSES, OPPOSITION
 from .patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, Pattern, PatternMatch, make_Tk
 from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, InducedSubgraph, Verdict
@@ -46,14 +46,6 @@ def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _bits(x: int):
-    """The set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     """Induced P4s a-b-c-d grown from the smaller end a (canonical a < d).
 
@@ -62,15 +54,15 @@ def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     bit loop runs lowest first, so the tuples come out in sorted order,
     the order of `brute_force_p4s`.
     """
-    nbr = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    nbr = neighbour_bits(g)
     out = []
     for a in range(g.n):
         closed_a = nbr[a] | (1 << a)
         above_a = -1 << (a + 1)
-        for b in _bits(nbr[a]):
+        for b in bits(nbr[a]):
             far = above_a & ~(closed_a | nbr[b])
-            for c in _bits(nbr[b] & ~closed_a):
-                for d in _bits(nbr[c] & far):
+            for c in bits(nbr[b] & ~closed_a):
+                for d in bits(nbr[c] & far):
                     out.append((a, b, c, d))
     return out
 
@@ -116,7 +108,7 @@ def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool,
         return False, "orientation refers to a different graph"
     opposed_wanted = graph_class in (OPPOSITION, GENERALIZED_OPPOSITION)
     arcs = o.arcs()
-    nbr = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    nbr = neighbour_bits(g)
     into = [0] * g.n  # the tails of the arcs into each vertex
     for t, h in arcs:
         into[h] |= 1 << t
@@ -131,7 +123,7 @@ def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool,
         # forbids the d away from c exactly when (a->b) == opposed_wanted
         toward_c = right & into[c]
         forbidden = (toward_c, right ^ toward_c)
-        for a in _bits(left):
+        for a in bits(left):
             bad = forbidden[(into[b] >> a & 1) == opposed_wanted] & ~nbr[a]
             if bad:
                 d = (bad & -bad).bit_length() - 1

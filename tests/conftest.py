@@ -47,6 +47,11 @@ def random_graph(n: int, p: float, seed) -> Graph:
     return Graph(n, edges)
 
 
+def hub_last_k2(k: int) -> Graph:
+    """K_{2,k} with the leaves 0..k-1 first and the two hubs k, k + 1 last."""
+    return Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
+
+
 def disjoint_union(gs) -> Graph:
     """The graphs side by side, each one's ids shifted past the previous ones."""
     edges, off = [], 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import isomorphic, random_graph
+from conftest import hub_last_k2, isomorphic, random_graph
 from oppograph import constraints
 from oppograph.constraints import (
     _SHORTEST_WALK_BUDGET,
@@ -424,10 +424,22 @@ def test_block_core_equals_eager_on_dh_and_ptolemaic(n, budget, monkeypatch):
 def test_block_core_on_blocks_without_p4s():
     # in K_{2,k} the near side {other hub} of every mid-edge block is
     # adjacent to its whole far side: no P4, no variable; a pendant on a
-    # leaf gives that leaf's blocks a near side that is not
-    k = 30
-    g = Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
+    # leaf gives that leaf's blocks a near side that is not, and one on a
+    # hub gives the hub's blocks a far side that is not
+    for k in (30, 200):
+        g = hub_last_k2(k)
+        for kind in (OPPOSITION, COALITION):
+            cg = ConstraintGraph(kind, g)
+            assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
+            _assert_equals_eager(kind, Graph(k + 3, list(g.edges) + [(k + 2, 0)]), _SHORTEST_WALK_BUDGET)
+    g = hub_last_k2(200)
+    g = Graph(204, list(g.edges) + [(202, 0), (203, 200)])
+    for kind in (OPPOSITION, COALITION):
+        _assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET)
+
+
+def test_block_core_on_hub_last_k2_3000():
+    g = hub_last_k2(3000)
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
-        assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
-        _assert_equals_eager(kind, Graph(k + 3, list(g.edges) + [(k + 2, 0)]), _SHORTEST_WALK_BUDGET)
+        assert (cg.var_count, cg.p4_count, cg.edge_count, cg.class_bad) == (0, 0, 0, [])

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import disjoint_union, isomorphic, random_graph, shuffled_union
+from conftest import disjoint_union, hub_last_k2, isomorphic, random_graph, shuffled_union
 from oppograph.graphs import (
     Graph,
     complement,
@@ -366,14 +366,10 @@ def test_pruning_and_mcs_match_references():
     assert min(kinds.values()) >= 500, kinds
 
 
-def _hub_last_k2(k):
-    return Graph(k + 2, [(i, h) for i in range(k) for h in (k, k + 1)])
-
-
 def test_pruning_and_chordality_at_scale():
     from oppograph.generate import random_tree
 
-    k2 = _hub_last_k2(3000)
+    k2 = hub_last_k2(3000)
     ok, seq, _ = is_distance_hereditary(k2)
     assert ok and len(seq.steps) == 3001
     _assert_replays(k2, seq)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import disjoint_union, random_graph, shuffled_union
+from conftest import disjoint_union, hub_last_k2, random_graph, shuffled_union
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -339,6 +339,92 @@ def test_transitive_orient_matches_bruteforce_comparability():
     for seed in range(25):
         g = random_graph(6, 0.5, seed + 9)
         assert (transitive_orient(g) is not None) == brute_comparability(g), seed
+
+
+def _reference_transitive_orient(g):
+    """Arcs of the has_edge Gamma-forcing engine, one implication class
+    at a time with a set of the edges still unoriented, then the in x out
+    transitivity check per vertex; None when either fails."""
+    head = {}
+    remaining = set(g.edges)
+    for seed in g.edges:
+        if seed not in remaining:
+            continue
+        stage = {seed: seed[1]}
+        stack = [seed]
+        while stack:
+            a, b = stack.pop()
+            # shared tail a (a -> c), then shared head b (c -> b)
+            for x, y, tail in ((a, b, True), (b, a, False)):
+                for c in g.sorted_neighbors(x):
+                    if c == y or g.has_edge(y, c):
+                        continue
+                    e = (x, c) if x < c else (c, x)
+                    if e not in remaining:
+                        continue
+                    h = c if tail else x
+                    if e in stage:
+                        if stage[e] != h:
+                            return None
+                    else:
+                        stage[e] = h
+                        stack.append((x, c) if tail else (c, x))
+        for e, h in stage.items():
+            head[e] = h
+            remaining.discard(e)
+    out = {v: set() for v in range(g.n)}
+    inn = {v: set() for v in range(g.n)}
+    for (u, v), h in head.items():
+        t = u if h == v else v
+        out[t].add(h)
+        inn[h].add(t)
+    for b in range(g.n):
+        for a in inn[b]:
+            if not out[b] <= out[a]:
+                return None
+    return sorted((u if h == v else v, h) for (u, v), h in head.items())
+
+
+def _assert_orient_as_reference(g):
+    o = transitive_orient(g)
+    assert (None if o is None else o.arcs()) == _reference_transitive_orient(g)
+    return o
+
+
+def test_transitive_orient_equals_reference_on_random_graphs():
+    rng = random.Random(1404)
+    rejected = 0
+    for i in range(5000):
+        g = random_graph(3 + i % 12, rng.uniform(0.1, 0.9), rng)
+        rejected += _assert_orient_as_reference(g) is None
+    assert rejected >= 1000
+
+
+def test_transitive_orient_equals_reference_on_generated_and_k2():
+    from oppograph.generate import (
+        random_distance_hereditary,
+        random_opposition_ptolemaic,
+        random_tree,
+    )
+
+    for n in (10, 40, 80, 120):
+        for seed in range(3):
+            for make in (random_distance_hereditary, random_tree, random_opposition_ptolemaic):
+                _assert_orient_as_reference(make(n, seed))
+    for k in (1, 2, 3, 50, 300):
+        assert _assert_orient_as_reference(hub_last_k2(k)) is not None
+
+
+def test_transitive_orient_on_hub_last_k2_3000():
+    g = hub_last_k2(3000)
+    o = transitive_orient(g)
+    assert o is not None
+    out = {v: set() for v in range(g.n)}
+    for t, h in o.arcs():
+        out[t].add(h)
+    for t, h in o.arcs():
+        assert out[h] <= out[t]
+    assert topo_order_or_cycle(g.n, o.arcs())[0] is not None
 
 
 def test_reversal_closure_of_member_certificates(co_c6_labeled, h1):

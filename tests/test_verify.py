@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import disjoint_union
+from conftest import disjoint_union, hub_last_k2
 from oppograph import verify
 from oppograph.constraints import OddWalkCertificate
 from oppograph.generate import random_tree
@@ -45,10 +45,6 @@ RECOGNIZERS = {
     GENERALIZED_OPPOSITION: recognize_generalized_opposition,
     COALITION: recognize_coalition,
 }
-
-
-def _k2(k):
-    return Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
 
 
 def _rejected(g, v):
@@ -354,7 +350,7 @@ def _kinds():
     co_c6 = complement(cycle_graph(6))
     co_c6_thrice = disjoint_union([co_c6] * 3)
     f_twice = disjoint_union([parse_graph6("F}SyO")] * 2)
-    k2 = _k2(200)
+    k2 = hub_last_k2(200)
     tree = random_tree(1000, 1)
     return [
         *[(k2, RECOGNIZERS[c](k2)) for c in sorted(RECOGNIZERS)],
@@ -434,7 +430,7 @@ def test_check_orientation_on_k2_2000():
     # hub-last K_{2,2000} has no P4; this order makes 0 -> 2000 -> 1 -> 2001
     # a path, so reversing the arc 0 -> 2001 closes a directed cycle
     k = 2000
-    g = _k2(k)
+    g = hub_last_k2(k)
     o = orient_along(g, [0, k, 1, k + 1, *range(2, k)])
     for graph_class in GRAPH_CLASSES:
         assert check_orientation(g, o, graph_class) == (True, "ok")
@@ -448,7 +444,7 @@ def test_check_orientation_on_k2_2000():
 def test_k2_2000_members_certified(graph_class, no_subset_scan):
     # opposition on hub-last K_{2,k} for k >= 1100 still overflows the
     # twin recursion of the distance-hereditary route
-    g = _k2(2000)
+    g = hub_last_k2(2000)
     v = RECOGNIZERS[graph_class](g)
     assert v.decision == MEMBER
     assert check_verdict(g, v) == (True, "ok")
