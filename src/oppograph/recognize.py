@@ -337,30 +337,32 @@ def _gem_house_free(g: Graph) -> bool:
     return find_induced(g, GEM) is None and find_induced(g, HOUSE) is None
 
 
-def _dh_opposition_order(g: Graph) -> list[int]:
-    """Linear order realizing an opposition orientation of a
-    distance-hereditary graph with bipartite O(G).
+def _dh_opposition_orient(g: Graph) -> Orientation:
+    """An opposition orientation of a distance-hereditary graph with
+    bipartite O(G): side 0 where the twin reduction stops, which the (gem,
+    house)-free theorem makes acyclic, and the twins removed above that
+    level put back next to their partners."""
+    order = _dh_twin_order(g)
+    return _dh_side0_orientation(g) if order is None else orient_along(g, order)
 
-    Chordal inputs are ptolemaic and go through the layer constructor per
-    component; otherwise one twin is removed and re-inserted next to its
-    partner, which preserves membership, and a twin-free input takes the
-    side-0 orientation.
-    """
-    if _perfect_elimination_order(g) is not None:
-        order: list[int] = []
-        for comp in connected_components(g):
-            sub, new_to_old = induced_subgraph(g, comp)
-            topo, _ = topo_order_or_cycle(sub.n, _ptolemaic_orient(sub).arcs())
-            order.extend(new_to_old[v] for v in topo)
-        return order
-    pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
-    twin = next(((u, v) for u, v in pairs if g.adj[u] - {v} == g.adj[v] - {u}), None)
+
+def _dh_twin_order(g: Graph) -> list[int] | None:
+    """None where the twin reduction stops, at a chordal or twin-free
+    level.  Otherwise one twin is removed, the rest ordered (along side 0
+    where the reduction stops) and the twin re-inserted next to its
+    partner, which preserves membership."""
+    twin = None
+    if _perfect_elimination_order(g) is None:
+        pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
+        twin = next(((u, v) for u, v in pairs if g.adj[u] - {v} == g.adj[v] - {u}), None)
     if twin is None:
-        topo, _ = topo_order_or_cycle(g.n, _dh_side0_orientation(g).arcs())
-        return topo
+        return None
     keep, drop = twin
     sub, new_to_old = induced_subgraph(g, [v for v in range(g.n) if v != drop])
-    order = [new_to_old[v] for v in _dh_opposition_order(sub)]
+    topo = _dh_twin_order(sub)
+    if topo is None:
+        topo, _ = topo_order_or_cycle(sub.n, _dh_side0_orientation(sub).arcs())
+    order = [new_to_old[v] for v in topo]
     order.insert(order.index(keep) + 1, drop)
     return order
 
@@ -398,7 +400,7 @@ def recognize_opposition(
             OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
         )
     if _pruning(g) is not None:
-        o = orient_along(g, _dh_opposition_order(g))
+        o = _dh_opposition_orient(g)
         return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
     v = _flip_verdict(OPPOSITION, "flip-search", cg, res, flip_cap)
     if v.is_member and v.stats["flips_tried"] == 1 and _gem_house_free(g):
@@ -454,6 +456,8 @@ def ptolemaic_opposition_orient(g: Graph) -> Orientation:
     the first root's PtolemaicOrientationError is raised.  Each try is
     polynomial, so the scan is too.
     """
+    from .verify import check_orientation  # verify imports this module
+
     if g.n == 0:
         return Orientation(g, [])
     if len(connected_components(g)) != 1:
@@ -461,14 +465,6 @@ def ptolemaic_opposition_orient(g: Graph) -> Orientation:
     ok, wit = is_ptolemaic(g)
     if not ok:
         raise ValueError(f"not ptolemaic: contains {wit.pattern.name}")
-    return _ptolemaic_orient(g)
-
-
-def _ptolemaic_orient(g: Graph) -> Orientation:
-    """``ptolemaic_opposition_orient`` of a connected ptolemaic graph,
-    without the input checks."""
-    from .verify import check_orientation  # verify imports this module
-
     p4s = induced_p4s(g)
     p5 = _find_p5(g, p4s)
     if p5 is None:

@@ -200,8 +200,8 @@ GOLDEN = {
     "opp/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
     "opp/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
     "opp/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
-    "opp/tree": "4af4cef6d1cd9066dbf7c9e1bc7b4f2d6226a9102ae383776fad7a1016d5bbc3",
-    "opp/p5+h1": "dcd4cfd6069b35005d0a3116fc2ac3eb2cb1aae599726231016c7ced39971f23",
+    "opp/tree": "5604f8e3f06c58f520ed71e0ea18961e57533b90ad16ed37ff4825de5da1e9af",
+    "opp/p5+h1": "e738eaa7829fd7db02d9de7833c061aaff5eccbd9201f9ea0657ee6d2d409a33",
     "opp/dh-non-member-witness": "cc8c7960431b71691e4df8e9b322b8123ac5cbcc94c7ff09670bca76a3c7a60e",
     "opp/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
     "opp/flip-member": "d86beeed6a3c6080d60d02e78a1b56e475002ee23584a190ad7982f3ba5cbc97",

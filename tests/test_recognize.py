@@ -45,6 +45,7 @@ from oppograph.recognize import (
     recognize_opposition,
     recognize_opposition_distance_hereditary,
     recognize_opposition_gem_house_free,
+    _dh_side0_orientation,
     _flip_search,
     _FlipOutcome,
     transitive_orient,
@@ -552,29 +553,68 @@ def _spy_roots(monkeypatch):
 
 
 def test_member_path_never_searches_hk(monkeypatch):
+    import oppograph.p4
     import oppograph.patterns
     import oppograph.recognize
     from oppograph.generate import random_opposition_ptolemaic
 
-    # the H_k search, the gem search of the ptolemaic test and any other
-    # backtracking pattern search are all off the member path
-    for name in ("find_max_Hk", "is_ptolemaic", "find_induced"):
+    # the H_k search, the gem search of the ptolemaic test, any other
+    # backtracking pattern search and the layer constructor are all off
+    # the member path
+    for module, name in (
+        (oppograph.patterns, "find_max_Hk"),
+        (oppograph.patterns, "is_ptolemaic"),
+        (oppograph.patterns, "find_induced"),
+        (oppograph.p4, "layer_decompose"),
+        (oppograph.p4, "classify_layer_type"),
+        (oppograph.recognize, "_layer_orient"),
+    ):
 
         def forbidden(*args, name=name):
             raise AssertionError(f"{name} on the member path")
 
-        monkeypatch.setattr(oppograph.patterns, name, forbidden)
+        monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(oppograph.recognize, name, forbidden, raising=False)
-    for n in (40, 60, 80):
-        g = random_opposition_ptolemaic(n, seed=n)
+    for n, seed in ((40, 40), (60, 60), (80, 80), (120, 120), (200, 3)):
+        g = random_opposition_ptolemaic(n, seed)
         v = recognize_opposition(g)
         assert v.method == "dh-ptolemaic"
         _assert_verdict(g, v, "member")
-    # large enough that an exponential root choice would not finish
-    g = random_opposition_ptolemaic(120, seed=120)
+
+
+def test_chordal_dh_members_take_side0():
+    # a chordal input takes side 0, the flip search's first vector, even
+    # when it holds a P5 (the golden tree and p5+h1 graphs)
+    from oppograph.generate import random_tree
+
+    for g in (random_tree(9, 3), disjoint_union([path_graph(5), make_Hk(1).as_graph()])):
+        v = recognize_opposition(g)
+        assert v.method == "dh-ptolemaic"
+        assert v.certificate.arcs() == _dh_side0_orientation(g).arcs()
+
+
+def test_twin_reduction_ending_at_a_chordal_level(monkeypatch):
+    # C4 0-1-2-3 with the path 0-4-5-6 is not chordal; dropping 3, the
+    # twin of 1, leaves the path 2-1-0-4-5-6, a chordal level with a P5
+    import oppograph.recognize as rec
+    from oppograph.patterns import _perfect_elimination_order
+
+    levels = []
+    inner = rec._dh_side0_orientation
+
+    def spy(h):
+        levels.append(h)
+        return inner(h)
+
+    monkeypatch.setattr(rec, "_dh_side0_orientation", spy)
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)])
+    assert _perfect_elimination_order(g) is None
     v = recognize_opposition(g)
-    assert v.is_member and v.method == "dh-ptolemaic"
-    assert verify_orientation(v.certificate, OPPOSITION)
+    _assert_verdict(g, v, "member")
+    assert v.method == "dh-ptolemaic"
+    assert [h.n for h in levels] == [6]
+    assert _perfect_elimination_order(levels[0]) is not None
+    assert oracle_opposition(g).is_member
 
 
 def _count_searches(monkeypatch):
