@@ -49,14 +49,16 @@ class ConstraintGraph:
     mid-edge {b, c} has L = N(b) minus N[c] and R = N(c) minus N[b]; its
     P4s are a-b-c-d with a in L, d in R, a and d non-adjacent.  All
     variables of one component of that L-R non-adjacency share a side, so
-    each component is merged once into a union-find over end-edges that
-    keeps each edge's side relative to its root and marks a class bad
-    when a merge contradicts it.  The classes are the components of the
-    auxiliary graph; a class is bipartite unless bad.  L and R are
-    Python-int bitsets, with b the end of smaller degree.  Sweeps from L
-    find the components, each visited vertex taking its unvisited
-    non-neighbours across with one AND-NOT, so the pass costs O(sum over
-    edges of the smaller side + #P4s) big-int operations, O(k) on K_{2,k}.
+    each component is merged into one class.  A class is a list of
+    end-edges, each keeping its side relative to the list's first edge;
+    a merge relabels the smaller list into the larger (O(m log m) in
+    all) and carries the bad mark, which a link contradicting the sides
+    sets.  The classes are the components of the auxiliary graph; a
+    class is bipartite unless bad.  L and R are Python-int bitsets, with
+    b the end of smaller degree.  Sweeps from L find the components, each
+    visited vertex taking its unvisited non-neighbours across with one
+    AND-NOT, so the pass costs O(sum over edges of the smaller side +
+    #P4s) big-int operations, O(k) on K_{2,k}.
 
     ``vars`` holds both arcs of every end-edge, sorted by edge: variable
     2k is the k-th end-edge (x, y) with x < y and 2k + 1 is (y, x).
@@ -83,23 +85,12 @@ class ConstraintGraph:
         for e, (u, v) in enumerate(edges):
             inc[u][v] = inc[v][u] = e
         m = len(edges)
-        parent = list(range(m))
-        parity = [0] * m  # side of the edge's (low, high) variable XOR its parent's
-        size = [1] * m
+        # a class is the list members[h] at its first end-edge h = head[e];
+        # parity[e] is the side of e's (low, high) variable XOR its head's
+        head = list(range(m))
+        parity = [0] * m
+        members = [[e] for e in range(m)]
         bad = [False] * m
-
-        def find(x: int) -> tuple[int, int]:
-            """Root of x and the parity of x relative to it; compresses the path."""
-            path = []
-            while parent[x] != x:
-                path.append(x)
-                x = parent[x]
-            acc = 0
-            for y in reversed(path):
-                acc ^= parity[y]
-                parity[y] = acc
-                parent[y] = x
-            return x, acc
 
         coalition = kind == COALITION
         nbr = neighbour_bits(base)
@@ -136,23 +127,27 @@ class ConstraintGraph:
                     p4_count += (comp_r & ~nbr[a]).bit_count()
                 # a->b for a in comp[0] and d->c (c->d for coalition) for
                 # d in comp[1] all take the side of first->b
-                r0, p0 = find(inc[b][first])
-                p0 ^= first > b
+                e0 = inc[b][first]
+                r0, p0 = head[e0], parity[e0] ^ (first > b)
                 for x, vs, flip in ((b, comp[0], False), (c, comp[1], coalition)):
                     inc_x = inc[x]
                     for v in vs:
-                        r, p = find(inc_x[v])
-                        need = p ^ p0 ^ (v > x) ^ flip  # parity r must have relative to r0
+                        e = inc_x[v]
+                        r = head[e]
+                        need = parity[e] ^ p0 ^ (v > x) ^ flip  # parity r must have relative to r0
                         if r == r0:
                             if need:
                                 bad[r0] = True
                             continue
-                        if size[r] > size[r0]:
+                        if len(members[r]) > len(members[r0]):
                             r, r0 = r0, r
-                            p0 ^= need  # first's parity relative to the new root
-                        parent[r] = r0
-                        parity[r] = need
-                        size[r0] += size[r]
+                            p0 ^= need  # first's parity relative to the new head
+                        small = members[r]
+                        for f in small:
+                            head[f] = r0
+                            parity[f] ^= need
+                        members[r0] += small
+                        members[r] = None
                         bad[r0] = bad[r0] or bad[r]
 
         # an edge in a P4 shares its class with the far end-edge, so the
@@ -160,19 +155,19 @@ class ConstraintGraph:
         vars_: list[ArcVar] = []
         edge_class: list[int] = []
         edge_side: list[int] = []
-        class_of_root: dict[int, int] = {}
+        class_of_head: dict[int, int] = {}
         class_parity: list[int] = []
         class_bad: list[bool] = []
         for e in range(m):
-            if size[e] == 1 and parent[e] == e:
+            r, p = head[e], parity[e]
+            if len(members[r]) == 1:
                 continue
-            r, p = find(e)
             x, y = edges[e]
             vars_.append((x, y))
             vars_.append((y, x))
-            k = class_of_root.get(r)
+            k = class_of_head.get(r)
             if k is None:
-                k = class_of_root[r] = len(class_bad)
+                k = class_of_head[r] = len(class_bad)
                 class_parity.append(p)
                 class_bad.append(bad[r])
             edge_class.append(k)

@@ -8,7 +8,7 @@ with one directed cycle per flip vector, or a forbidden-pattern embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .constraints import (
     Bipartition,
@@ -179,8 +179,9 @@ class _Part:
         """Local vectors by rank, bit ``pinned`` held at 0 and the other
         bits in increasing order as the bits of the rank, for at most
         ``cap`` vectors.  Returns the first vector whose forced part of
-        G[S] is acyclic (or None) and the (vector, cycle) entries before
-        it, each cycle the one ``is_acyclic`` reports, in local ids."""
+        G[S] is acyclic and its min-id topological order (or None, None),
+        and the (vector, cycle) entries before it, each cycle the one
+        ``is_acyclic`` reports, all in local ids."""
         free = [j for j in range(len(self.aux)) if j != pinned]
         entries = []
         for rank in range(min(1 << len(free), cap)):
@@ -188,11 +189,11 @@ class _Part:
             for i, j in enumerate(free):
                 bits[j] = (rank >> i) & 1
             arcs = [(x, y) for j, side, x, y in self.vars if side == bits[j]]
-            cyc = topo_order_or_cycle(len(self.vertices), arcs)[1]
+            order, cyc = topo_order_or_cycle(len(self.vertices), arcs)
             if cyc is None:
-                return tuple(bits), entries
+                return tuple(bits), order, entries
             entries.append((tuple(bits), cyc))
-        return None, entries
+        return None, None, entries
 
 
 def _parts(cg: ConstraintGraph, b: Bipartition) -> list[_Part]:
@@ -239,20 +240,24 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     certificate is its whole-graph ``FlipExhaustion``, with more it is an
     ``InducedSubgraph`` holding the exhaustion of G[S].  With no
     exhaustion, a part that hit the cap leaves the verdict undecided.
+    A member is oriented along the parts' min-id topological orders, the
+    other vertices last: the arcs ``extend_acyclic`` gives, per component.
     """
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
     parts = _parts(cg, b)
     flips = [0] * b.component_count
+    order: list[int] = []
     tried = 0
     capped = False
     for part in parts:
         pinned = 0 if part.aux[0] == 0 else len(part.aux) - 1
-        bits, entries = part.search(pinned, cap)
+        bits, topo, entries = part.search(pinned, cap)
         tried += len(entries)
         if bits is not None:
             tried += 1
             for k, bit in zip(part.aux, bits):
                 flips[k] = bit
+            order += [part.vertices[v] for v in topo]
         elif len(entries) < 1 << (len(part.aux) - 1):
             capped = True
         elif len(parts) == 1:
@@ -263,14 +268,14 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
             return _FlipOutcome(None, exhaustion, len(entries))
         else:
             if pinned:
-                entries = part.search(0, cap)[1]
+                entries = part.search(0, cap)[2]
             inner = InducedSubgraph(part.vertices, FlipExhaustion(tuple(entries)))
             return _FlipOutcome(None, inner, len(entries))
     if capped:
         return _FlipOutcome(None, None, tried)
     rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
-    orientation = extend_acyclic(forced_orientation(cg, b, tuple(flips)))
-    return _FlipOutcome(orientation, None, rank + 1)
+    order += sorted(set(range(cg.base.n)).difference(order))
+    return _FlipOutcome(orient_along(cg.base, order), None, rank + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +307,9 @@ def _dh_side0_orientation(g: Graph) -> Orientation:
     return o
 
 
-def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, flip_cap) -> Verdict:
-    """The exact flip search: a member, an exhaustion of every flip
-    vector, or undecided when the cap is hit first."""
-    outcome = _flip_search(cg, b, flip_cap)
+def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, outcome: _FlipOutcome) -> Verdict:
+    """The verdict of the exact flip search: a member, an exhaustion of
+    every flip vector, or undecided when the cap was hit first."""
     stats = _stats(cg, b, outcome.tried)
     if outcome.orientation is not None:
         return _checked_member(graph_class, method, outcome.orientation, stats)
@@ -335,15 +339,6 @@ def recognize_generalized_opposition(g: Graph) -> Verdict:
 
 def _gem_house_free(g: Graph) -> bool:
     return find_induced(g, GEM) is None and find_induced(g, HOUSE) is None
-
-
-def _dh_opposition_orient(g: Graph) -> Orientation:
-    """An opposition orientation of a distance-hereditary graph with
-    bipartite O(G): side 0 where the twin reduction stops, which the (gem,
-    house)-free theorem makes acyclic, and the twins removed above that
-    level put back next to their partners."""
-    order = _dh_twin_order(g)
-    return _dh_side0_orientation(g) if order is None else orient_along(g, order)
 
 
 def _dh_twin_order(g: Graph) -> list[int] | None:
@@ -384,10 +379,10 @@ def opposition_obstruction(g: Graph) -> tuple[str, PatternMatch] | None:
 def recognize_opposition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
-    """The distance-hereditary route, else the exact flip search over O(G).
-    Its first vector is side 0, which the (gem, house)-free theorem makes
-    acyclic: a member found there is labelled ``gem-house-free`` if the
-    input is (gem, house)-free, the one time the patterns are searched."""
+    """The exact flip search over O(G).  Only a member at its first vector,
+    side 0, runs route tests: ``dh-ptolemaic`` if distance-hereditary (side
+    0 where the twin reduction stops, removed twins put back next to their
+    partners), else ``gem-house-free`` if (gem, house)-free."""
     _check_cap(flip_cap)
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
@@ -399,13 +394,16 @@ def recognize_opposition(
         return Verdict(
             OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
         )
-    if _pruning(g) is not None:
-        o = _dh_opposition_orient(g)
-        return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
-    v = _flip_verdict(OPPOSITION, "flip-search", cg, res, flip_cap)
-    if v.is_member and v.stats["flips_tried"] == 1 and _gem_house_free(g):
-        return replace(v, method="gem-house-free")
-    return v
+    outcome = _flip_search(cg, res, flip_cap)
+    method = "flip-search"
+    if outcome.orientation is not None and outcome.tried == 1:  # at side 0
+        if _pruning(g) is not None:
+            order = _dh_twin_order(g)
+            o = outcome.orientation if order is None else orient_along(g, order)
+            return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
+        if _gem_house_free(g):
+            method = "gem-house-free"
+    return _flip_verdict(OPPOSITION, method, cg, res, outcome)
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
@@ -416,15 +414,15 @@ def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg))
-    v = _flip_verdict(OPPOSITION, "gem-house-free", cg, res, 1)
+    v = _flip_verdict(OPPOSITION, "gem-house-free", cg, res, _flip_search(cg, res, 1))
     if not v.is_member:
         raise CertificateError("a (gem, house)-free input with bipartite O(G) gave a cyclic forced part")
     return v
 
 
-# O(G) bipartiteness decides for distance-hereditary inputs, and
-# recognize_opposition tries the distance-hereditary route (with the
-# obstruction witness) before any other, so both names give one verdict.
+# O(G) bipartiteness decides for distance-hereditary inputs, whose members
+# recognize_opposition labels at side 0 (and names the obstruction witness
+# of a rejection), so both names give one verdict.
 recognize_opposition_distance_hereditary = recognize_opposition
 
 
@@ -581,10 +579,10 @@ def _transitive_member(g: Graph, stats: dict) -> Verdict:
 def recognize_coalition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
-    """The distance-hereditary route (comparability), else the flip search
-    over C(G), marked as an extension.  A member at its first vector, side
-    0, is labelled ``gem-house-hole-free`` if the input is (gem, house,
-    hole)-free, as the theorem for such inputs says it must be."""
+    """The flip search over C(G), marked as an extension.  Only a member at
+    its first vector, side 0, runs route tests: ``dh-transitive`` if
+    distance-hereditary (a comparability graph, transitively oriented),
+    else ``gem-house-hole-free`` if (gem, house, hole)-free."""
     _check_cap(flip_cap)
     cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
@@ -594,12 +592,14 @@ def recognize_coalition(
             if nmatch is not None:
                 witness = _checked_pattern(g, nmatch)
         return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
-    if _pruning(g) is not None:
-        return _transitive_member(g, _stats(cg, res, None))
-    v = _flip_verdict(COALITION, "flip-search-extension", cg, res, flip_cap)
-    if v.is_member and v.stats["flips_tried"] == 1 and _gem_house_free(g) and has_hole(g) is None:
-        return replace(v, method="gem-house-hole-free")
-    return v
+    outcome = _flip_search(cg, res, flip_cap)
+    method = "flip-search-extension"
+    if outcome.orientation is not None and outcome.tried == 1:  # at side 0
+        if _pruning(g) is not None:
+            return _transitive_member(g, _stats(cg, res, None))
+        if _gem_house_free(g) and has_hole(g) is None:
+            method = "gem-house-hole-free"
+    return _flip_verdict(COALITION, method, cg, res, outcome)
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:

@@ -438,6 +438,31 @@ def test_block_core_on_blocks_without_p4s():
         _assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET)
 
 
+def test_block_core_merges_carry_the_bad_flag():
+    # a bad class merged into a larger good one: O(G) of the graph below,
+    # and C(G) of C5 1-2-3-4-5 with the triangle 1-2-6 and the pendant
+    # 6-0.  A good class merged into a larger bad one: O(G) of C4 0-3-5-4
+    # with the pendants 4-2 and 5-1.  Each merged class stays bad
+    bad_into_good = (
+        (OPPOSITION, Graph(8, [(0, 3), (0, 7), (1, 2), (2, 4), (2, 5), (3, 6), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7)])),
+        (COALITION, Graph(7, [(0, 6), (1, 2), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5)])),
+    )
+    good_into_bad = ((OPPOSITION, Graph(6, [(0, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)])),)
+    for kind, g in bad_into_good + good_into_bad:
+        assert isinstance(_assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET), OddWalkCertificate)
+        assert ConstraintGraph(kind, g).class_bad == [True]
+
+
+def test_block_core_swap_moves_the_block_side():
+    # the spider with legs 0-2, 0-3-5 and 0-4-1: partway through a block,
+    # the class holding the block's first variable is merged into a larger
+    # class at odd parity, so that variable's side relative to the new
+    # head flips before the rest of the block is placed
+    g = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (3, 5)])
+    for kind in (OPPOSITION, COALITION):
+        assert isinstance(_assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET), Bipartition)
+
+
 def test_block_core_on_hub_last_k2_3000():
     g = hub_last_k2(3000)
     for kind in (OPPOSITION, COALITION):

@@ -663,6 +663,45 @@ def test_route_tests_build_no_witness(monkeypatch):
     assert calls == {"gem": 1, "house": 1, "has_hole": 1}
 
 
+def _spy_calls(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name`` from now on."""
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_route_tests_run_only_at_side0(monkeypatch):
+    import oppograph.recognize as rec
+    from oppograph.generate import random_opposition_ptolemaic
+
+    pruned = _spy_calls(monkeypatch, rec, "_pruning")
+    # the flip search exhausts, with no pruning
+    v = recognize_opposition(complement(cycle_graph(6)))
+    assert (v.decision, v.method) == ("non-member", "flip-search")
+    v = recognize_coalition(cycle_graph(5))
+    assert (v.decision, v.method) == ("non-member", "flip-search-extension")
+    # members found past the first vector run no pruning either
+    for recognize, g in (
+        (recognize_opposition, disjoint_union([parse_graph6("F}SyO"), path_graph(5)])),
+        (recognize_coalition, disjoint_union([cycle_graph(6), parse_graph6("FNccw")])),
+    ):
+        v = recognize(g)
+        assert v.is_member and v.stats["flips_tried"] > 1
+    assert not pruned
+    # a chordal distance-hereditary member prunes once and builds O(G) once
+    built = _spy_calls(monkeypatch, rec, "ConstraintGraph")
+    g = random_opposition_ptolemaic(40, 40)
+    v = recognize_opposition(g)
+    assert (v.method, v.stats["flips_tried"]) == ("dh-ptolemaic", None)
+    assert pruned == [(g,)] and built == [(OPPOSITION, g)]
+
+
 def test_constructor_scan_later_root_rescues(monkeypatch):
     from oppograph.generate import random_opposition_ptolemaic
 
@@ -914,9 +953,9 @@ def test_side0_orientation_is_the_first_flip_vector():
     # on (gem, house)-free graphs with bipartite O(G), and (gem, house,
     # hole)-free ones with bipartite C(G), the forced part of side 0 is
     # acyclic, so the flip search stops at its first vector with the side-0
-    # orientation; the distance-hereditary routes rely on it, the twin-free
-    # branch of the twin reduction included, and the other routes name such
-    # members after the theorem
+    # orientation; both recognizers label distance-hereditary members only
+    # there, the opposition one takes side 0 where the twin reduction stops,
+    # and the other routes name such members after the theorem
     nx = pytest.importorskip("networkx")
     from oppograph.generate import (
         random_distance_hereditary,
@@ -939,17 +978,19 @@ def test_side0_orientation_is_the_first_flip_vector():
         return b.component_count
 
     rng = random.Random(8)
-    checked = several = 0
+    checked, several = Counter(), Counter()
     for i in range(300):
         make = (random_distance_hereditary, random_ptolemaic, random_opposition_ptolemaic)[i % 3]
         g = make(rng.randint(3, 40), rng.randrange(10**6))
         keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
         for h in (g, induced_subgraph(g, keep)[0]):
-            count = first_vector(OPPOSITION, h)
-            if count is not None:
-                checked += 1
-                several += count > 1  # more than one flip vector
-    assert checked >= 300 and several >= 10
+            for kind in (OPPOSITION, COALITION):
+                count = first_vector(kind, h)
+                if count is not None:
+                    checked[kind] += 1
+                    several[kind] += count > 1  # more than one flip vector
+    assert checked[OPPOSITION] >= 300 and several[OPPOSITION] >= 10, (checked, several)
+    assert checked[COALITION] >= 300 and several[COALITION] >= 10, (checked, several)
 
     # not distance-hereditary: holes C_k with pendants, and the (gem,
     # house)-free graphs of the atlas
