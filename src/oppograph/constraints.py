@@ -37,7 +37,11 @@ from .p4 import COALITION, OPPOSITION
 
 ArcVar = tuple[int, int]
 
-# above this many variable-edge products, settle for a non-minimal odd walk
+# above this many variable-edge products, settle for a non-minimal odd walk.
+# The length-3 pass alone does not make the budget moot: on a triangle-free
+# aux graph it builds every neighbour list before the BFS from every root
+# starts (a tree with n = 1000, over the budget, takes 16 lists through
+# _first_conflict_walk and would take 1998 here).
 _SHORTEST_WALK_BUDGET = 4_000_000
 
 
@@ -346,20 +350,31 @@ def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, 
     hit of a full BFS from every root in id order, scanned v by v,
     keeping strict improvements only.
 
-    The search does less without changing that choice.  A root's BFS
-    stops at the first level that holds an edge, since deeper levels only
-    give longer walks, and it never expands a level d with 2d + 1 >= L,
-    where L is the best length found so far, since an equal length from a
-    later root never replaces it.  BFS assigns levels and tree parents
-    level by level, so the levels it does reach are those of the full
-    BFS.  Roots stop once L = 3, the shortest odd cycle a loopless graph
-    can have.
+    The search does less without changing that choice.  It first tries
+    length 3, the shortest odd cycle a loopless graph can have: roots in
+    id order, each scanning its neighbours v in id order for a neighbour
+    w of v that is also a neighbour of the root.  The first hit is
+    root-v-w-root, and it builds no neighbour list past it.  With no
+    triangle the BFS runs from every root.  A root's BFS stops at the
+    first level that holds an edge, since deeper levels only give longer
+    walks, and it never expands a level d with 2d + 1 >= L, where L is
+    the best length found so far, since an equal length from a later
+    root never replaces it.  BFS assigns levels and tree parents level
+    by level, so the levels it does reach are those of the full BFS.
+    Roots stop once L = 5, the least odd length left.
     """
     adj = cg.adj
+    for root in verts:
+        around = adj[root]
+        near = set(around)
+        for v in around:
+            if not near.isdisjoint(adj[v]):
+                w = next(w for w in adj[v] if w in near)  # w > v, or w would have hit first
+                return tuple(cg.vars[u] for u in (root, v, w, root))
     best_len = 2 * len(verts) + 1  # longer than any walk found here
     best_walk: list[int] | None = None
     for root in verts:
-        if best_len == 3:
+        if best_len == 5:
             break
         dist = {root: 0}
         par = {root: -1}
@@ -399,7 +414,9 @@ def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertifi
     variables times edges is at most ``_SHORTEST_WALK_BUDGET`` it is a
     shortest odd closed walk of that component, chosen by length, then
     root, then scan order (see ``_shortest_odd_cycle``), so equal inputs
-    give equal certificates.  Above the budget it is the tree-path walk
+    give equal certificates: a triangle when some root lies on one,
+    found before any BFS, else the BFS from every root, which stops at
+    the first length-5 walk.  Above the budget it is the tree-path walk
     through the first conflict of a BFS 2-coloring from the class's least
     variable (``_first_conflict_walk``), which need not be shortest.
     """

@@ -21,10 +21,12 @@ class Graph:
     """Simple undirected graph with set-based adjacency.
 
     Immutable after construction (duplicate edges collapse silently,
-    self-loops are rejected) and safe to share across threads.
+    self-loops are rejected) and safe to share across threads.  The
+    neighbourhood bitsets fill a slot on first use (``neighbour_bits``);
+    two threads racing there at worst build the same tuple twice.
     """
 
-    __slots__ = ("n", "adj", "labels", "edges")
+    __slots__ = ("n", "adj", "labels", "edges", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
         if n < 0:
@@ -47,6 +49,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted((u, v) for u in range(n) for v in adj[u] if u < v)
         )
+        self._nbr: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -75,13 +78,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def neighbour_bits(g: Graph) -> list[int]:
-    """A fresh list of neighbourhood bitsets: bit w of entry v is set iff vw is an edge."""
+def neighbour_bits(g: Graph) -> tuple[int, ...]:
+    """The neighbourhood bitsets of g, bit w of entry v set iff vw is an
+    edge: built once per graph and shared, so a caller that edits them
+    takes a copy."""
+    if g._nbr is None:
+        g._nbr = _build_neighbour_bits(g)
+    return g._nbr
+
+
+def _build_neighbour_bits(g: Graph) -> tuple[int, ...]:
     nbr = [0] * g.n
     for u, v in g.edges:
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    return nbr
+    return tuple(nbr)
 
 
 def bits(x: int) -> Iterator[int]:

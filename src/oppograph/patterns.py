@@ -372,12 +372,17 @@ def _pruning(g: Graph) -> PruningSequence | None:
     int bitmask; each group is a sorted list, so a group's best pair is
     its first two members.  Heaps hold the pendants and each group's
     first two, and entries gone stale are skipped when they surface.
-    Removing v regroups only v and its neighbours.
+    The groups are built from the live vertices at the first step that
+    finds no pendant, so pendant steps before it (every step of a tree)
+    group nothing; from then on removing v regroups only v and its
+    neighbours.
     """
     nbrs = [set(s) for s in g.adj]
-    mask = neighbour_bits(g)
+    mask = list(neighbour_bits(g))
     alive = [True] * g.n
-    groups: tuple[dict, dict] = ({}, {})  # open, closed: mask -> sorted members
+    # open, closed: mask -> sorted members; join and leave do nothing
+    # until the first step without a pendant builds them
+    groups: tuple[dict, dict] | None = None
     pendants = [v for v in range(g.n) if len(nbrs[v]) == 1]  # sorted: a heap
     twins: list[tuple[int, int, int]] = []  # (anchor, removed, 1 if true twins)
 
@@ -385,7 +390,7 @@ def _pruning(g: Graph) -> PruningSequence | None:
         return mask[v] | 1 << v if closed else mask[v]
 
     def join(v: int) -> None:
-        for closed, by_key in enumerate(groups):
+        for closed, by_key in enumerate(groups or ()):
             group = by_key.setdefault(key(v, closed), [])
             i = bisect_left(group, v)
             group.insert(i, v)
@@ -393,7 +398,7 @@ def _pruning(g: Graph) -> PruningSequence | None:
                 heappush(twins, (group[0], group[1], closed))
 
     def leave(v: int) -> None:
-        for closed, by_key in enumerate(groups):
+        for closed, by_key in enumerate(groups or ()):
             k = key(v, closed)
             group = by_key[k]
             i = bisect_left(group, v)
@@ -403,8 +408,6 @@ def _pruning(g: Graph) -> PruningSequence | None:
             elif i <= 1 and len(group) > 1:
                 heappush(twins, (group[0], group[1], closed))
 
-    for v in range(g.n):
-        join(v)
     edges = g.m
     steps: list[PruneStep] = []
     while edges:
@@ -414,6 +417,11 @@ def _pruning(g: Graph) -> PruningSequence | None:
             v = heappop(pendants)
             step = PruneStep("pendant", v, next(iter(nbrs[v])))
         else:
+            if groups is None:
+                groups = ({}, {})
+                for u in range(g.n):
+                    if alive[u]:
+                        join(u)
             while twins:
                 a, b, closed = twins[0]
                 if alive[a] and alive[b] and key(a, closed) == key(b, closed):
@@ -444,10 +452,12 @@ def is_distance_hereditary(
     """Prune pendants and twins down to an edgeless graph.
 
     Success returns the pruning sequence; failure returns one of the
-    forbidden patterns (gem, house, domino, or a hole) as witness.  The
-    pruning (``_pruning``) costs O(m * n / w) big-int digit operations
-    (w bits per digit) plus the group list shifts; only a failure pays for the backtracking
-    witness search.
+    forbidden patterns (gem, house, domino, or a hole) as witness.  While
+    every step finds a pendant the pruning (``_pruning``) costs
+    O(m log n) set and heap operations and groups no twins; from the
+    first step without one, regrouping adds O(m * n / w) big-int digit
+    operations (w bits per digit) plus the group list shifts.  Only a
+    failure pays for the backtracking witness search.
     """
     seq = _pruning(g)
     if seq is not None:

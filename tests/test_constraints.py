@@ -320,7 +320,7 @@ def test_odd_walk_equals_exhaustive_reference_on_random_graphs(kind):
     assert lengths - {3}
 
 
-@pytest.mark.parametrize("k", [5, 7, 9, 11])
+@pytest.mark.parametrize("k", [5, 7, 9, 11, 21, 31])
 def test_odd_walk_of_odd_cycle_is_the_whole_aux_cycle(k):
     res = _assert_shortest_and_as_reference(ConstraintGraph(OPPOSITION, cycle_graph(k)))
     assert res.length() == k
@@ -331,6 +331,67 @@ def test_odd_walk_equals_exhaustive_reference_on_distance_hereditary(n, seed):
     g = random_distance_hereditary(n, seed)
     for kind in (OPPOSITION, COALITION):
         _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
+
+
+def test_odd_walk_without_aux_triangles_equals_reference():
+    # no root lies on an aux triangle (nor in O(C_k), the odd cycle test
+    # above), so the length-3 pass finds nothing and the BFS from every
+    # root picks the walk
+    from oppograph.generate import random_tree
+
+    def pendant_cycle(k):
+        return Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)])
+
+    graphs = [pendant_cycle(k) for k in range(7, 32, 2)]  # C(G) at k = 5 has one
+    graphs += [random_tree(n, n) for n in range(20, 61, 5)]
+    lengths = set()
+    for g in graphs:
+        for kind in (OPPOSITION, COALITION):
+            res = _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
+            if res is not None:
+                assert res.length() >= 5
+                lengths.add(res.length())
+    assert {5, 7, 17} <= lengths
+
+
+def test_odd_walk_at_length_3_builds_only_the_scanned_lists(monkeypatch):
+    def scanned(cg, walk):
+        """The variables whose lists the length-3 pass reads up to its hit:
+        each root before the hit root and its whole neighbour list, then
+        the hit root and its neighbours up to v."""
+        full = ConstraintGraph(cg.kind, cg.base).adj
+        root, v = cg.vars.index(walk[0]), cg.vars.index(walk[1])
+        bad = cg.class_bad.index(True)
+        out = set()
+        for r in (u for e, k in enumerate(cg.edge_class) if k == bad for u in (2 * e, 2 * e + 1)):
+            out.add(r)
+            if r == root:
+                return out | {u for u in full[r] if u <= v}
+            out.update(full[r])
+
+    built = []
+    inner = constraints._Adjacency._neighbours
+
+    def spy(self, i):
+        built.append(i)
+        return inner(self, i)
+
+    monkeypatch.setattr(constraints._Adjacency, "_neighbours", spy)
+    cases = [random_distance_hereditary(n, seed) for n, seed in ((40, 0), (44, 1), (48, 2))]
+    cases += [random_graph(8 + seed % 7, 0.5, seed + 7000) for seed in range(40)]
+    fewest = 1.0
+    for g in cases:
+        for kind in (OPPOSITION, COALITION):
+            cg = ConstraintGraph(kind, g)
+            del built[:]
+            res = bipartition_or_odd_walk(cg)
+            if isinstance(res, Bipartition) or res.length() != 3:
+                continue
+            got = sorted(built)
+            assert got == sorted(scanned(cg, res.walk))
+            fewest = min(fewest, len(got) / cg.var_count)
+    # the distance-hereditary requests read a small share of their lists
+    assert fewest < 0.1
 
 
 # ---------------------------------------------------------------------------

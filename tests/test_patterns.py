@@ -387,6 +387,31 @@ def test_pruning_and_chordality_at_scale():
     assert all(sum(pos[u] > pos[v] for u in tree.adj[v]) <= 1 for v in order)
 
 
+def test_pruning_groups_twins_only_once_pendants_run_out(monkeypatch):
+    import oppograph.patterns as patterns
+    from oppograph.generate import random_tree
+
+    # every twin group insert and removal bisects the group for its vertex
+    grouped = []
+    inner = patterns.bisect_left
+
+    def spy(group, v):
+        grouped.append(v)
+        return inner(group, v)
+
+    monkeypatch.setattr(patterns, "bisect_left", spy)
+    tree = random_tree(5000, 1)
+    seq = patterns._pruning(tree)
+    assert len(seq.steps) == 4999 and not grouped
+    # C4 0-1-2-3 with the path 0-4-...-53: pendants peel the path, then
+    # the groups hold only the four cycle vertices
+    g = Graph(54, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)] + [(v, v + 1) for v in range(4, 53)])
+    seq = patterns._pruning(g)
+    assert [s.kind for s in seq.steps[49:]] == ["pendant", "false-twin", "pendant", "pendant"]
+    assert set(grouped) == {0, 1, 2, 3}
+    _assert_replays(g, seq)
+
+
 def test_make_tk_structure():
     t1 = make_Tk(1)
     assert t1.n == 8 and len(t1.edges) == 7

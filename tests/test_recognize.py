@@ -702,6 +702,20 @@ def test_route_tests_run_only_at_side0(monkeypatch):
     assert pruned == [(g,)] and built == [(OPPOSITION, g)]
 
 
+def test_neighbour_bits_built_once_per_graph(monkeypatch):
+    import oppograph.graphs as graphs
+
+    # C(G), the pruning, the transitive orientation and the self-check
+    # all read the bitsets of the one input graph
+    built = _spy_calls(monkeypatch, graphs, "_build_neighbour_bits")
+    g = hub_last_k2(2000)
+    v = recognize_coalition(g)
+    assert (v.decision, v.method) == ("member", "dh-transitive")
+    assert built == [(g,)]
+    recognize_coalition(g)
+    assert len(built) == 1
+
+
 def test_constructor_scan_later_root_rescues(monkeypatch):
     from oppograph.generate import random_opposition_ptolemaic
 
