@@ -368,46 +368,22 @@ def _pruning(g: Graph) -> PruningSequence | None:
 
     Each step removes the least pendant (its neighbour the anchor), or,
     with no pendant, the twin pair with the least (anchor, removed).
-    Vertices are grouped by open and by closed neighbourhood, keyed by
-    int bitmask; each group is a sorted list, so a group's best pair is
-    its first two members.  Heaps hold the pendants and each group's
-    first two, and entries gone stale are skipped when they surface.
-    The groups are built from the live vertices at the first step that
-    finds no pendant, so pendant steps before it (every step of a tree)
-    group nothing; from then on removing v regroups only v and its
-    neighbours.
+    Vertices are grouped by open and by closed neighbourhood in one dict
+    keyed by int bitmask (N(w) = N[u] would put w in N[u] = N(w), so the
+    kinds never collide; a closed key holds its own members).  Each group
+    is a sorted list, so its best pair is its first two members.  Heaps
+    hold the pendants and each group's first two, and entries gone stale
+    are skipped when they surface.  The groups are built from the live
+    vertices at the first step that finds no pendant, so pendant steps
+    before it (every step of a tree) group nothing; from then on removing
+    v regroups only v and its neighbours.
     """
     nbrs = [set(s) for s in g.adj]
     mask = list(neighbour_bits(g))
     alive = [True] * g.n
-    # open, closed: mask -> sorted members; join and leave do nothing
-    # until the first step without a pendant builds them
-    groups: tuple[dict, dict] | None = None
+    groups: dict[int, list[int]] | None = None  # key -> sorted members
     pendants = [v for v in range(g.n) if len(nbrs[v]) == 1]  # sorted: a heap
     twins: list[tuple[int, int, int]] = []  # (anchor, removed, 1 if true twins)
-
-    def key(v: int, closed: int) -> int:
-        return mask[v] | 1 << v if closed else mask[v]
-
-    def join(v: int) -> None:
-        for closed, by_key in enumerate(groups or ()):
-            group = by_key.setdefault(key(v, closed), [])
-            i = bisect_left(group, v)
-            group.insert(i, v)
-            if i <= 1 and len(group) > 1:
-                heappush(twins, (group[0], group[1], closed))
-
-    def leave(v: int) -> None:
-        for closed, by_key in enumerate(groups or ()):
-            k = key(v, closed)
-            group = by_key[k]
-            i = bisect_left(group, v)
-            del group[i]
-            if not group:
-                del by_key[k]
-            elif i <= 1 and len(group) > 1:
-                heappush(twins, (group[0], group[1], closed))
-
     edges = g.m
     steps: list[PruneStep] = []
     while edges:
@@ -418,13 +394,17 @@ def _pruning(g: Graph) -> PruningSequence | None:
             step = PruneStep("pendant", v, next(iter(nbrs[v])))
         else:
             if groups is None:
-                groups = ({}, {})
+                groups = {}
                 for u in range(g.n):
                     if alive[u]:
-                        join(u)
+                        groups.setdefault(mask[u], []).append(u)
+                        groups.setdefault(mask[u] | 1 << u, []).append(u)
+                for k, group in groups.items():
+                    if len(group) > 1:
+                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
             while twins:
                 a, b, closed = twins[0]
-                if alive[a] and alive[b] and key(a, closed) == key(b, closed):
+                if alive[a] and alive[b] and mask[a] | closed << a == mask[b] | closed << b:
                     break
                 heappop(twins)
             if not twins:
@@ -432,17 +412,32 @@ def _pruning(g: Graph) -> PruningSequence | None:
             a, v, closed = heappop(twins)
             step = PruneStep("true-twin" if closed else "false-twin", v, a)
         steps.append(step)
-        leave(v)
         alive[v] = False
+        near = nbrs[v]
+        if groups is not None:
+            for u in (v, *near):
+                for k in (mask[u], mask[u] | 1 << u):
+                    group = groups[k]
+                    i = bisect_left(group, u)
+                    del group[i]
+                    if not group:
+                        del groups[k]
+                    elif i <= 1 and len(group) > 1:
+                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
         bit = 1 << v
-        for u in nbrs[v]:
-            leave(u)
+        for u in near:
             nbrs[u].discard(v)
             mask[u] ^= bit  # v is a neighbour: clear its bit
-            join(u)
             if len(nbrs[u]) == 1:
                 heappush(pendants, u)
-        edges -= len(nbrs[v])
+            if groups is not None:
+                for k in (mask[u], mask[u] | 1 << u):
+                    group = groups.setdefault(k, [])
+                    i = bisect_left(group, u)
+                    group.insert(i, u)
+                    if i <= 1 and len(group) > 1:
+                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
+        edges -= len(near)
     return PruningSequence(tuple(steps))
 
 

@@ -16,7 +16,6 @@ from .constraints import (
     OddWalkCertificate,
     bipartition_or_odd_walk,
     extend_acyclic,
-    forced_orientation,
     is_acyclic,
 )
 from .graphs import (
@@ -118,13 +117,9 @@ def _stats(cg=None, b=None, flips_tried=None):
     }
 
 
-def _complete_with_id_order(partial: PartialOrientation) -> Orientation:
-    """Fill in undirected edges low -> high (no acyclicity guarantee)."""
-    arcs = partial.arcs()
-    for u, v in partial.base.edges:
-        if not partial.directs(u, v):
-            arcs.append((u, v))
-    return Orientation(partial.base, arcs)
+def _side0_arcs(cg: ConstraintGraph, b: Bipartition) -> list[tuple[int, int]]:
+    """The arcs side 0 forces in every aux component: the first flip vector."""
+    return [xy for xy, side in zip(cg.vars, b.side) if not side]
 
 
 def _checked_member(graph_class, method, orientation, stats) -> Verdict:
@@ -223,8 +218,14 @@ def _parts(cg: ConstraintGraph, b: Bipartition) -> list[_Part]:
 
 def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
     """The least flip vector in rank order (aux component 0 pinned: the
-    global reversal quotient) whose forced orientation is acyclic, found
-    one component of G at a time.
+    global reversal quotient) whose forced orientation is acyclic.
+
+    The first vector, side 0 in every aux component, takes one Kahn pass
+    over the whole graph; when it is acyclic no part is built.  A min-id
+    Kahn order restricted to one component is that component's own, and
+    ``orient_along`` reads only the relative order of adjacent vertices,
+    so the arcs and ``tried`` 1 are the per-part search's.  Otherwise the
+    search runs one component of G at a time.
 
     A P4 lies inside one component and a union of acyclic orientations is
     acyclic, so a vector is acyclic exactly when its restriction to every
@@ -243,10 +244,13 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     A member is oriented along the parts' min-id topological orders, the
     other vertices last: the arcs ``extend_acyclic`` gives, per component.
     """
+    order, cyc = topo_order_or_cycle(cg.base.n, _side0_arcs(cg, b))
+    if cyc is None:
+        return _FlipOutcome(orient_along(cg.base, order), None, 1)
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
     parts = _parts(cg, b)
     flips = [0] * b.component_count
-    order: list[int] = []
+    order = []
     tried = 0
     capped = False
     for part in parts:
@@ -323,13 +327,15 @@ def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, outc
 
 
 def recognize_generalized_opposition(g: Graph) -> Verdict:
+    """Bipartiteness of O(G) decides.  A member takes the side-0 arcs and,
+    low to high, the edges that end no P4 (acyclic or not)."""
     cg, res = _aux(g, OPPOSITION)
     if isinstance(res, OddWalkCertificate):
         return Verdict(
             GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg)
         )
-    partial = forced_orientation(cg, res, (0,) * res.component_count)
-    o = _complete_with_id_order(partial)
+    ends = set(cg.vars[::2])
+    o = Orientation(g, _side0_arcs(cg, res) + [e for e in g.edges if e not in ends])
     return _checked_member(GENERALIZED_OPPOSITION, "aux-bipartite", o, _stats(cg, res, 0))
 
 
@@ -568,21 +574,14 @@ def transitive_orient(g: Graph) -> Orientation | None:
     return Orientation(g, [(t, h) for t in range(g.n) for h in bits(out[t])])
 
 
-def _transitive_member(g: Graph, stats: dict) -> Verdict:
-    """Distance-hereditary coalition members are comparability graphs."""
-    o = transitive_orient(g)
-    if o is None:
-        raise CertificateError("distance-hereditary coalition member is not a comparability graph")
-    return _checked_member(COALITION, "dh-transitive", o, stats)
-
-
 def recognize_coalition(
     g: Graph, flip_cap: int | None = None, want_witness: bool = False
 ) -> Verdict:
     """The flip search over C(G), marked as an extension.  Only a member at
     its first vector, side 0, runs route tests: ``dh-transitive`` if
-    distance-hereditary (a comparability graph, transitively oriented),
-    else ``gem-house-hole-free`` if (gem, house, hole)-free."""
+    distance-hereditary, else ``gem-house-hole-free`` if (gem, house,
+    hole)-free.  Both keep the side-0 orientation, the first label with
+    ``flips_tried`` null; no transitive orientation is built."""
     _check_cap(flip_cap)
     cg, res = _aux(g, COALITION)
     if isinstance(res, OddWalkCertificate):
@@ -596,7 +595,7 @@ def recognize_coalition(
     method = "flip-search-extension"
     if outcome.orientation is not None and outcome.tried == 1:  # at side 0
         if _pruning(g) is not None:
-            return _transitive_member(g, _stats(cg, res, None))
+            return _checked_member(COALITION, "dh-transitive", outcome.orientation, _stats(cg, res, None))
         if _gem_house_free(g) and has_hole(g) is None:
             method = "gem-house-hole-free"
     return _flip_verdict(COALITION, method, cg, res, outcome)
@@ -604,7 +603,8 @@ def recognize_coalition(
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:
     """For distance-hereditary inputs, membership is exactly N-freeness
-    and members are comparability graphs."""
+    and members are comparability graphs, transitively oriented with no
+    aux graph built."""
     _check_cap(flip_cap)
     if _pruning(g) is None:
         return recognize_coalition(g, flip_cap=flip_cap)
@@ -613,7 +613,10 @@ def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = Non
         return Verdict(
             COALITION, NON_MEMBER, "dh-n-witness", _checked_pattern(g, nmatch), _stats()
         )
-    return _transitive_member(g, _stats())
+    o = transitive_orient(g)
+    if o is None:
+        raise CertificateError("distance-hereditary coalition member is not a comparability graph")
+    return _checked_member(COALITION, "dh-transitive", o, _stats())
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ GOLDEN = {
     "coal/tree": "f076e88d891932e703704e6912b0f294216561d78f6b2e1ad8fbe7a621499331",
     "coal/h2": "5fdd76a1627eb58e5f80c00d29c880517bc1e76a798bd34a35259f0c2dd92aad",
     "coal/dh-twins": "8fed8e9631a20c2d45b3bbd8d76163765af4a6a4a87d2ee48eba6d6256ee4e1f",
-    "coal/p5+h1": "750e15977b5214d8c6d6a25e3da741109de044a1efb32538db896df22c242d07",
+    "coal/p5+h1": "b2781fa3c2e4c6d4e2db6805147453b8c1d27bda1635e16d03b5489e17f69456",
     "coal/dh-non-member-witness": "4d2b8eea85b5c1b6a33b27bf0c5e1b526d41ddb978a5da874511949c90c7dd96",
     "coal/gem-house-hole-free": "b7838cbd22695e040fc1bc44250a94838f2c58b78486497f17d01c6c2cc4cfb6",
     "coal/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",

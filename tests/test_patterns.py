@@ -412,6 +412,37 @@ def test_pruning_groups_twins_only_once_pendants_run_out(monkeypatch):
     _assert_replays(g, seq)
 
 
+def test_pruning_matches_reference_at_scale():
+    # larger inputs than the reference corpus, and inputs where many
+    # vertices share one open or closed key: random distance-hereditary
+    # graphs (n 20-80), the ptolemaic generators, K_{2,k} with its hubs
+    # first or last, apart or joined, and stars
+    from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_ptolemaic
+    from oppograph.patterns import _pruning
+
+    rng = random.Random(1801)
+    graphs = []
+    for n in range(20, 81, 4):
+        graphs.append(random_distance_hereditary(n, rng.randrange(10**6)))
+        graphs.append(shuffled_union([random_distance_hereditary(n, rng.randrange(10**6))], rng))
+    for n in (20, 40, 60, 80):
+        for make in (random_ptolemaic, random_opposition_ptolemaic):
+            graphs.append(make(n, rng.randrange(10**6)))
+    for k in (2, 3, 10, 50, 200):
+        for hubs in ((0, 1), (k, k + 1)):
+            leaves = [v for v in range(k + 2) if v not in hubs]
+            k2 = [(v, h) for v in leaves for h in hubs]
+            graphs += [Graph(k + 2, k2), Graph(k + 2, k2 + [hubs])]
+        graphs.append(Graph(k + 1, [(i, k) for i in range(k)]))
+        graphs.append(shuffled_union([Graph(k + 1, [(i, k) for i in range(k)])], rng))
+    kinds = Counter()
+    for g in graphs:
+        ok, want, _ = reference_is_distance_hereditary(g)
+        assert ok and _pruning(g) == want, g
+        kinds.update(step.kind for step in want.steps)
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_make_tk_structure():
     t1 = make_Tk(1)
     assert t1.n == 8 and len(t1.edges) == 7

@@ -17,7 +17,6 @@ from oppograph.constraints import (
 from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
-    Orientation,
     complement,
     complete_graph,
     connected_components,
@@ -705,8 +704,8 @@ def test_route_tests_run_only_at_side0(monkeypatch):
 def test_neighbour_bits_built_once_per_graph(monkeypatch):
     import oppograph.graphs as graphs
 
-    # C(G), the pruning, the transitive orientation and the self-check
-    # all read the bitsets of the one input graph
+    # C(G), the pruning and the self-check all read the bitsets of the one
+    # input graph
     built = _spy_calls(monkeypatch, graphs, "_build_neighbour_bits")
     g = hub_last_k2(2000)
     v = recognize_coalition(g)
@@ -714,6 +713,40 @@ def test_neighbour_bits_built_once_per_graph(monkeypatch):
     assert built == [(g,)]
     recognize_coalition(g)
     assert len(built) == 1
+
+
+def test_coalition_dh_members_keep_side0(monkeypatch):
+    # recognize_coalition labels a distance-hereditary member at side 0 and
+    # keeps that orientation; only recognize_coalition_distance_hereditary,
+    # which builds no C(G), orients transitively
+    import oppograph.recognize as rec
+    from oppograph.generate import random_distance_hereditary, random_tree
+
+    built = _spy_calls(monkeypatch, rec, "transitive_orient")
+    inputs = [random_tree(30, 4), hub_last_k2(50), disjoint_union([path_graph(5), make_Hk(1).as_graph()])]
+    inputs += [random_distance_hereditary(25, seed) for seed in range(20)]
+    members = 0
+    for g in inputs:
+        v = recognize_coalition(g)
+        if not v.is_member:
+            continue
+        assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
+        cg = ConstraintGraph(COALITION, g)
+        b = bipartition_or_odd_walk(cg)
+        side0 = extend_acyclic(forced_orientation(cg, b, (0,) * b.component_count))
+        assert v.certificate.arcs() == side0.arcs()
+        _assert_verdict(g, v, "member")
+        members += 1
+    assert members >= 10 and not built
+    v = recognize_coalition_distance_hereditary(inputs[0])
+    assert v.method == "dh-transitive" and len(built) == 1
+
+
+def test_hub_last_k2_4000_coalition():
+    g = hub_last_k2(4000)
+    v = recognize_coalition(g)
+    assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
+    _assert_verdict(g, v, "member")
 
 
 def test_constructor_scan_later_root_rescues(monkeypatch):
@@ -901,6 +934,82 @@ def test_flip_search_without_aux_components():
         assert got.tried == 1 and got.orientation is not None
 
 
+def _per_part_search(monkeypatch, cg, b):
+    """``_flip_search`` with its whole-graph side-0 pass made to report a
+    cycle, so the per-part search decides."""
+    import oppograph.recognize as rec
+
+    inner, calls = rec.topo_order_or_cycle, []
+
+    def first_cyclic(n, arcs):
+        calls.append(n)
+        return (None, DirectedCycleCertificate(())) if len(calls) == 1 else inner(n, arcs)
+
+    with monkeypatch.context() as m:
+        m.setattr(rec, "topo_order_or_cycle", first_cyclic)
+        return _flip_search(cg, b, None)
+
+
+def test_side0_pass_equals_the_per_part_search(monkeypatch):
+    # on random disjoint unions (n <= 12, ids interleaved, some components
+    # with edges but no aux variable) a member at the first vector gets the
+    # arcs and flips_tried the per-part search gives; past a cyclic side 0
+    # (F}SyO and FNccw have one) both run the same per-part search
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(400):
+        gs = [parse_graph6(rng.choice(("F}SyO", "FNccw")))] if rng.random() < 0.2 else []
+        while True:
+            h = random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.9), rng)
+            if sum(x.n for x in gs) + h.n > 12:
+                break
+            gs.append(h)
+        g = shuffled_union(gs, rng)
+        comps = connected_components(g)
+        for kind in (OPPOSITION, COALITION):
+            cg = ConstraintGraph(kind, g)
+            b = bipartition_or_odd_walk(cg)
+            if isinstance(b, OddWalkCertificate):
+                continue
+            got, want = _flip_search(cg, b, None), _per_part_search(monkeypatch, cg, b)
+            _assert_same_outcome(got, want)
+            if want.orientation is None or want.tried > 1:
+                seen["cyclic side 0"] += 1
+                continue
+            ends = {x for x, _ in cg.vars}
+            seen["several parts"] += sum(not ends.isdisjoint(c) for c in comps) > 1
+            seen["edges without aux variables"] += any(
+                len(c) > 1 and ends.isdisjoint(c) for c in comps
+            )
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def test_side0_member_takes_one_kahn_pass(monkeypatch):
+    import oppograph.recognize as rec
+    from oppograph.generate import random_opposition_ptolemaic
+
+    parts = _spy_calls(monkeypatch, rec, "_parts")
+    passes = _spy_calls(monkeypatch, rec, "topo_order_or_cycle")
+    domino = parse_graph6("Er_g")
+    for recognize, g, method in (
+        (recognize_opposition, random_opposition_ptolemaic(40, 40), "dh-ptolemaic"),
+        (recognize_opposition, domino, "gem-house-free"),
+        (recognize_coalition, hub_last_k2(50), "dh-transitive"),
+        (recognize_coalition, disjoint_union([path_graph(5), make_Hk(1).as_graph()]), "dh-transitive"),
+        (recognize_coalition, domino, "gem-house-hole-free"),
+    ):
+        parts.clear()
+        passes.clear()
+        v = recognize(g)
+        assert v.method == method and v.stats["flips_tried"] in (None, 1)
+        assert parts == [] and len(passes) == 1
+    # a cyclic side 0 goes on to the per-part search
+    passes.clear()
+    v = recognize_opposition(parse_graph6("F}SyO"))
+    assert v.is_member and v.stats["flips_tried"] > 1
+    assert len(parts) == 1 and len(passes) == 1 + v.stats["flips_tried"]
+
+
 _BLOCKS = (
     complement(cycle_graph(6)),
     cycle_graph(6),
@@ -1037,6 +1146,7 @@ def test_member_self_check_raises_on_a_bad_orientation(monkeypatch):
     # breaks generalized opposition; the self-check raises, never returns it
     import oppograph.recognize as rec
 
-    monkeypatch.setattr(rec, "_complete_with_id_order", lambda partial: Orientation(partial.base, partial.base.edges))
+    # the side-0 arcs replaced by every end-edge low -> high
+    monkeypatch.setattr(rec, "_side0_arcs", lambda cg, b: list(cg.vars[::2]))
     with pytest.raises(CertificateError, match=r"P4 \(0, 1, 2, 3\) violates the generalized-opposition condition"):
         recognize_generalized_opposition(path_graph(5))
