@@ -45,7 +45,6 @@ from .p4 import (
     end_edges,
     induced_p4s,
     layer_decompose,
-    p4_type,
     verify_orientation,
 )
 from .patterns import (
@@ -67,7 +66,6 @@ from .patterns import (
     is_ptolemaic,
     make_Hk,
     make_Tk,
-    twins_and_pendants,
 )
 from .recognize import (
     DEFAULT_FLIP_CAP,

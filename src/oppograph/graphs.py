@@ -191,10 +191,6 @@ class PartialOrientation:
     def domain(self) -> list[tuple[int, int]]:
         return sorted(self._head)
 
-    def directs(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._head
-
     def forward(self, a: int, b: int) -> bool:
         """True iff the edge {a, b} is directed a -> b."""
         key = (a, b) if a < b else (b, a)

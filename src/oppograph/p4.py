@@ -1,16 +1,14 @@
-"""Induced P4 enumeration, oriented-P4 typing, and BFS-layer classification.
+"""Induced P4 enumeration, the opposition and coalition P4 conditions,
+and BFS-layer classification.
 
-The four orientation types of a chordless path a-b-c-d:
-
-  type 0: both end-edges point toward the middle  (a->b and d->c)
-  type 1: both end-edges point away from it       (b->a and c->d)
-  type 2: end-edges aligned with the path and the mid-edge agrees
-  type 3: end-edges aligned with the path, mid-edge opposed
-
-Types are invariant under reading the path from the other end.  An acyclic
-orientation is an opposition orientation when every induced P4 has type 0
-or 1, and a coalition orientation when every type is 2 or 3; dropping the
-acyclicity requirement from the former gives generalized opposition.
+An orientation treats a chordless path a-b-c-d by its end-edges: they are
+opposed when both point toward the middle (a->b and d->c) or both away
+from it (b->a and c->d), and aligned with the path otherwise.  Neither
+reading depends on the end the path is read from.  An acyclic orientation
+is an opposition orientation when every induced P4 has opposed end-edges,
+and a coalition orientation when every induced P4 has aligned ones;
+dropping the acyclicity requirement from the former gives generalized
+opposition.
 """
 
 from __future__ import annotations
@@ -53,19 +51,6 @@ def induced_p4s(g: Graph) -> list[P4]:
     return out
 
 
-def is_induced_p4(g: Graph, a: int, b: int, c: int, d: int) -> bool:
-    if len({a, b, c, d}) != 4:
-        return False
-    return (
-        g.has_edge(a, b)
-        and g.has_edge(b, c)
-        and g.has_edge(c, d)
-        and not g.has_edge(a, c)
-        and not g.has_edge(a, d)
-        and not g.has_edge(b, d)
-    )
-
-
 def end_edges(g: Graph, p4s: list[P4] | None = None) -> list[tuple[int, int]]:
     """Edges occurring as first or last edge of some induced P4, sorted."""
     if p4s is None:
@@ -75,21 +60,6 @@ def end_edges(g: Graph, p4s: list[P4] | None = None) -> list[tuple[int, int]]:
         seen.add((a, b) if a < b else (b, a))
         seen.add((c, d) if c < d else (d, c))
     return sorted(seen)
-
-
-def p4_type(p: P4, o: Orientation) -> int:
-    """Classify an oriented P4 into types 0..3 (see module docstring)."""
-    a, b, c, d = p
-    if not is_induced_p4(o.base, a, b, c, d):
-        raise ValueError(f"{p} is not an induced P4 of the base graph")
-    ab = o.forward(a, b)
-    cd = o.forward(c, d)
-    if ab and not cd:
-        return 0
-    if not ab and cd:
-        return 1
-    bc = o.forward(b, c)
-    return 2 if bc == ab else 3
 
 
 def orientation_good_for(p: P4, o, graph_class: str) -> bool:
@@ -146,9 +116,6 @@ def layer_decompose(g: Graph, w: int) -> LayerDecomposition:
     if any(d < 0 for d in dist):
         raise DisconnectedRootError(f"graph is not connected from root {w}")
     return LayerDecomposition(w, tuple(dist))
-
-
-LAYER_TYPES = "ABCDE"
 
 
 class LayerTypeError(ValueError):

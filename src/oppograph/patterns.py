@@ -1,8 +1,8 @@
 """Forbidden-pattern catalog and structural graph-class detectors.
 
-Covers backtracking induced-subgraph search, hole finding, chordality with
-certificates, ptolemaic and distance-hereditary recognition by pruning,
-the T_k and H_k obstruction families, and twin/pendant queries.
+Covers induced-subgraph search (backtracking over an explicit stack), hole
+finding, chordality with certificates, ptolemaic and distance-hereditary
+recognition by pruning, and the T_k and H_k obstruction families.
 
 The chordality and distance-hereditary tests have yes/no forms
 (``_perfect_elimination_order``, ``_pruning``) for the recognizers;
@@ -38,9 +38,6 @@ class Pattern:
 
     def as_graph(self) -> Graph:
         return Graph(self.n, self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,10 @@ def find_induced(g: Graph, p: Pattern) -> PatternMatch | None:
     """Backtracking induced-subgraph isomorphism, deterministic order.
 
     Pattern vertices are matched in id order with host candidates tried
-    ascending, so a hit is the lexicographically least embedding.
+    ascending, so a hit is the lexicographically least embedding.  Vertex
+    i draws its candidates from the neighbours of its anchor's image (its
+    least earlier neighbour), or from every host vertex.  An explicit stack
+    holds one candidate iterator per level, so nothing recurses.
     """
     if p.n > g.n:
         return None
@@ -166,39 +166,30 @@ def find_induced(g: Graph, p: Pattern) -> PatternMatch | None:
         padj[u].add(v)
         padj[v].add(u)
     pdeg = [len(s) for s in padj]
-    mapping = [-1] * p.n
+    anchor = [min((j for j in padj[i] if j < i), default=-1) for i in range(p.n)]
+    mapping: list[int] = []  # the images of pattern vertices 0 .. i - 1
     used = [False] * g.n
-
-    def candidates(i: int):
-        anchors = [j for j in sorted(padj[i]) if j < i]
-        if anchors:
-            return g.sorted_neighbors(mapping[anchors[0]])
-        return range(g.n)
-
-    def extend(i: int) -> bool:
-        if i == p.n:
-            return True
-        for cand in candidates(i):
+    stack = []  # the candidate iterators of levels 0 .. i
+    while len(mapping) < p.n:
+        i = len(mapping)
+        if len(stack) == i:
+            a = anchor[i]
+            stack.append(iter(range(g.n) if a < 0 else g.sorted_neighbors(mapping[a])))
+        back = padj[i]
+        for cand in stack[i]:
             if used[cand] or g.degree(cand) < pdeg[i]:
                 continue
             cadj = g.adj[cand]
-            ok = True
-            for j in range(i):
-                if (j in padj[i]) != (mapping[j] in cadj):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = cand
+            if all((j in back) == (mapping[j] in cadj) for j in range(i)):
+                mapping.append(cand)
                 used[cand] = True
-                if extend(i + 1):
-                    return True
-                used[cand] = False
-        mapping[i] = -1
-        return False
-
-    if extend(0):
-        return PatternMatch(p, tuple(mapping))
-    return None
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            used[mapping.pop()] = False
+    return PatternMatch(p, tuple(mapping))
 
 
 def find_Tk_free_violation(g: Graph) -> tuple[int, PatternMatch] | None:
@@ -464,18 +455,3 @@ def is_distance_hereditary(
     witness = has_hole(g)
     assert witness is not None, "pruning stuck but no forbidden pattern found"
     return False, None, witness
-
-
-def twins_and_pendants(g: Graph) -> list[tuple[str, tuple[int, ...]]]:
-    """All current pendants and twin pairs, sorted."""
-    out: list[tuple[str, tuple[int, ...]]] = []
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            out.append(("pendant", (v,)))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] - {v} == g.adj[v] - {u}:
-                kind = "true-twin" if g.has_edge(u, v) else "false-twin"
-                out.append((kind, (u, v)))
-    out.sort()
-    return out

@@ -15,14 +15,11 @@ from .constraints import (
     ConstraintGraph,
     OddWalkCertificate,
     bipartition_or_odd_walk,
-    extend_acyclic,
-    is_acyclic,
 )
 from .graphs import (
     DirectedCycleCertificate,
     Graph,
     Orientation,
-    PartialOrientation,
     bits,
     connected_components,
     induced_subgraph,
@@ -176,7 +173,7 @@ class _Part:
         ``cap`` vectors.  Returns the first vector whose forced part of
         G[S] is acyclic and its min-id topological order (or None, None),
         and the (vector, cycle) entries before it, each cycle the one
-        ``is_acyclic`` reports, all in local ids."""
+        ``topo_order_or_cycle`` reports, all in local ids."""
         free = [j for j in range(len(self.aux)) if j != pinned]
         entries = []
         for rank in range(min(1 << len(free), cap)):
@@ -242,7 +239,8 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     ``InducedSubgraph`` holding the exhaustion of G[S].  With no
     exhaustion, a part that hit the cap leaves the verdict undecided.
     A member is oriented along the parts' min-id topological orders, the
-    other vertices last: the arcs ``extend_acyclic`` gives, per component.
+    other vertices last: per component, the arcs of a min-id topological
+    completion.
     """
     order, cyc = topo_order_or_cycle(cg.base.n, _side0_arcs(cg, b))
     if cyc is None:
@@ -489,8 +487,10 @@ def ptolemaic_opposition_orient(g: Graph) -> Orientation:
 def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
     """The layer construction from one root.  Inter-layer edges alternate
     in blocks of two layers; intra-layer end-edges take the direction
-    opposing the other end-edge of their P4; the rest completes
-    topologically.  Raises PtolemaicOrientationError when a check fails."""
+    opposing the other end-edge of their P4.  One min-id Kahn pass over
+    these arcs either reports their directed cycle or gives the order that
+    every edge is then directed along.  Raises PtolemaicOrientationError
+    when a check fails."""
     layers = layer_decompose(g, root)
     heads: dict[tuple[int, int], int] = {}
     for u, v in g.edges:
@@ -517,13 +517,12 @@ def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
     for e, (head, _) in forced.items():
         heads[e] = head
     arcs = [(u if h == v else v, h) for (u, v), h in heads.items()]
-    partial = PartialOrientation(g, arcs)
-    res = is_acyclic(partial)
-    if isinstance(res, DirectedCycleCertificate):
+    order, cyc = topo_order_or_cycle(g.n, arcs)
+    if cyc is not None:
         raise PtolemaicOrientationError(
-            f"forced partial orientation is cyclic: {res.vertices}"
+            f"forced partial orientation is cyclic: {cyc.vertices}"
         )
-    o = extend_acyclic(partial)
+    o = orient_along(g, order)
     bad = [p for p in p4s if not orientation_good_for(p, o, OPPOSITION)]
     if bad:
         raise PtolemaicOrientationError(

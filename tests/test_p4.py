@@ -14,7 +14,6 @@ from oppograph.p4 import (
     end_edges,
     induced_p4s,
     layer_decompose,
-    p4_type,
     verify_orientation,
 )
 from oppograph.patterns import make_Hk
@@ -70,53 +69,6 @@ def test_p4_enumerators_match_bruteforce_sweep(n):
 
 def _orient(g, arcs):
     return Orientation(g, arcs)
-
-
-def test_p4_type_representative_cases():
-    g = path_graph(4)
-    p = (0, 1, 2, 3)
-    assert p4_type(p, _orient(g, [(0, 1), (1, 2), (3, 2)])) == 0
-    assert p4_type(p, _orient(g, [(1, 0), (1, 2), (2, 3)])) == 1
-    assert p4_type(p, _orient(g, [(0, 1), (1, 2), (2, 3)])) == 2
-    assert p4_type(p, _orient(g, [(0, 1), (2, 1), (2, 3)])) == 3
-
-
-def test_p4_type_rejects_non_induced():
-    g = complete_graph(4)
-    with pytest.raises(ValueError, match=r"^\(0, 1, 2, 3\) is not an induced P4"):
-        p4_type((0, 1, 2, 3), _orient(g, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-
-
-def test_p4_type_path_reading_invariant():
-    g = path_graph(4)
-    for arcs in [
-        [(0, 1), (1, 2), (3, 2)],
-        [(1, 0), (1, 2), (2, 3)],
-        [(0, 1), (1, 2), (2, 3)],
-        [(0, 1), (2, 1), (2, 3)],
-        [(1, 0), (2, 1), (2, 3)],
-        [(1, 0), (2, 1), (3, 2)],
-    ]:
-        o = _orient(g, arcs)
-        assert p4_type((0, 1, 2, 3), o) == p4_type((3, 2, 1, 0), o)
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_p4_type_arc_reversal_swaps_0_1_and_preserves_aligned(data):
-    g = random_graph(data.draw(st.integers(4, 7)), data.draw(st.floats(0.2, 0.8)), data.draw(st.integers(0, 10**6)))
-    p4s = induced_p4s(g)
-    if not p4s:
-        return
-    bits = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
-    arcs = [(u, v) if b else (v, u) for (u, v), b in zip(g.edges, bits)]
-    o = Orientation(g, arcs)
-    r = o.reverse()
-    for p in p4s:
-        t, rt = p4_type(p, o), p4_type(p, r)
-        assert {t, rt} in ({0, 1}, {2}, {3}) or (t in (2, 3) and rt in (2, 3))
-        if t in (0, 1):
-            assert rt == 1 - t
 
 
 def test_opposition_predicate_is_types_0_1():

@@ -21,6 +21,7 @@ from oppograph.patterns import (
     GRAPH_G2,
     GRAPH_N,
     HOUSE,
+    Pattern,
     PatternMatch,
     PruneStep,
     PruningSequence,
@@ -35,22 +36,22 @@ from oppograph.patterns import (
     is_ptolemaic,
     make_Hk,
     make_Tk,
-    twins_and_pendants,
 )
 from oppograph.verify import check_pattern_match
 
 
-def brute_embeds(g, pattern) -> bool:
+def brute_embeds(g, pattern) -> tuple[int, ...] | None:
+    """The lexicographically least induced embedding, by walking every
+    injective mapping in order."""
     pg = pattern.as_graph()
-    for subset in itertools.combinations(range(g.n), pattern.n):
-        for perm in itertools.permutations(subset):
-            if all(
-                pg.has_edge(i, j) == g.has_edge(perm[i], perm[j])
-                for i in range(pattern.n)
-                for j in range(i + 1, pattern.n)
-            ):
-                return True
-    return False
+    for perm in itertools.permutations(range(g.n), pattern.n):
+        if all(
+            pg.has_edge(i, j) == g.has_edge(perm[i], perm[j])
+            for i in range(pattern.n)
+            for j in range(i + 1, pattern.n)
+        ):
+            return perm
+    return None
 
 
 def test_house_is_complement_of_p5():
@@ -90,14 +91,25 @@ def test_co_c6_labeled_is_gem_free(co_c6_labeled):
 
 
 def test_find_induced_agrees_with_bruteforce():
-    pats = [GEM, HOUSE, GRAPH_N, GRAPH_A, CATALOG["C4"], CATALOG["C5"]]
+    # the 0-vertex pattern matches every graph with the empty mapping
+    pats = [GEM, HOUSE, GRAPH_N, GRAPH_A, CATALOG["C4"], CATALOG["C5"], Pattern("empty", 0, ())]
+    assert find_induced(Graph(0), pats[-1]).mapping == brute_embeds(Graph(0), pats[-1]) == ()
     for seed in range(30):
         g = random_graph(8, 0.45, seed)
         for pat in pats:
             got = find_induced(g, pat)
-            assert (got is not None) == brute_embeds(g, pat), (seed, pat.name)
+            # the search returns the lexicographically least embedding
+            assert (None if got is None else got.mapping) == brute_embeds(g, pat), (seed, pat.name)
             if got is not None:
                 assert check_pattern_match(g, got) == (True, "ok")
+
+
+def test_find_induced_long_path_does_not_recurse():
+    # one stack entry per pattern vertex, far past the recursion limit
+    k = 1200
+    pattern = Pattern(f"P{k}", k, tuple((i, i + 1) for i in range(k - 1)))
+    got = find_induced(path_graph(1500), pattern)
+    assert got is not None and got.mapping == tuple(range(k))
 
 
 def brute_has_hole(g) -> bool:
@@ -519,17 +531,6 @@ def test_find_max_hk():
     assert find_max_Hk(path_graph(6)) is None
     k, variant, _ = find_max_Hk(make_Hk(2).as_graph())
     assert (k, variant) == (2, "full")
-
-
-def test_twins_and_pendants_examples():
-    assert twins_and_pendants(complete_graph(2)) == [
-        ("pendant", (0,)),
-        ("pendant", (1,)),
-        ("true-twin", (0, 1)),
-    ]
-    c4 = twins_and_pendants(cycle_graph(4))
-    assert c4 == [("false-twin", (0, 2)), ("false-twin", (1, 3))]
-    assert twins_and_pendants(GEM.as_graph()) == []
 
 
 def test_twin_deletion_preserves_opposition_membership():
