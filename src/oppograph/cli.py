@@ -43,8 +43,8 @@ _DECISION_EXIT = {MEMBER: EXIT_MEMBER, NON_MEMBER: EXIT_NON_MEMBER, UNDECIDED: E
 
 
 _FLIP_CAP_HELP = (
-    "flip vectors each connected component may try before the verdict is "
-    "undecided (default: OPPO_FLIP_CAP, else 2^20)"
+    "flip vectors each connected component with a cyclic side 0 may try "
+    "before the verdict is undecided (default: OPPO_FLIP_CAP, else 2^20)"
 )
 
 

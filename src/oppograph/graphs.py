@@ -238,26 +238,9 @@ class DirectedCycleCertificate:
         return len(self.vertices)
 
 
-def topo_order_or_cycle(
-    n: int, arcs: Iterable[tuple[int, int]]
-) -> tuple[list[int] | None, DirectedCycleCertificate | None]:
-    """Kahn's algorithm over all n vertices, smallest id first.
-
-    Returns (order, None) when the arc set is acyclic, else (None, cycle).
-    The vertices Kahn's algorithm cannot remove are left over; each has a
-    leftover predecessor.  The cycle is found by starting at the least
-    leftover vertex and stepping to its least leftover predecessor until
-    a vertex repeats; the repeated stretch, read along the arcs, is the
-    cycle.  So the cycle depends only on the arc set, not on its order.
-
-    Every step follows an arc, so the walk never leaves the weakly
-    connected component of its start.  Hence when only one component of
-    a disjoint union has arcs, the cycle is the one this function finds
-    in that component alone, and renumbering the component's vertices in
-    increasing order (as ``induced_subgraph`` does) keeps every
-    comparison the rule makes.  The flip search relies on this to check
-    one component of G at a time.
-    """
+def kahn_pass(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Kahn's algorithm over all n vertices, smallest id first: its order,
+    and the in-degrees it leaves, positive at the vertices left over."""
     out: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for t, h in arcs:
@@ -273,25 +256,40 @@ def topo_order_or_cycle(
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
+    return order, indeg
+
+
+def leftover_cycle(arcs, indeg: list[int]) -> DirectedCycleCertificate:
+    """The cycle met by stepping from the least leftover vertex of
+    ``kahn_pass`` to its least leftover predecessor until a vertex
+    repeats, read along the arcs; it depends only on the arc set.  Each
+    step follows an arc, so the walk stays in the weakly connected
+    component of its start, and renumbering that component in increasing
+    order (as ``induced_subgraph`` does) keeps every comparison it makes.
+    """
+    pred: dict[int, int] = {}
+    for t, h in arcs:
+        if indeg[t] and indeg[h] and (h not in pred or t < pred[h]):
+            pred[h] = t
+    seen: dict[int, int] = {}  # the trail so far, vertex -> its position
+    v = next(v for v, d in enumerate(indeg) if d)
+    while v not in seen:
+        seen[v] = len(seen)
+        v = pred[v]
+    cyc = list(seen)[seen[v]:]
+    cyc.reverse()  # pred-walk reversed = arc direction
+    return DirectedCycleCertificate(tuple(cyc))
+
+
+def topo_order_or_cycle(
+    n: int, arcs: list[tuple[int, int]]
+) -> tuple[list[int] | None, DirectedCycleCertificate | None]:
+    """(order, None) with the ``kahn_pass`` order when the arc set is
+    acyclic, else (None, cycle) with its ``leftover_cycle``."""
+    order, indeg = kahn_pass(n, arcs)
     if len(order) == n:
         return order, None
-    # walk predecessors inside the leftover set until a vertex repeats
-    left = {v for v in range(n) if indeg[v] > 0}
-    pred: dict[int, list[int]] = {v: [] for v in left}
-    for t in left:
-        for h in out[t]:
-            if h in left:
-                pred[h].append(t)
-    v = min(left)
-    seen: dict[int, int] = {}
-    trail: list[int] = []
-    while v not in seen:
-        seen[v] = len(trail)
-        trail.append(v)
-        v = min(pred[v])
-    cyc = trail[seen[v]:]
-    cyc.reverse()  # pred-walk reversed = arc direction
-    return None, DirectedCycleCertificate(tuple(cyc))
+    return None, leftover_cycle(arcs, indeg)
 
 
 # ---------------------------------------------------------------------------

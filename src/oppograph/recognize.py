@@ -23,6 +23,8 @@ from .graphs import (
     bits,
     connected_components,
     induced_subgraph,
+    kahn_pass,
+    leftover_cycle,
     neighbour_bits,
     orient_along,
     topo_order_or_cycle,
@@ -149,7 +151,7 @@ class _FlipOutcome:
 
 
 class _Part:
-    """A connected component of G that holds aux variables.
+    """A connected component of G where side 0 is cyclic.
 
     ``vertices`` are its vertices in increasing order; local vertex i is
     ``vertices[i]``, as in ``induced_subgraph``.  ``aux`` lists the aux
@@ -157,10 +159,10 @@ class _Part:
     variables as (position of its aux component in ``aux``, side, local
     arc).  The classes of O(G[S]) or C(G[S]) are those of the part in the
     same order with the same sides, so local bit vectors are the flip
-    vectors of G[S].
+    vectors of G[S].  ``cycle`` is its side-0 cycle in local ids.
     """
 
-    __slots__ = ("vertices", "aux", "vars")
+    __slots__ = ("vertices", "aux", "vars", "cycle")
 
     def __init__(self, vertices: tuple[int, ...]):
         self.vertices = vertices
@@ -173,10 +175,11 @@ class _Part:
         ``cap`` vectors.  Returns the first vector whose forced part of
         G[S] is acyclic and its min-id topological order (or None, None),
         and the (vector, cycle) entries before it, each cycle the one
-        ``topo_order_or_cycle`` reports, all in local ids."""
+        ``topo_order_or_cycle`` reports, all in local ids.  The rank-0
+        entry is (side 0, ``cycle``), so passes start at rank 1."""
         free = [j for j in range(len(self.aux)) if j != pinned]
-        entries = []
-        for rank in range(min(1 << len(free), cap)):
+        entries = [((0,) * len(self.aux), self.cycle)]
+        for rank in range(1, min(1 << len(free), cap)):
             bits = [0] * len(self.aux)
             for i, j in enumerate(free):
                 bits[j] = (rank >> i) & 1
@@ -188,29 +191,41 @@ class _Part:
         return None, None, entries
 
 
-def _parts(cg: ConstraintGraph, b: Bipartition) -> list[_Part]:
-    """The components of G that hold aux variables, by least vertex.
-
+def _parts(cg: ConstraintGraph, b: Bipartition, indeg: list[int]) -> list[_Part]:
+    """The components of G holding a vertex that the side-0 Kahn pass left
+    over (``indeg``), by least vertex, each found by a search from one
+    such vertex and given the ``leftover_cycle`` of its own side-0 arcs.
     Aux components are numbered by least variable, so each part meets its
     own in increasing order."""
-    comps = connected_components(cg.base)
-    comp_of = [0] * cg.base.n
+    nbr = neighbour_bits(cg.base)
+    part_of: list[_Part | None] = [None] * cg.base.n
     local = [0] * cg.base.n
-    for ci, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            comp_of[v], local[v] = ci, i
-    parts: dict[int, _Part] = {}
+    parts = []
+    for start in range(cg.base.n):
+        if indeg[start] and part_of[start] is None:
+            seen, todo = 1 << start, [start]
+            while todo:
+                fresh = nbr[todo.pop()] & ~seen
+                seen |= fresh
+                todo += bits(fresh)
+            part = _Part(tuple(bits(seen)))
+            for i, v in enumerate(part.vertices):
+                part_of[v], local[v] = part, i
+            parts.append(part)
     pos: dict[int, int] = {}  # aux component -> its position in its part
     for i, (x, y) in enumerate(cg.vars):
-        ci, k = comp_of[x], b.component[i]
-        if ci not in parts:
-            parts[ci] = _Part(tuple(comps[ci]))
-        part = parts[ci]
+        part, k = part_of[x], b.component[i]
+        if part is None:
+            continue
         if k not in pos:
             pos[k] = len(part.aux)
             part.aux.append(k)
         part.vars.append((pos[k], b.side[i], local[x], local[y]))
-    return [parts[ci] for ci in sorted(parts)]
+    for part in parts:
+        side0 = [(x, y) for _, side, x, y in part.vars if not side]
+        part.cycle = leftover_cycle(side0, [indeg[v] for v in part.vertices])
+    parts.sort(key=lambda part: part.vertices[0])
+    return parts
 
 
 def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
@@ -218,39 +233,39 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     global reversal quotient) whose forced orientation is acyclic.
 
     The first vector, side 0 in every aux component, takes one Kahn pass
-    over the whole graph; when it is acyclic no part is built.  A min-id
-    Kahn order restricted to one component is that component's own, and
-    ``orient_along`` reads only the relative order of adjacent vertices,
-    so the arcs and ``tried`` 1 are the per-part search's.  Otherwise the
-    search runs one component of G at a time.
+    over the whole graph.  Only the components of G holding a vertex it
+    left over, the parts, search further: side 0 is acyclic in the
+    others, and a min-id Kahn order restricted to one of them is its own.
 
     A P4 lies inside one component and a union of acyclic orientations is
     acyclic, so a vector is acyclic exactly when its restriction to every
-    part is.  The part holding aux component 0 searches with that bit
-    pinned.  Reversing one other part complements its bits, so its least
-    acyclic choice has its top bit 0, which it pins instead.  The parts
-    use disjoint bit positions of the rank, so the least acyclic vector is
-    the sum of the least acyclic choices, and ``flips_tried`` is its rank
-    plus 1, as if every vector before it had been tried.  Each part may
-    try ``flip_cap`` vectors.
+    component is.  The part holding aux component 0 searches with that
+    bit pinned.  Reversing one other part complements its bits, so its
+    least acyclic choice has its top bit 0, which it pins instead.  The
+    parts use disjoint bit positions of the rank, so the least acyclic
+    vector is the sum of the least acyclic choices, and ``flips_tried``
+    is its rank plus 1, as if every vector before it had been tried.
+    Each part may try ``flip_cap`` vectors.
 
-    The first part whose search exhausts refutes G: with one part the
-    certificate is its whole-graph ``FlipExhaustion``, with more it is an
-    ``InducedSubgraph`` holding the exhaustion of G[S].  With no
-    exhaustion, a part that hit the cap leaves the verdict undecided.
-    A member is oriented along the parts' min-id topological orders, the
-    other vertices last: per component, the arcs of a min-id topological
-    completion.
+    The first part whose search exhausts refutes G: when it holds every
+    aux component the certificate is its whole-graph ``FlipExhaustion``,
+    else an ``InducedSubgraph`` holding the exhaustion of G[S].  With no
+    exhaustion, a part that hit the cap leaves the verdict undecided, and
+    every other component with aux variables counts one vector tried.  A
+    member is oriented along the pass's order outside the parts and their
+    min-id topological orders inside: per component, the arcs of a min-id
+    topological completion, as ``orient_along`` reads only the relative
+    order of adjacent vertices.
     """
-    order, cyc = topo_order_or_cycle(cg.base.n, _side0_arcs(cg, b))
-    if cyc is None:
+    order, indeg = kahn_pass(cg.base.n, _side0_arcs(cg, b))
+    if len(order) == cg.base.n:
         return _FlipOutcome(orient_along(cg.base, order), None, 1)
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    parts = _parts(cg, b)
+    parts = _parts(cg, b, indeg)
     flips = [0] * b.component_count
-    order = []
-    tried = 0
-    capped = False
+    in_part = set().union(*(part.vertices for part in parts))
+    order = [v for v in order if v not in in_part]
+    tried, capped = 0, False
     for part in parts:
         pinned = 0 if part.aux[0] == 0 else len(part.aux) - 1
         bits, topo, entries = part.search(pinned, cap)
@@ -262,7 +277,7 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
             order += [part.vertices[v] for v in topo]
         elif len(entries) < 1 << (len(part.aux) - 1):
             capped = True
-        elif len(parts) == 1:
+        elif len(part.aux) == b.component_count:
             exhaustion = FlipExhaustion(tuple(
                 (bits, DirectedCycleCertificate(tuple(part.vertices[v] for v in cyc.vertices)))
                 for bits, cyc in entries
@@ -274,9 +289,10 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
             inner = InducedSubgraph(part.vertices, FlipExhaustion(tuple(entries)))
             return _FlipOutcome(None, inner, len(entries))
     if capped:
+        ends = {x for x, _ in cg.vars}
+        tried += sum(not ends.isdisjoint(c) for c in connected_components(cg.base)) - len(parts)
         return _FlipOutcome(None, None, tried)
     rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
-    order += sorted(set(range(cg.base.n)).difference(order))
     return _FlipOutcome(orient_along(cg.base, order), None, rank + 1)
 
 

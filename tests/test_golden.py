@@ -78,6 +78,8 @@ def _graphs():
         # search pins its top bit
         "union-top-pinned": shuffled_union([parse_graph6("F}SyO"), parse_graph6("FUxqO")], 1),
         "f-x2": disjoint_union([parse_graph6("F}SyO")] * 2),
+        # past FUxqO's cyclic side 0, P4 and P5 each count one vector tried
+        "fuxqo+p4+p5": shuffled_union([parse_graph6("FUxqO"), path_graph(4), path_graph(5)], 2),
     }
 
 
@@ -141,6 +143,7 @@ _CASES = [
     ("coal/union-co-c6-cap5", "union-co-c6", recognize_coalition, {"flip_cap": 5}),
     ("opp/union-top-pinned", "union-top-pinned", recognize_opposition, {}),
     ("opp/f-x2-cap1", "f-x2", recognize_opposition, {"flip_cap": 1}),
+    ("opp/fuxqo+p4+p5-cap1", "fuxqo+p4+p5", recognize_opposition, {"flip_cap": 1}),
 ]
 
 # (n, seed) pairs whose generated graph6 strings are pinned
@@ -250,6 +253,7 @@ GOLDEN = {
     "coal/union-co-c6-cap5": "5a88215a33770fdc4ae4b6124f2f0ab6b54477c89d02dfb05fe258a8f1ead3f3",
     "opp/union-top-pinned": "2cff883740503ed4c60bc50b105531b898dda9e4cb373143c99f0d9e4cabbf2f",
     "opp/f-x2-cap1": "bf3935a07b1ff6e2ca85326c236b65e468ce1fe2943c2920f6052fdedc71b3d2",
+    "opp/fuxqo+p4+p5-cap1": "2cf13cfe4002d7944b299cded6a35c157341978047c10f56eb6ac14c57cb31ba",
 }
 
 GOLDEN_ORIENT = {

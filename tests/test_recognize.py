@@ -22,6 +22,8 @@ from oppograph.graphs import (
     connected_components,
     cycle_graph,
     induced_subgraph,
+    kahn_pass,
+    orient_along,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -934,60 +936,106 @@ def test_flip_search_without_aux_components():
         assert got.tried == 1 and got.orientation is not None
 
 
-def _per_part_search(monkeypatch, cg, b):
-    """``_flip_search`` with its whole-graph side-0 pass made to report a
-    cycle, so the per-part search decides."""
-    import oppograph.recognize as rec
+def _every_component_search(cg, b, flip_cap):
+    """The flip search past a cyclic side 0 as it ran before it reused its
+    side-0 pass, kept as the reference: every component of G that holds
+    aux variables searches from rank 0, one Kahn pass per vector."""
+    cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
+    parts = []
+    for comp in connected_components(cg.base):
+        local = {v: i for i, v in enumerate(comp)}
+        held = [i for i, (x, _) in enumerate(cg.vars) if x in local]
+        if held:
+            parts.append((comp, local, sorted({b.component[i] for i in held}), held))
+    flips, order, tried, capped = [0] * b.component_count, [], 0, False
+    for comp, local, aux, held in parts:
 
-    inner, calls = rec.topo_order_or_cycle, []
+        def search(pinned):
+            free = [j for j in range(len(aux)) if j != pinned]
+            entries = []
+            for rank in range(min(1 << len(free), cap)):
+                bits = [0] * len(aux)
+                for i, j in enumerate(free):
+                    bits[j] = (rank >> i) & 1
+                arcs = [
+                    (local[cg.vars[i][0]], local[cg.vars[i][1]])
+                    for i in held
+                    if b.side[i] == bits[aux.index(b.component[i])]
+                ]
+                topo, cyc = topo_order_or_cycle(len(comp), arcs)
+                if cyc is None:
+                    return tuple(bits), topo, entries
+                entries.append((tuple(bits), cyc))
+            return None, None, entries
 
-    def first_cyclic(n, arcs):
-        calls.append(n)
-        return (None, DirectedCycleCertificate(())) if len(calls) == 1 else inner(n, arcs)
+        pinned = 0 if aux[0] == 0 else len(aux) - 1
+        bits, topo, entries = search(pinned)
+        tried += len(entries)
+        if bits is not None:
+            tried += 1
+            for k, bit in zip(aux, bits):
+                flips[k] = bit
+            order += [comp[v] for v in topo]
+        elif len(entries) < 1 << (len(aux) - 1):
+            capped = True
+        elif len(parts) == 1:
+            exhaustion = FlipExhaustion(tuple(
+                (bits, DirectedCycleCertificate(tuple(comp[v] for v in cyc.vertices)))
+                for bits, cyc in entries
+            ))
+            return _FlipOutcome(None, exhaustion, len(entries))
+        else:
+            if pinned:
+                entries = search(0)[2]
+            inner = InducedSubgraph(tuple(comp), FlipExhaustion(tuple(entries)))
+            return _FlipOutcome(None, inner, len(entries))
+    if capped:
+        return _FlipOutcome(None, None, tried)
+    rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
+    order += sorted(set(range(cg.base.n)).difference(order))
+    return _FlipOutcome(orient_along(cg.base, order), None, rank + 1)
 
-    with monkeypatch.context() as m:
-        m.setattr(rec, "topo_order_or_cycle", first_cyclic)
-        return _flip_search(cg, b, None)
 
-
-def test_side0_pass_equals_the_per_part_search(monkeypatch):
-    # on random disjoint unions (n <= 12, ids interleaved, some components
-    # with edges but no aux variable) a member at the first vector gets the
-    # arcs and flips_tried the per-part search gives; past a cyclic side 0
-    # (F}SyO and FNccw have one) both run the same per-part search
-    rng = random.Random(18)
+def test_flip_search_equals_the_every_component_search():
+    # random interleaved unions of two or three blocks whose side 0 is
+    # cyclic in some class (F}SyO and FNccw are members past the first
+    # vector, FUxqO and FtGZO non-members) beside blocks whose side 0 is
+    # acyclic or that hold no aux variable; counted when two or more
+    # components are cyclic at side 0
+    rng = random.Random(20)
+    blocks = [parse_graph6(s) for s in ("F}SyO", "FNccw", "FUxqO", "FtGZO")]
+    acyclic = (path_graph(4), path_graph(5), HOUSE.as_graph(), GEM.as_graph()) + _WITHOUT_P4S
     seen = Counter()
-    for _ in range(400):
-        gs = [parse_graph6(rng.choice(("F}SyO", "FNccw")))] if rng.random() < 0.2 else []
-        while True:
-            h = random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.9), rng)
-            if sum(x.n for x in gs) + h.n > 12:
-                break
-            gs.append(h)
+    for _ in range(200):
+        gs = [rng.choice(blocks[:2] * 2 + blocks[2:]) for _ in range(rng.randint(2, 3))]
+        gs += [rng.choice(acyclic) for _ in range(rng.randint(1, 3))]
         g = shuffled_union(gs, rng)
-        comps = connected_components(g)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
             b = bipartition_or_odd_walk(cg)
             if isinstance(b, OddWalkCertificate):
                 continue
-            got, want = _flip_search(cg, b, None), _per_part_search(monkeypatch, cg, b)
-            _assert_same_outcome(got, want)
-            if want.orientation is None or want.tried > 1:
-                seen["cyclic side 0"] += 1
-                continue
-            ends = {x for x, _ in cg.vars}
-            seen["several parts"] += sum(not ends.isdisjoint(c) for c in comps) > 1
-            seen["edges without aux variables"] += any(
-                len(c) > 1 and ends.isdisjoint(c) for c in comps
-            )
+            indeg = kahn_pass(g.n, [xy for xy, side in zip(cg.vars, b.side) if not side])[1]
+            cyclic = sum(any(indeg[v] for v in comp) for comp in connected_components(g))
+            for cap in (None, 1, 2):
+                got = _flip_search(cg, b, cap)
+                _assert_same_outcome(got, _every_component_search(cg, b, cap))
+                if cyclic >= 2:
+                    outcome = "member" if got.orientation else "refuted" if got.certificate else "undecided"
+                    seen[outcome] += 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
 
 
-def test_side0_member_takes_one_kahn_pass(monkeypatch):
+def test_no_kahn_pass_runs_over_an_acyclic_component(monkeypatch):
+    # a member at the first vector takes the one side-0 pass and builds no
+    # part; past a cyclic side 0 only the parts run passes, one per vector
+    # after rank 0, whose cycle the side-0 pass gave, so a part with one
+    # aux component runs none.  Beside the 7-vertex F}SyO and the 6-vertex
+    # co-C6, side 0 is acyclic in P5 and the house, and K3 has no P4
     import oppograph.recognize as rec
     from oppograph.generate import random_opposition_ptolemaic
 
+    side0 = _spy_calls(monkeypatch, rec, "kahn_pass")
     parts = _spy_calls(monkeypatch, rec, "_parts")
     passes = _spy_calls(monkeypatch, rec, "topo_order_or_cycle")
     domino = parse_graph6("Er_g")
@@ -998,16 +1046,26 @@ def test_side0_member_takes_one_kahn_pass(monkeypatch):
         (recognize_coalition, disjoint_union([path_graph(5), make_Hk(1).as_graph()]), "dh-transitive"),
         (recognize_coalition, domino, "gem-house-hole-free"),
     ):
-        parts.clear()
-        passes.clear()
+        for calls in (side0, parts, passes):
+            calls.clear()
         v = recognize(g)
         assert v.method == method and v.stats["flips_tried"] in (None, 1)
-        assert parts == [] and len(passes) == 1
-    # a cyclic side 0 goes on to the per-part search
-    passes.clear()
-    v = recognize_opposition(parse_graph6("F}SyO"))
-    assert v.is_member and v.stats["flips_tried"] > 1
-    assert len(parts) == 1 and len(passes) == 1 + v.stats["flips_tried"]
+        assert len(side0) == 1 and parts == [] and passes == []
+    f, co_c6 = parse_graph6("F}SyO"), complement(cycle_graph(6))
+    for blocks, cap, decision, tried, n_passes in (
+        ([f], None, "member", 2, 1),
+        ([f, f], None, "member", 4, 2),
+        ([co_c6], None, "non-member", 1, 0),
+        ([f, co_c6], None, "non-member", 1, 1),
+        ([f], 1, "undecided", 3, 0),
+    ):
+        for calls in (side0, parts, passes):
+            calls.clear()
+        g = disjoint_union(blocks + [path_graph(5), HOUSE.as_graph(), complete_graph(3)])
+        v = recognize_opposition(g, flip_cap=cap)
+        assert (v.decision, v.stats["flips_tried"]) == (decision, tried)
+        assert len(side0) == 1 and len(parts) == 1
+        assert [n for n, _ in passes] == [7] * n_passes
 
 
 _BLOCKS = (
