@@ -37,13 +37,6 @@ from .p4 import COALITION, OPPOSITION
 
 ArcVar = tuple[int, int]
 
-# above this many variable-edge products, settle for a non-minimal odd walk.
-# The length-3 pass alone does not make the budget moot: on a triangle-free
-# aux graph it builds every neighbour list before the BFS from every root
-# starts (a tree with n = 1000, over the budget, takes 16 lists through
-# _first_conflict_walk and would take 1998 here).
-_SHORTEST_WALK_BUDGET = 4_000_000
-
 
 class ConstraintGraph:
     """The auxiliary graph O(G) (kind "opposition") or C(G) ("coalition").
@@ -71,11 +64,12 @@ class ConstraintGraph:
     ``edge_side[k]`` the side of variable 2k relative to the least
     end-edge of its class; sides are defined only in bipartite classes.
     No aux link arises from two P4s, so there are #end-edges + 2 #P4 aux
-    edges.  ``adj`` is built on first use.
+    edges.  ``adj`` generates each neighbour list on its first read, so
+    an odd walk builds only the lists its BFS reaches.
     """
 
     __slots__ = (
-        "kind", "base", "vars", "p4_count", "edge_count",
+        "kind", "base", "vars", "p4_count",
         "edge_class", "edge_side", "class_bad", "_adj",
     )
 
@@ -180,7 +174,6 @@ class ConstraintGraph:
         self.base = base
         self.vars = vars_
         self.p4_count = p4_count
-        self.edge_count = len(edge_class) + 2 * p4_count
         self.edge_class = edge_class
         self.edge_side = edge_side
         self.class_bad = class_bad
@@ -312,8 +305,10 @@ def _first_conflict_walk(cg: ConstraintGraph, start: int) -> tuple[ArcVar, ...]:
 
     Neighbours are scanned in id order; at the first neighbour w of the
     popped v on v's side, the walk runs from the lowest common ancestor of
-    v and w down to v and back up from w.  Only the variables the BFS
-    reaches get neighbour lists.
+    v and w down to v and back up from w.  Only the popped variables get
+    neighbour lists, so the walk costs O(variables + aux edges) over the
+    part of the class the BFS reaches, and reads at most one list per
+    variable of the class.
     """
     side = {start: 0}
     parent = {start: -1}
@@ -334,91 +329,17 @@ def _first_conflict_walk(cg: ConstraintGraph, start: int) -> tuple[ArcVar, ...]:
     raise ValueError("the class of the start variable is bipartite")
 
 
-def _shortest_odd_cycle(cg: ConstraintGraph, verts: list[int]) -> tuple[ArcVar, ...]:
-    """Shortest odd closed walk of the non-bipartite component ``verts``.
-
-    ``verts`` is a whole connected component in id order.  The caller
-    runs this only under ``_SHORTEST_WALK_BUDGET``; above it the walk is
-    the tree-path walk of ``_first_conflict_walk``, which need not be
-    shortest.
-
-    A BFS from a root r closes a walk of length 2d + 1 at each edge vw
-    with v < w inside BFS level d: r..v along the BFS tree, then w..r.
-    Over all roots the minimum of 2d + 1 is the odd girth.  The walk
-    returned is the one at the smallest length, then the smallest root,
-    then the smallest v, then the first such w in ``adj[v]`` -- the first
-    hit of a full BFS from every root in id order, scanned v by v,
-    keeping strict improvements only.
-
-    The search does less without changing that choice.  It first tries
-    length 3, the shortest odd cycle a loopless graph can have: roots in
-    id order, each scanning its neighbours v in id order for a neighbour
-    w of v that is also a neighbour of the root.  The first hit is
-    root-v-w-root, and it builds no neighbour list past it.  With no
-    triangle the BFS runs from every root.  A root's BFS stops at the
-    first level that holds an edge, since deeper levels only give longer
-    walks, and it never expands a level d with 2d + 1 >= L, where L is
-    the best length found so far, since an equal length from a later
-    root never replaces it.  BFS assigns levels and tree parents level
-    by level, so the levels it does reach are those of the full BFS.
-    Roots stop once L = 5, the least odd length left.
-    """
-    adj = cg.adj
-    for root in verts:
-        around = adj[root]
-        near = set(around)
-        for v in around:
-            if not near.isdisjoint(adj[v]):
-                w = next(w for w in adj[v] if w in near)  # w > v, or w would have hit first
-                return tuple(cg.vars[u] for u in (root, v, w, root))
-    best_len = 2 * len(verts) + 1  # longer than any walk found here
-    best_walk: list[int] | None = None
-    for root in verts:
-        if best_len == 5:
-            break
-        dist = {root: 0}
-        par = {root: -1}
-        level = [root]
-        d = 0
-        while level and 2 * d + 1 < best_len:
-            nxt = []
-            closed = False
-            for v in level:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = d + 1
-                        par[w] = v
-                        nxt.append(w)
-                    elif dist[w] == d:
-                        closed = True
-            if closed:
-                v, w = next(
-                    (v, w) for v in sorted(level) for w in adj[v] if w > v and dist.get(w) == d
-                )
-                best_len = 2 * d + 1
-                best_walk = _path_up(par, v)[::-1] + _path_up(par, w)  # root..v, w..root
-                break
-            level = nxt
-            d += 1
-    assert best_walk is not None
-    return tuple(cg.vars[u] for u in best_walk)
-
-
 def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertificate:
     """The 2-coloring read from the classes; otherwise a verifiable odd
     closed walk.
 
     Components are numbered by least variable, and each takes side 0 at
     its least variable, as a BFS 2-coloring in variable order gives them.
-    The walk lies in the first bad class by least variable.  While
-    variables times edges is at most ``_SHORTEST_WALK_BUDGET`` it is a
-    shortest odd closed walk of that component, chosen by length, then
-    root, then scan order (see ``_shortest_odd_cycle``), so equal inputs
-    give equal certificates: a triangle when some root lies on one,
-    found before any BFS, else the BFS from every root, which stops at
-    the first length-5 walk.  Above the budget it is the tree-path walk
-    through the first conflict of a BFS 2-coloring from the class's least
-    variable (``_first_conflict_walk``), which need not be shortest.
+    The walk is the tree-path walk through the first conflict of a BFS
+    2-coloring from the least variable of the first bad class
+    (``_first_conflict_walk``), so equal inputs give equal certificates.
+    It need not be shortest: any odd closed walk refutes bipartiteness,
+    and the verifier checks only that.
     """
     bad = next((k for k, b in enumerate(cg.class_bad) if b), None)
     if bad is None:
@@ -428,10 +349,7 @@ def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertifi
             side += (s, 1 - s)
             component += (k, k)
         return Bipartition(tuple(side), tuple(component), len(cg.class_bad))
-    verts = [v for e, k in enumerate(cg.edge_class) if k == bad for v in (2 * e, 2 * e + 1)]
-    if cg.var_count * cg.edge_count <= _SHORTEST_WALK_BUDGET:
-        return OddWalkCertificate(_shortest_odd_cycle(cg, verts))
-    return OddWalkCertificate(_first_conflict_walk(cg, verts[0]))
+    return OddWalkCertificate(_first_conflict_walk(cg, 2 * cg.edge_class.index(bad)))
 
 
 def forced_orientation(

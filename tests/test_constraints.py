@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import hub_last_k2, isomorphic, random_graph
 from oppograph import constraints
 from oppograph.constraints import (
-    _SHORTEST_WALK_BUDGET,
     Bipartition,
     ConstraintGraph,
     OddWalkCertificate,
@@ -47,7 +46,6 @@ CO_C6_AUX_EDGES = {
 def test_aux_p4_is_four_cycle():
     cg = ConstraintGraph(OPPOSITION, path_graph(4))
     assert cg.var_count == 4
-    assert cg.edge_count == 4
     assert all(len(a) == 2 for a in cg.adj)
     res = bipartition_or_odd_walk(cg)
     assert isinstance(res, Bipartition)
@@ -217,181 +215,83 @@ def test_aux_dot_labels(co_c6_labeled):
     assert dot.count(" -- ") == 18
 
 
-def _components(cg):
-    return _components_of(cg.adj)
-
-
-def _components_of(adj):
-    seen = set()
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in comp:
-                    comp.add(t)
-                    stack.append(t)
-        seen |= comp
-        yield sorted(comp)
-
-
-def _reference_odd_walk(cg):
-    return _reference_odd_walk_of(cg.vars, cg.adj)
-
-
-def _reference_odd_walk_of(vars_, adj):
-    """Exhaustive all-roots search, kept as the reference for the pruned one.
-
-    For each component in order of its least variable: a full BFS from
-    every root in id order, then every same-level edge v < w scanned in
-    id order, keeping strict improvements only.  The first component
-    with such an edge is the non-bipartite one the 2-coloring stops at.
-    """
-    for verts in _components_of(adj):
-        best_len = None
-        best_walk = None
-        for root in verts:
-            dist = {root: 0}
-            par = {root: -1}
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        par[w] = v
-                        queue.append(w)
-            for v in verts:
-                for w in adj[v]:
-                    if v < w and dist[v] == dist[w]:
-                        length = 2 * dist[v] + 1
-                        if best_len is None or length < best_len:
-                            best_len = length
-                            best_walk = _path_up(par, v)[::-1] + _path_up(par, w)
-        if best_walk is not None:
-            return OddWalkCertificate(tuple(vars_[u] for u in best_walk))
-    return None
-
-
-def _odd_girth_through(cg, var):
-    """Odd girth of the component of ``var``, by BFS on the bipartite double cover.
-
-    Vertex (v, p) is v reached by a walk of parity p; the shortest odd
-    closed walk through v has length dist((v, 0), (v, 1)).
-    """
-    best = None
-    for v in next(c for c in _components(cg) if var in c):
-        dist = {(v, 0): 0}
-        queue = deque([(v, 0)])
-        while queue and (v, 1) not in dist:
-            u, p = queue.popleft()
-            for t in cg.adj[u]:
-                if (t, 1 - p) not in dist:
-                    dist[(t, 1 - p)] = dist[(u, p)] + 1
-                    queue.append((t, 1 - p))
-        if (v, 1) in dist and (best is None or dist[(v, 1)] < best):
-            best = dist[(v, 1)]
-    return best
-
-
-def _assert_shortest_and_as_reference(cg):
-    assert cg.var_count * cg.edge_count <= _SHORTEST_WALK_BUDGET
-    res = bipartition_or_odd_walk(cg)
-    ref = _reference_odd_walk(cg)
-    if ref is None:
-        assert isinstance(res, Bipartition)
-        return None
-    assert res == ref
-    assert res.length() == _odd_girth_through(cg, cg.vars.index(res.walk[0]))
-    return res
+def _pendant_cycle(k):
+    """C_k with a pendant on every vertex."""
+    return Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)])
 
 
 @pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
-def test_odd_walk_equals_exhaustive_reference_on_random_graphs(kind):
+def test_odd_walk_equals_eager_on_random_graphs(kind):
     lengths = set()
     for seed in range(300):
         g = random_graph(4 + seed % 11, 0.15 + 0.7 * ((seed * 37) % 100) / 100, seed + 5000)
-        res = _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
-        if res is not None:
-            assert check_odd_walk(g, kind, res) == (True, "ok")
+        res = _assert_equals_eager(kind, g)
+        if isinstance(res, OddWalkCertificate):
             lengths.add(res.length())
     assert lengths - {3}
 
 
-@pytest.mark.parametrize("k", [5, 7, 9, 11, 21, 31])
+@pytest.mark.parametrize("k", [5, 7, 9, 11, 21, 31, 815, 817])
 def test_odd_walk_of_odd_cycle_is_the_whole_aux_cycle(k):
-    res = _assert_shortest_and_as_reference(ConstraintGraph(OPPOSITION, cycle_graph(k)))
+    res = _assert_equals_eager(OPPOSITION, cycle_graph(k))
     assert res.length() == k
 
 
 @pytest.mark.parametrize("n, seed", [(40, 0), (40, 3), (48, 4), (48, 6)])
-def test_odd_walk_equals_exhaustive_reference_on_distance_hereditary(n, seed):
+def test_odd_walk_equals_eager_on_distance_hereditary(n, seed):
     g = random_distance_hereditary(n, seed)
     for kind in (OPPOSITION, COALITION):
-        _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
+        _assert_equals_eager(kind, g)
 
 
-def test_odd_walk_without_aux_triangles_equals_reference():
-    # no root lies on an aux triangle (nor in O(C_k), the odd cycle test
-    # above), so the length-3 pass finds nothing and the BFS from every
-    # root picks the walk
+def test_odd_walk_without_aux_triangles_equals_eager():
+    # no aux triangle (nor in O(C_k), the odd cycle test above), so every
+    # walk has length 5 or more
     from oppograph.generate import random_tree
 
-    def pendant_cycle(k):
-        return Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)])
-
-    graphs = [pendant_cycle(k) for k in range(7, 32, 2)]  # C(G) at k = 5 has one
+    graphs = [_pendant_cycle(k) for k in range(7, 32, 2)]  # C(G) at k = 5 has one
     graphs += [random_tree(n, n) for n in range(20, 61, 5)]
     lengths = set()
     for g in graphs:
         for kind in (OPPOSITION, COALITION):
-            res = _assert_shortest_and_as_reference(ConstraintGraph(kind, g))
-            if res is not None:
+            res = _assert_equals_eager(kind, g)
+            if isinstance(res, OddWalkCertificate):
                 assert res.length() >= 5
                 lengths.add(res.length())
     assert {5, 7, 17} <= lengths
 
 
-def test_odd_walk_at_length_3_builds_only_the_scanned_lists(monkeypatch):
-    def scanned(cg, walk):
-        """The variables whose lists the length-3 pass reads up to its hit:
-        each root before the hit root and its whole neighbour list, then
-        the hit root and its neighbours up to v."""
-        full = ConstraintGraph(cg.kind, cg.base).adj
-        root, v = cg.vars.index(walk[0]), cg.vars.index(walk[1])
-        bad = cg.class_bad.index(True)
-        out = set()
-        for r in (u for e, k in enumerate(cg.edge_class) if k == bad for u in (2 * e, 2 * e + 1)):
-            out.add(r)
-            if r == root:
-                return out | {u for u in full[r] if u <= v}
-            out.update(full[r])
-
-    built = []
-    inner = constraints._Adjacency._neighbours
+@pytest.mark.parametrize(
+    "kind, g, triangle",
+    # long walks through triangle-free aux graphs, then distance-hereditary
+    # walks, triangles found near the root
+    [
+        pytest.param(OPPOSITION, cycle_graph(815), False, id="opposition-c815"),
+        pytest.param(OPPOSITION, cycle_graph(817), False, id="opposition-c817"),
+        pytest.param(COALITION, _pendant_cycle(201), False, id="coalition-c201-pendants"),
+    ]
+    + [
+        pytest.param(kind, random_distance_hereditary(n, seed), True, id=f"{kind}-dh{n}-{seed}")
+        for kind in (OPPOSITION, COALITION)
+        for n, seed in ((40, 0), (44, 1), (48, 2))
+    ],
+)
+def test_odd_walk_reads_at_most_one_list_per_class_variable(kind, g, triangle, monkeypatch):
+    read = []
+    inner = constraints._Adjacency.__getitem__
 
     def spy(self, i):
-        built.append(i)
+        read.append(i)
         return inner(self, i)
 
-    monkeypatch.setattr(constraints._Adjacency, "_neighbours", spy)
-    cases = [random_distance_hereditary(n, seed) for n, seed in ((40, 0), (44, 1), (48, 2))]
-    cases += [random_graph(8 + seed % 7, 0.5, seed + 7000) for seed in range(40)]
-    fewest = 1.0
-    for g in cases:
-        for kind in (OPPOSITION, COALITION):
-            cg = ConstraintGraph(kind, g)
-            del built[:]
-            res = bipartition_or_odd_walk(cg)
-            if isinstance(res, Bipartition) or res.length() != 3:
-                continue
-            got = sorted(built)
-            assert got == sorted(scanned(cg, res.walk))
-            fewest = min(fewest, len(got) / cg.var_count)
-    # the distance-hereditary requests read a small share of their lists
-    assert fewest < 0.1
+    monkeypatch.setattr(constraints._Adjacency, "__getitem__", spy)
+    cg = ConstraintGraph(kind, g)
+    res = bipartition_or_odd_walk(cg)
+    assert isinstance(res, OddWalkCertificate)
+    bad = cg.class_bad.index(True)
+    assert len(read) <= 2 * cg.edge_class.count(bad)
+    if triangle:
+        assert res.length() == 3 and 10 * len(read) < cg.var_count
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +317,10 @@ def _eager_aux(kind, g):
     return vars_, [sorted(a) for a in adj], len(p4s), len(ends)
 
 
-def _eager_bipartition_or_odd_walk(vars_, adj, budget):
+def _eager_bipartition_or_odd_walk(vars_, adj):
     """BFS 2-coloring in variable order; at the first conflict, the
-    exhaustive shortest walk under the budget, else the tree-path walk
-    through the conflict."""
+    tree-path walk through it."""
     n = len(vars_)
-    edge_count = sum(len(a) for a in adj) // 2
     side, comp, parent = [-1] * n, [-1] * n, [-1] * n
     comp_id = 0
     for start in range(n):
@@ -437,8 +335,6 @@ def _eager_bipartition_or_odd_walk(vars_, adj, budget):
                     side[w], comp[w], parent[w] = 1 - side[v], comp_id, v
                     queue.append(w)
                 elif side[w] == side[v]:
-                    if n * edge_count <= budget:
-                        return _reference_odd_walk_of(vars_, adj)
                     px, py = _path_up(parent, v), _path_up(parent, w)
                     on_px = set(px)
                     lca = next(u for u in py if u in on_px)
@@ -448,38 +344,42 @@ def _eager_bipartition_or_odd_walk(vars_, adj, budget):
     return Bipartition(tuple(side), tuple(comp), comp_id)
 
 
-def _assert_equals_eager(kind, g, budget):
+def _assert_equals_eager(kind, g):
     cg = ConstraintGraph(kind, g)
     # the certificate first, while no neighbour list has been generated
     res = bipartition_or_odd_walk(cg)
     vars_, adj, p4_count, ends = _eager_aux(kind, g)
     assert cg.vars == vars_
     assert cg.p4_count == p4_count
-    assert cg.edge_count == ends + 2 * p4_count == sum(len(a) for a in adj) // 2
+    assert ends + 2 * p4_count == sum(len(a) for a in adj) // 2
     assert cg.bipartite == isinstance(res, Bipartition)
-    assert res == _eager_bipartition_or_odd_walk(vars_, adj, budget)
+    assert res == _eager_bipartition_or_odd_walk(vars_, adj)
     assert list(cg.adj) == adj
+    if isinstance(res, OddWalkCertificate):
+        assert check_odd_walk(g, kind, res) == (True, "ok")
     return res
 
 
-@pytest.mark.parametrize("budget", [_SHORTEST_WALK_BUDGET, 0])
+# two disjoint seed ranges per case
+SEED_OFFSETS = [4_000_000, 0]
+
+
+@pytest.mark.parametrize("offset", SEED_OFFSETS)
 @pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
-def test_block_core_equals_eager_on_random_graphs(kind, budget, monkeypatch):
-    monkeypatch.setattr(constraints, "_SHORTEST_WALK_BUDGET", budget)
+def test_block_core_equals_eager_on_random_graphs(kind, offset):
     kinds = set()
     for seed in range(200):
-        g = random_graph(4 + seed % 13, 0.1 + 0.8 * ((seed * 53) % 100) / 100, seed + 9000)
-        kinds.add(type(_assert_equals_eager(kind, g, budget)))
+        g = random_graph(4 + seed % 13, 0.1 + 0.8 * ((seed * 53) % 100) / 100, offset + seed + 9000)
+        kinds.add(type(_assert_equals_eager(kind, g)))
     assert kinds == {Bipartition, OddWalkCertificate}
 
 
-@pytest.mark.parametrize("budget", [_SHORTEST_WALK_BUDGET, 0])
+@pytest.mark.parametrize("offset", SEED_OFFSETS)
 @pytest.mark.parametrize("n", [40, 72, 104, 140])
-def test_block_core_equals_eager_on_dh_and_ptolemaic(n, budget, monkeypatch):
-    monkeypatch.setattr(constraints, "_SHORTEST_WALK_BUDGET", budget)
-    for g in (random_distance_hereditary(n, n), random_ptolemaic(n, n)):
+def test_block_core_equals_eager_on_dh_and_ptolemaic(n, offset):
+    for g in (random_distance_hereditary(n, offset + n), random_ptolemaic(n, offset + n)):
         for kind in (OPPOSITION, COALITION):
-            _assert_equals_eager(kind, g, budget)
+            _assert_equals_eager(kind, g)
 
 
 def test_block_core_on_blocks_without_p4s():
@@ -492,11 +392,11 @@ def test_block_core_on_blocks_without_p4s():
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
             assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
-            _assert_equals_eager(kind, Graph(k + 3, list(g.edges) + [(k + 2, 0)]), _SHORTEST_WALK_BUDGET)
+            _assert_equals_eager(kind, Graph(k + 3, list(g.edges) + [(k + 2, 0)]))
     g = hub_last_k2(200)
     g = Graph(204, list(g.edges) + [(202, 0), (203, 200)])
     for kind in (OPPOSITION, COALITION):
-        _assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET)
+        _assert_equals_eager(kind, g)
 
 
 def test_block_core_merges_carry_the_bad_flag():
@@ -510,7 +410,7 @@ def test_block_core_merges_carry_the_bad_flag():
     )
     good_into_bad = ((OPPOSITION, Graph(6, [(0, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)])),)
     for kind, g in bad_into_good + good_into_bad:
-        assert isinstance(_assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET), OddWalkCertificate)
+        assert isinstance(_assert_equals_eager(kind, g), OddWalkCertificate)
         assert ConstraintGraph(kind, g).class_bad == [True]
 
 
@@ -521,11 +421,11 @@ def test_block_core_swap_moves_the_block_side():
     # head flips before the rest of the block is placed
     g = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (3, 5)])
     for kind in (OPPOSITION, COALITION):
-        assert isinstance(_assert_equals_eager(kind, g, _SHORTEST_WALK_BUDGET), Bipartition)
+        assert isinstance(_assert_equals_eager(kind, g), Bipartition)
 
 
 def test_block_core_on_hub_last_k2_3000():
     g = hub_last_k2(3000)
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
-        assert (cg.var_count, cg.p4_count, cg.edge_count, cg.class_bad) == (0, 0, 0, [])
+        assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])

@@ -198,14 +198,14 @@ GOLDEN = {
     "gen/c5": "f0d17aea573a20dff2bb34ae1b00d3f53debdc7b85c734dd752d3651b76441b3",
     "gen/co-c6": "c5579e80c295a0b12b40392f21f5668aed15513c4a24a937bc99a8747e1e91bc",
     "gen/co-c8": "40d98471c566047584010db310e98ce748919e59677fc20c7e6473a0f249453d",
-    "opp/odd-walk": "574011c0fd4d6a9571dd39de14fd7f81da24b7983dcbc048d90b193f0a8dbbe2",
-    "opp/t1-witness": "10ed7539ec8e225263210945720a3039900cde6062549afb4f1c2bf8ced2983c",
+    "opp/odd-walk": "88f0cfe85933bf295a1dc2db2ef9a914ece015239a9f4835210ae4f9dbb3c7c0",
+    "opp/t1-witness": "8cebcb45d560d53ecf0ca76a7ade4b343bde861acc18947af109415efc48fe1c",
     "opp/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
     "opp/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
     "opp/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
     "opp/tree": "5604f8e3f06c58f520ed71e0ea18961e57533b90ad16ed37ff4825de5da1e9af",
     "opp/p5+h1": "e738eaa7829fd7db02d9de7833c061aaff5eccbd9201f9ea0657ee6d2d409a33",
-    "opp/dh-non-member-witness": "cc8c7960431b71691e4df8e9b322b8123ac5cbcc94c7ff09670bca76a3c7a60e",
+    "opp/dh-non-member-witness": "4eb5ac29dbf23ce10b65ac62d29f822e61ce47599afa46e63b8f80dc2f12f183",
     "opp/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
     "opp/flip-member": "d86beeed6a3c6080d60d02e78a1b56e475002ee23584a190ad7982f3ba5cbc97",
     "opp/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
@@ -216,17 +216,17 @@ GOLDEN = {
     "opp/two-components": "86237a2f6bccffc6a7d05b7713d5e911c337c7dd505515404ac36376fb6a6835",
     "ghf/p7": "072759b3c4d4b260ce8399b8b9faddcf22458adf1a768a1b8e925f7eb2db504a",
     "ghf/c5": "71aab93f4a015da487e1a499f144f4ac05438b322f9283355b8e61049bce2d59",
-    "ghf/t1": "3700d19065a6acb8532ffc7d2278a0aba1f624423ab8e2646a8b43c326644b5c",
+    "ghf/t1": "17e69e126ffcbcc053d7f2afa08e40249794b5a2d29a1976853bd7356d0a82b3",
     "ghf/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
     "ghf/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
     "dh/a-witness": "a544f17128e29abb5b263f8ea4db5ffa991bb4f7269e5460e55d4eef891380f0",
-    "dh/g1-witness": "994135c6be5aae22046d7784f72068cbcd4e505cfbd755f1a2fdc0eb83bbeeb2",
-    "dh/t1": "3700d19065a6acb8532ffc7d2278a0aba1f624423ab8e2646a8b43c326644b5c",
+    "dh/g1-witness": "6ebf3eb11b91b05785f52c69d6b571257e7bbda6c8a336c2b4124f01b8f6b8f6",
+    "dh/t1": "17e69e126ffcbcc053d7f2afa08e40249794b5a2d29a1976853bd7356d0a82b3",
     "dh/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
     "dh/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
     "dh/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
     "dh/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
-    "dh/dh-non-member-witness": "cc8c7960431b71691e4df8e9b322b8123ac5cbcc94c7ff09670bca76a3c7a60e",
+    "dh/dh-non-member-witness": "4eb5ac29dbf23ce10b65ac62d29f822e61ce47599afa46e63b8f80dc2f12f183",
     "coal/n": "14908d5d5a3b5eee4aec3f4ff2823062885b6b2e0df8109114716562cfaac7d9",
     "coal/n-witness": "a21db90cc0f710094f5fe9a89f897cb798d836cbf93e468a8a6e26b84a35aed3",
     "coal/tree": "f076e88d891932e703704e6912b0f294216561d78f6b2e1ad8fbe7a621499331",
