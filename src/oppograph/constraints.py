@@ -12,9 +12,9 @@ conflict-free direction choices.  Bipartiteness therefore decides the
 "generalized" membership question, and a bipartition side induces the
 forced partial orientation of the end-edges.
 
-The graphs are built from mid-edge blocks without listing P4s, and
-their neighbour lists are generated from G only when read (see
-``ConstraintGraph``).
+The graphs are built from mid-edge blocks without listing P4s, and a
+neighbour list is generated from G only when asked for (see
+``ConstraintGraph.neighbours``).
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ class ConstraintGraph:
     ``edge_side[k]`` the side of variable 2k relative to the least
     end-edge of its class; sides are defined only in bipartite classes.
     No aux link arises from two P4s, so there are #end-edges + 2 #P4 aux
-    edges.  ``adj`` generates each neighbour list on its first read, so
-    an odd walk builds only the lists its BFS reaches.
+    edges.  ``neighbours(i)`` generates one neighbour list from G, so an
+    odd walk builds only the lists its BFS pops; ``adj`` holds them all.
     """
 
     __slots__ = (
         "kind", "base", "vars", "p4_count",
-        "edge_class", "edge_side", "class_bad", "_adj",
+        "edge_class", "edge_side", "class_bad", "_arcs", "_adj",
     )
 
     def __init__(self, kind: str, base: Graph):
@@ -177,7 +177,8 @@ class ConstraintGraph:
         self.edge_class = edge_class
         self.edge_side = edge_side
         self.class_bad = class_bad
-        self._adj: _Adjacency | None = None
+        self._arcs: list[dict[int, int]] | None = None  # arc -> variable id
+        self._adj: list[list[int]] | None = None
 
     @property
     def var_count(self) -> int:
@@ -189,12 +190,38 @@ class ConstraintGraph:
         return not any(self.class_bad)
 
     @property
-    def adj(self) -> "_Adjacency":
-        """Sorted neighbour ids of every variable, each list generated on
-        first use."""
+    def adj(self) -> list[list[int]]:
+        """Every variable's ``neighbours``, built on first read."""
         if self._adj is None:
-            self._adj = _Adjacency(self)
+            self._adj = [self.neighbours(i) for i in range(self.var_count)]
         return self._adj
+
+    def neighbours(self, i: int) -> list[int]:
+        """Sorted neighbour ids of variable i = (x, y), generated from G.
+
+        (x, y) is linked to (y, x), to the far end-edge of every P4
+        x-y-c-d, read (c, d) for opposition and (d, c) for coalition, and
+        to that of every P4 y-x-c-d, read the other way round.
+        """
+        arcs = self._arcs
+        if arcs is None:
+            arcs = self._arcs = [{} for _ in range(self.base.n)]
+            for j, (u, v) in enumerate(self.vars):
+                arcs[u][v] = j  # the id of (u, v)
+        x, y = self.vars[i]
+        adj = self.base.adj
+        ax, ay = adj[x], adj[y]
+        closed = ax | ay  # holds x and y
+        beyond_y, beyond_x = ay.difference(ax, (x,)), ax.difference(ay, (y,))
+        if self.kind == COALITION:
+            out = [arcs[d][c] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[c][d] for c in beyond_x for d in adj[c] - closed]
+        else:
+            out = [arcs[c][d] for c in beyond_y for d in adj[c] - closed]
+            out += [arcs[d][c] for c in beyond_x for d in adj[c] - closed]
+        out.append(i ^ 1)
+        out.sort()
+        return out
 
     def var_label(self, i: int) -> str:
         x, y = self.vars[i]
@@ -218,55 +245,6 @@ class ConstraintGraph:
             lines.extend(f"  {i} -- {j};" for j in self.adj[i] if i < j)
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-class _Adjacency:
-    """Read-only list view of the neighbour lists of a ConstraintGraph,
-    each generated from the base graph on first read."""
-
-    __slots__ = ("_cg", "_arcs", "_lists")
-
-    def __init__(self, cg: ConstraintGraph):
-        self._cg = cg
-        self._arcs: list[dict[int, int]] = [{} for _ in range(cg.base.n)]
-        for j, (u, v) in enumerate(cg.vars):
-            self._arcs[u][v] = j  # the id of (u, v)
-        self._lists: list[list[int] | None] = [None] * cg.var_count
-
-    def __len__(self) -> int:
-        return len(self._lists)
-
-    def __getitem__(self, i: int) -> list[int]:
-        got = self._lists[i]
-        if got is None:
-            got = self._lists[i] = self._neighbours(i)
-        return got
-
-    def _neighbours(self, i: int) -> list[int]:
-        """Sorted neighbour ids of variable i = (x, y).
-
-        (x, y) is linked to (y, x), to the far end-edge of every P4
-        x-y-c-d, read (c, d) for opposition and (d, c) for coalition, and
-        to that of every P4 y-x-c-d, read the other way round.
-        """
-        cg, arcs = self._cg, self._arcs
-        x, y = cg.vars[i]
-        adj = cg.base.adj
-        ax, ay = adj[x], adj[y]
-        closed = ax | ay  # holds x and y
-        beyond_y, beyond_x = ay.difference(ax, (x,)), ax.difference(ay, (y,))
-        if cg.kind == COALITION:
-            out = [arcs[d][c] for c in beyond_y for d in adj[c] - closed]
-            out += [arcs[c][d] for c in beyond_x for d in adj[c] - closed]
-        else:
-            out = [arcs[c][d] for c in beyond_y for d in adj[c] - closed]
-            out += [arcs[d][c] for c in beyond_x for d in adj[c] - closed]
-        out.append(i ^ 1)
-        out.sort()
-        return out
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self._lists)))
 
 
 @dataclass(frozen=True)
@@ -315,7 +293,7 @@ def _first_conflict_walk(cg: ConstraintGraph, start: int) -> tuple[ArcVar, ...]:
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for w in cg.adj[v]:
+        for w in cg.neighbours(v):
             if w not in side:
                 side[w] = 1 - side[v]
                 parent[w] = v

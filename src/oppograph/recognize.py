@@ -618,13 +618,16 @@ def recognize_coalition(
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:
     """For distance-hereditary inputs, membership is exactly N-freeness
-    and members are comparability graphs, transitively oriented with no
-    aux graph built."""
+    and members are comparability graphs, transitively oriented.  A DH
+    graph is (gem, house, hole)-free, so a bipartite C(G) decides
+    membership; only a non-member is searched for its N embedding."""
     _check_cap(flip_cap)
     if _pruning(g) is None:
         return recognize_coalition(g, flip_cap=flip_cap)
-    nmatch = find_induced(g, GRAPH_N)
-    if nmatch is not None:
+    if not ConstraintGraph(COALITION, g).bipartite:
+        nmatch = find_induced(g, GRAPH_N)
+        if nmatch is None:
+            raise CertificateError("distance-hereditary coalition non-member holds no N")
         return Verdict(
             COALITION, NON_MEMBER, "dh-n-witness", _checked_pattern(g, nmatch), _stats()
         )

@@ -187,10 +187,10 @@ def check_odd_walk(g: Graph, kind: str, cert: OddWalkCertificate) -> tuple[bool,
 def check_pattern_match(g: Graph, match: PatternMatch) -> tuple[bool, str]:
     pat = match.pattern
     m = match.mapping
+    if not _vertex_ids(g, m):
+        return False, "embedding leaves the host: not a tuple of its vertex ids"
     if len(m) != pat.n or len(set(m)) != pat.n:
         return False, "embedding is not injective"
-    if any(not (0 <= v < g.n) for v in m):
-        return False, "embedding leaves the host"
     want = set(pat.edges)
     for i in range(pat.n):
         for j in range(i + 1, pat.n):
@@ -260,6 +260,8 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
     if comps == 0:
         return False, "no variables, nothing to exhaust"
     expected = 1 << (comps - 1)
+    if not isinstance(cert.entries, tuple):
+        return False, "flip entries are not a tuple"
     if len(cert.entries) != expected:
         return False, f"expected {expected} flip vectors, got {len(cert.entries)}"
     seen = set()
@@ -272,10 +274,10 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
             return False, f"cycle {cycle!r} is not a directed cycle over vertex ids"
         if not isinstance(flips, tuple):
             return False, f"flip vector {flips!r} is not a tuple"
-        if len(flips) != comps or flips[0] != 0 or flips in seen:
-            return False, "malformed or duplicate flip vector"
         if any(f not in (0, 1) for f in flips):
             return False, f"flip vector {flips} has a value other than 0 and 1"
+        if len(flips) != comps or flips[0] != 0 or flips in seen:
+            return False, "malformed or duplicate flip vector"
         seen.add(flips)
         vs = cycle.vertices
         if len(vs) < 2:
@@ -339,6 +341,8 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
         return False, f"unknown graph class {v.graph_class!r}"
     aux_kind = COALITION if v.graph_class == COALITION else OPPOSITION
     if v.witness is not None:
+        if not isinstance(v.witness, PatternMatch):
+            return False, "witness is not a pattern embedding"
         pattern = _named_obstruction(g, v.graph_class, v.witness.pattern.name)
         if pattern is None:
             return False, f"witness: {v.witness.pattern.name!r} is no {v.graph_class} obstruction"

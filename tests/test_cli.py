@@ -372,3 +372,63 @@ def test_format_autodetection(tmp_path):
     # explicit --format wins
     code, _ = run(["recognize", "--class", "opposition", "--format", "edgelist", str(path)])
     assert code == EXIT_PARSE
+
+
+def _contrary_oracle(monkeypatch):
+    """Make every oracle answer the opposite of the real one."""
+    oracle = cli._oracle
+
+    def contrary(graph_class):
+        def run_oracle(g):
+            res = oracle(graph_class)(g)
+            return replace(res, decision="non-member" if res.is_member else "member")
+
+        return run_oracle
+
+    monkeypatch.setattr(cli, "_oracle", contrary)
+
+
+def test_sweep_reports_each_disagreement(monkeypatch):
+    import sys
+
+    _contrary_oracle(monkeypatch)
+    c5 = encode_graph6(cycle_graph(5))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(c5 + "\n"))
+    code, out = run(["sweep", "--class", "opposition"])
+    assert code == EXIT_DISAGREEMENT
+    assert out.splitlines()[-2:] == [
+        "disagreements: 1",
+        f"  line 1 opposition recognizer=non-member oracle=member {c5}",
+    ]
+
+
+def test_recognize_oracle_disagreement_exits_3(monkeypatch, c5_g6):
+    _contrary_oracle(monkeypatch)
+    code, out = run(["recognize", "--class", "opposition", "--oracle", c5_g6])
+    assert code == EXIT_DISAGREEMENT
+    assert out.endswith("oracle: member\noracle disagreement\n")
+
+
+def test_dash_reads_stdin(monkeypatch, c5_g6):
+    import sys
+
+    with open(c5_g6) as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert run(["recognize", "--class", "opposition", "-"]) == run(["recognize", "--class", "opposition", c5_g6])
+
+
+def test_unreadable_path_exit_10(tmp_path, capsys):
+    missing = tmp_path / "missing.el"
+    code, out = run(["recognize", "--class", "opposition", str(missing)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_sweep_bad_graph6_line_exit_10(monkeypatch, capsys):
+    import sys
+
+    # a blank line is skipped but counted
+    monkeypatch.setattr(sys, "stdin", io.StringIO(encode_graph6(cycle_graph(5)) + "\n\n~bad\n"))
+    code, _ = run(["sweep", "--class", "opposition"])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("stdin line 3: ")

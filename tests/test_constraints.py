@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hub_last_k2, isomorphic, random_graph
-from oppograph import constraints
 from oppograph.constraints import (
     Bipartition,
     ConstraintGraph,
@@ -278,13 +277,13 @@ def test_odd_walk_without_aux_triangles_equals_eager():
 )
 def test_odd_walk_reads_at_most_one_list_per_class_variable(kind, g, triangle, monkeypatch):
     read = []
-    inner = constraints._Adjacency.__getitem__
+    inner = ConstraintGraph.neighbours
 
     def spy(self, i):
         read.append(i)
         return inner(self, i)
 
-    monkeypatch.setattr(constraints._Adjacency, "__getitem__", spy)
+    monkeypatch.setattr(ConstraintGraph, "neighbours", spy)
     cg = ConstraintGraph(kind, g)
     res = bipartition_or_odd_walk(cg)
     assert isinstance(res, OddWalkCertificate)
@@ -346,7 +345,6 @@ def _eager_bipartition_or_odd_walk(vars_, adj):
 
 def _assert_equals_eager(kind, g):
     cg = ConstraintGraph(kind, g)
-    # the certificate first, while no neighbour list has been generated
     res = bipartition_or_odd_walk(cg)
     vars_, adj, p4_count, ends = _eager_aux(kind, g)
     assert cg.vars == vars_

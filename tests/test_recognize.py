@@ -719,8 +719,8 @@ def test_neighbour_bits_built_once_per_graph(monkeypatch):
 
 def test_coalition_dh_members_keep_side0(monkeypatch):
     # recognize_coalition labels a distance-hereditary member at side 0 and
-    # keeps that orientation; only recognize_coalition_distance_hereditary,
-    # which builds no C(G), orients transitively
+    # keeps that orientation; only recognize_coalition_distance_hereditary
+    # orients transitively
     import oppograph.recognize as rec
     from oppograph.generate import random_distance_hereditary, random_tree
 
@@ -744,11 +744,33 @@ def test_coalition_dh_members_keep_side0(monkeypatch):
     assert v.method == "dh-transitive" and len(built) == 1
 
 
-def test_hub_last_k2_4000_coalition():
-    g = hub_last_k2(4000)
-    v = recognize_coalition(g)
+def test_coalition_dh_searches_for_n_only_in_non_members(monkeypatch):
+    # C(G) decides a distance-hereditary input; find_induced runs only to
+    # embed the N of a non-member
+    import oppograph.recognize as rec
+
+    searched = _spy_calls(monkeypatch, rec, "find_induced")
+    g = hub_last_k2(200)
+    v = recognize_coalition_distance_hereditary(g)
     assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
     _assert_verdict(g, v, "member")
+    assert not searched
+    n = GRAPH_N.as_graph()
+    v = recognize_coalition_distance_hereditary(n)
+    assert v.method == "dh-n-witness" and searched == [(n, GRAPH_N)]
+    _assert_verdict(n, v, "non-member")
+    # a non-bipartite C(G) with no N found is a bug, not a verdict
+    monkeypatch.setattr(rec, "find_induced", lambda g, p: None)
+    with pytest.raises(CertificateError, match="holds no N"):
+        recognize_coalition_distance_hereditary(n)
+
+
+def test_hub_last_k2_4000_coalition():
+    g = hub_last_k2(4000)
+    for recognize in (recognize_coalition, recognize_coalition_distance_hereditary):
+        v = recognize(g)
+        assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
+        _assert_verdict(g, v, "member")
 
 
 def test_constructor_scan_later_root_rescues(monkeypatch):

@@ -159,6 +159,9 @@ def test_unknown_class_rejected():
     v = recognize_coalition(g)
     assert check_verdict(g, v) == (True, "ok")
     assert "unknown graph class" in _rejected(g, replace(v, graph_class="bogus"))
+    # check_verdict stops there, before check_orientation, the member
+    # self-check, which rejects the class on its own
+    assert check_orientation(g, v.certificate, "bogus") == (False, "unknown graph class 'bogus'")
 
 
 def test_even_walk_rejected():
@@ -208,11 +211,16 @@ def test_cycle_outside_the_graph_rejected():
         (lambda walk: list(walk), "pairs of vertex ids"),
         # adj[-1] is the last vertex's neighbourhood, which holds 0
         (lambda walk: ((-1, 0),) + walk[1:-1] + ((-1, 0),), "not an edge"),
+        (lambda walk: walk[:3], "too short"),
+        (lambda walk: walk[:-1] + walk[1:2], "not closed"),
+        # (4, 0) turned round is an edge variable that (2, 3) does not see
+        (lambda walk: walk[:2] + ((0, 4),) + walk[3:], "hop 1 fails the auxiliary adjacency predicate"),
     ],
 )
 def test_malformed_walk_steps_rejected(mangle, message):
     g = cycle_graph(5)
     v = recognize_opposition(g)
+    assert v.certificate.walk[2] == (4, 0)
     forged = OddWalkCertificate(mangle(v.certificate.walk))
     assert message in _rejected(g, replace(v, certificate=forged))
 
@@ -332,6 +340,114 @@ def test_witness_larger_than_the_graph_rejected():
     v = recognize_opposition(g, want_witness=True)
     huge = PatternMatch(Pattern("T999999", g.n, v.witness.pattern.edges), v.witness.mapping)
     assert "witness" in _rejected(g, replace(v, witness=huge))
+
+
+# ---------------------------------------------------------------------------
+# malformed parts that once raised inside the checker
+
+
+def test_flip_entries_that_are_no_tuple_rejected():
+    g, v = _flip_exhaustion()
+    assert "not a tuple" in _rejected(g, replace(v, certificate=FlipExhaustion(None)))
+
+
+def test_list_inside_a_flip_vector_rejected():
+    # two aux components, so a list in the second place passes the length
+    # and leading-zero checks
+    g = parse_graph6("GKi@yk")
+    v = recognize_coalition(g)
+    assert isinstance(v.certificate, FlipExhaustion) and check_verdict(g, v) == (True, "ok")
+    first, (flips, cycle) = v.certificate.entries
+    assert flips == (0, 1)
+    forged = FlipExhaustion((first, ((0, [1]), cycle)))
+    assert "other than 0 and 1" in _rejected(g, replace(v, certificate=forged))
+
+
+@pytest.mark.parametrize("mapping", [None, ("0", 1, 2, 3, 4, 5), [0, 1, 2, 3, 4, 5]])
+def test_malformed_pattern_mapping_rejected(mapping):
+    g = GRAPH_N.as_graph()
+    forged = PatternMatch(GRAPH_N, mapping)
+    v = recognize_coalition_distance_hereditary(g)
+    assert v.method == "dh-n-witness" and check_verdict(g, v) == (True, "ok")
+    assert "vertex ids" in _rejected(g, replace(v, certificate=forged))
+    v = recognize_coalition(g, want_witness=True)
+    assert v.witness is not None and check_verdict(g, v) == (True, "ok")
+    assert "witness: " in _rejected(g, replace(v, witness=forged))
+
+
+@pytest.mark.parametrize("witness", ["N", (0, 1, 2, 3, 4, 5), GRAPH_N])
+def test_witness_that_is_no_pattern_match_rejected(witness):
+    g = GRAPH_N.as_graph()
+    v = recognize_coalition(g, want_witness=True)
+    assert "not a pattern embedding" in _rejected(g, replace(v, witness=witness))
+
+
+# ---------------------------------------------------------------------------
+# one test per rejection no other test reaches, each changing one field of
+# a real verdict
+
+
+def test_orientation_of_another_graph_rejected():
+    g = path_graph(5)
+    v = recognize_opposition(g)
+    other = recognize_opposition(path_graph(6)).certificate
+    assert "different graph" in _rejected(g, replace(v, certificate=other))
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ((0, 1, 2, 3, 4, 6), "leaves the host"),
+        ((0, 1, 2, 3, 5, 4), "pattern pair (1, 4) not induced correctly"),
+    ],
+)
+def test_n_embedding_outside_the_host_or_not_induced_rejected(mapping, message):
+    g = GRAPH_N.as_graph()
+    v = recognize_coalition_distance_hereditary(g)
+    assert v.certificate.mapping == (0, 1, 2, 3, 4, 5)
+    forged = replace(v.certificate, mapping=mapping)
+    assert message in _rejected(g, replace(v, certificate=forged))
+
+
+def test_exhaustion_over_a_non_bipartite_aux_graph_rejected():
+    # C(C5) is bipartite and every coalition flip vector of C5 is cyclic;
+    # O(C5) is an odd cycle, so no opposition flip vector exists
+    g = cycle_graph(5)
+    v = recognize_coalition(g)
+    assert isinstance(v.certificate, FlipExhaustion) and check_verdict(g, v) == (True, "ok")
+    assert _rejected(g, replace(v, graph_class=OPPOSITION)) == "auxiliary graph is not even bipartite"
+
+
+def test_exhaustion_of_a_subgraph_without_variables_rejected():
+    # three vertices hold no P4
+    g, v = _induced_subgraph()
+    forged = replace(v.certificate, vertices=(0, 1, 2))
+    assert _rejected(g, replace(v, certificate=forged)) == "induced subgraph: no variables, nothing to exhaust"
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        ((0,), "degenerate cycle"),
+        # 0 and 1 are not adjacent in co-C6
+        ((0, 1), "cycle arc (0, 1) is not an end-edge variable"),
+    ],
+)
+def test_cycle_that_is_no_cycle_of_variables_rejected(cycle, message):
+    g, v = _flip_exhaustion()
+    (flips, _), *rest = v.certificate.entries
+    forged = FlipExhaustion(((flips, DirectedCycleCertificate(cycle)), *rest))
+    assert message == _rejected(g, replace(v, certificate=forged))
+
+
+def test_undecided_verdict_with_a_certificate_rejected():
+    g, v = _flip_exhaustion()
+    assert "carry no certificate" in _rejected(g, replace(v, decision=UNDECIDED))
+
+
+def test_unknown_decision_rejected():
+    g, v = _flip_exhaustion()
+    assert _rejected(g, replace(v, decision="maybe")) == "unknown decision 'maybe'"
 
 
 # ---------------------------------------------------------------------------
