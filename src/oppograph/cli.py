@@ -3,14 +3,13 @@
 Exit codes: 0 member, 1 non-member, 2 undecided, 3 a sweep or --oracle
 disagreement or a --verify rejection, 10 parse error, 11 usage error.
 recognize, orient and sweep take a flip cap, a budget for each connected
-component, which defaults to the OPPO_FLIP_CAP environment variable.
+component, set by --flip-cap (default 2^20).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .constraints import ConstraintGraph, OddWalkCertificate, bipartition_or_odd_walk
@@ -44,7 +43,7 @@ _DECISION_EXIT = {MEMBER: EXIT_MEMBER, NON_MEMBER: EXIT_NON_MEMBER, UNDECIDED: E
 
 _FLIP_CAP_HELP = (
     "flip vectors each connected component with a cyclic side 0 may try "
-    "before the verdict is undecided (default: OPPO_FLIP_CAP, else 2^20)"
+    "before the verdict is undecided (default: 2^20)"
 )
 
 
@@ -57,19 +56,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(f"{self.prog}: error: {message}", EXIT_USAGE)
-
-
-def _flip_cap_default() -> int:
-    value = os.environ.get("OPPO_FLIP_CAP")
-    if value is None:
-        return DEFAULT_FLIP_CAP
-    try:
-        cap = int(value)
-    except ValueError as exc:
-        raise CliError(f"OPPO_FLIP_CAP is not an integer: {value!r}", EXIT_USAGE) from exc
-    if cap < 1:
-        raise CliError("OPPO_FLIP_CAP must be at least 1", EXIT_USAGE)
-    return cap
 
 
 def _read_text(path: str) -> str:
@@ -334,7 +320,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("recognize", help="decide membership with a certificate")
     common(p)
-    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
+    p.add_argument("--flip-cap", type=int, default=DEFAULT_FLIP_CAP, help=_FLIP_CAP_HELP)
     p.add_argument("--output", choices=["human", "json", "dot"], default="human")
     p.add_argument("--witness", action="store_true", help="also locate a forbidden pattern on rejection")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
@@ -343,7 +329,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("orient", help="emit a verified orientation of a member")
     common(p)
-    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
+    p.add_argument("--flip-cap", type=int, default=DEFAULT_FLIP_CAP, help=_FLIP_CAP_HELP)
     p.add_argument("--output", choices=["arcs", "dot"], default="dot")
     p.add_argument("--method", choices=["auto", "ptolemaic"], default="auto")
     p.set_defaults(func=cmd_orient)
@@ -371,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flip-cap", type=int, default=None, help=_FLIP_CAP_HELP)
+    p.add_argument("--flip-cap", type=int, default=DEFAULT_FLIP_CAP, help=_FLIP_CAP_HELP)
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -381,11 +367,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if "flip_cap" in args:
-            if args.flip_cap is None:
-                args.flip_cap = _flip_cap_default()
-            elif args.flip_cap < 1:
-                raise CliError("--flip-cap must be at least 1", EXIT_USAGE)
+        if "flip_cap" in args and args.flip_cap < 1:
+            raise CliError("--flip-cap must be at least 1", EXIT_USAGE)
         return args.func(args, out)
     except CliError as exc:
         print(exc, file=sys.stderr)

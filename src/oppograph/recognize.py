@@ -1,14 +1,16 @@
 """Decision procedures with machine-checkable certificates.
 
-Every recognizer returns a Verdict.  Members carry an orientation that is
-re-checked by `verify.check_orientation` before being returned; rejections
-carry an odd closed walk in the auxiliary graph, an exhausted flip search
-with one directed cycle per flip vector, or a forbidden-pattern embedding.
+Every recognizer returns a `verify.Verdict`.  Members carry an orientation
+that is re-checked by `verify.check_orientation` before being returned;
+rejections carry an odd closed walk in the auxiliary graph, an exhausted
+flip search with one directed cycle per flip vector, or a forbidden-pattern
+embedding.  Opposition and coalition share one pipeline, `_recognize`, run
+on O(G) or C(G); the per-class table `_PIPELINES` holds all that differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constraints import (
     Bipartition,
@@ -54,44 +56,11 @@ from .patterns import (
     has_hole,
     is_ptolemaic,
 )
+from .verify import (
+    MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, InducedSubgraph, Verdict, check_orientation, check_pattern_match,
+)
 
 DEFAULT_FLIP_CAP = 1 << 20
-
-MEMBER = "member"
-NON_MEMBER = "non-member"
-UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class FlipExhaustion:
-    """Every flip vector in the reversal quotient forced a directed cycle."""
-
-    entries: tuple[tuple[tuple[int, ...], DirectedCycleCertificate], ...]
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """G[S] is no member, so neither is G: both classes are hereditary.
-
-    ``vertices`` is S in increasing order; ``certificate`` refutes G[S]
-    in its own ids, local vertex i standing for ``vertices[i]``."""
-
-    vertices: tuple[int, ...]
-    certificate: FlipExhaustion | OddWalkCertificate
-
-
-@dataclass(frozen=True)
-class Verdict:
-    graph_class: str
-    decision: str
-    method: str
-    certificate: object
-    stats: dict = field(default_factory=dict)
-    witness: PatternMatch | None = None
-
-    @property
-    def is_member(self) -> bool:
-        return self.decision == MEMBER
 
 
 class CertificateError(RuntimeError):
@@ -123,8 +92,6 @@ def _side0_arcs(cg: ConstraintGraph, b: Bipartition) -> list[tuple[int, int]]:
 
 def _checked_member(graph_class, method, orientation, stats) -> Verdict:
     """The member verdict once the orientation passes `verify.check_orientation`."""
-    from .verify import check_orientation  # verify imports this module
-
     ok, msg = check_orientation(orientation.base, orientation, graph_class)
     if not ok:
         raise CertificateError(f"{method} produced an orientation failing the {graph_class} verifier: {msg}")
@@ -132,8 +99,6 @@ def _checked_member(graph_class, method, orientation, stats) -> Verdict:
 
 
 def _checked_pattern(g: Graph, match: PatternMatch) -> PatternMatch:
-    from .verify import check_pattern_match  # verify imports this module
-
     ok, msg = check_pattern_match(g, match)
     if not ok:
         raise CertificateError(f"{match.pattern.name} {msg}")
@@ -354,7 +319,7 @@ def recognize_generalized_opposition(g: Graph) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# opposition
+# opposition and coalition
 
 
 def _gem_house_free(g: Graph) -> bool:
@@ -382,48 +347,63 @@ def _dh_twin_order(g: Graph) -> list[int] | None:
     return order
 
 
-def opposition_obstruction(g: Graph) -> tuple[str, PatternMatch] | None:
+def opposition_obstruction(g: Graph) -> PatternMatch | None:
     """A human-readable obstruction for distance-hereditary rejections:
-    an induced A, G1, G2, or T_k."""
+    an induced A, G1, G2, or T_k, named by its pattern."""
     for pat in (GRAPH_A, GRAPH_G1, GRAPH_G2):
         match = find_induced(g, pat)
         if match is not None:
-            return pat.name, match
+            return match
     hit = find_Tk_free_violation(g)
-    if hit is not None:
-        k, match = hit
-        return f"T{k}", match
-    return None
+    return None if hit is None else hit[1]
 
 
-def recognize_opposition(
-    g: Graph, flip_cap: int | None = None, want_witness: bool = False
-) -> Verdict:
-    """The exact flip search over O(G).  Only a member at its first vector,
-    side 0, runs route tests: ``dh-ptolemaic`` if distance-hereditary (side
-    0 where the twin reduction stops, removed twins put back next to their
-    partners), else ``gem-house-free`` if (gem, house)-free."""
+# class -> (flip-search method, DH label, DH member order (None keeps side
+# 0), pattern-free label, its test beyond (gem, house)-freeness, witness)
+_PIPELINES = {
+    OPPOSITION: ("flip-search", "dh-ptolemaic", _dh_twin_order,
+                 "gem-house-free", lambda g: True, opposition_obstruction),
+    COALITION: ("flip-search-extension", "dh-transitive", lambda g: None,
+                "gem-house-hole-free", lambda g: has_hole(g) is None, lambda g: find_induced(g, GRAPH_N)),
+}
+
+
+def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: bool) -> Verdict:
+    """The exact flip search over O(G) or C(G).  An odd walk rejects, with
+    the class's witness under ``want_witness`` if G is distance-hereditary.
+    Only a member at the first vector, side 0, runs route tests: the DH
+    label if distance-hereditary, else the pattern-free label."""
+    search, dh_label, dh_order, free_label, free_test, obstruction = _PIPELINES[graph_class]
     _check_cap(flip_cap)
-    cg, res = _aux(g, OPPOSITION)
+    cg, res = _aux(g, graph_class)
     if isinstance(res, OddWalkCertificate):
-        witness = None
-        if want_witness and _pruning(g) is not None:
-            hit = opposition_obstruction(g)
-            if hit is not None:
-                witness = _checked_pattern(g, hit[1])
-        return Verdict(
-            OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness
-        )
+        match = obstruction(g) if want_witness and _pruning(g) is not None else None
+        witness = None if match is None else _checked_pattern(g, match)
+        return Verdict(graph_class, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     outcome = _flip_search(cg, res, flip_cap)
-    method = "flip-search"
+    method = search
     if outcome.orientation is not None and outcome.tried == 1:  # at side 0
         if _pruning(g) is not None:
-            order = _dh_twin_order(g)
+            order = dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
-            return _checked_member(OPPOSITION, "dh-ptolemaic", o, _stats(cg, res, None))
-        if _gem_house_free(g):
-            method = "gem-house-free"
-    return _flip_verdict(OPPOSITION, method, cg, res, outcome)
+            return _checked_member(graph_class, dh_label, o, _stats(cg, res, None))
+        if _gem_house_free(g) and free_test(g):
+            method = free_label
+    return _flip_verdict(graph_class, method, cg, res, outcome)
+
+
+def recognize_opposition(g: Graph, flip_cap: int | None = None, want_witness: bool = False) -> Verdict:
+    """`_recognize` over O(G): ``dh-ptolemaic`` members take side 0 where
+    the twin reduction stops, removed twins put back next to their
+    partners.  The witness is an induced A, G1, G2 or T_k."""
+    return _recognize(OPPOSITION, g, flip_cap, want_witness)
+
+
+def recognize_coalition(g: Graph, flip_cap: int | None = None, want_witness: bool = False) -> Verdict:
+    """`_recognize` over C(G), marked as an extension: every member keeps
+    the flip search's orientation, with no transitive orientation built.
+    The witness is an induced N."""
+    return _recognize(COALITION, g, flip_cap, want_witness)
 
 
 def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
@@ -474,8 +454,6 @@ def ptolemaic_opposition_orient(g: Graph) -> Orientation:
     the first root's PtolemaicOrientationError is raised.  Each try is
     polynomial, so the scan is too.
     """
-    from .verify import check_orientation  # verify imports this module
-
     if g.n == 0:
         return Orientation(g, [])
     if len(connected_components(g)) != 1:
@@ -587,33 +565,6 @@ def transitive_orient(g: Graph) -> Orientation | None:
     if any(out[b] & ~out[a] for b in range(g.n) for a in bits(inn[b])):
         return None
     return Orientation(g, [(t, h) for t in range(g.n) for h in bits(out[t])])
-
-
-def recognize_coalition(
-    g: Graph, flip_cap: int | None = None, want_witness: bool = False
-) -> Verdict:
-    """The flip search over C(G), marked as an extension.  Only a member at
-    its first vector, side 0, runs route tests: ``dh-transitive`` if
-    distance-hereditary, else ``gem-house-hole-free`` if (gem, house,
-    hole)-free.  Both keep the side-0 orientation, the first label with
-    ``flips_tried`` null; no transitive orientation is built."""
-    _check_cap(flip_cap)
-    cg, res = _aux(g, COALITION)
-    if isinstance(res, OddWalkCertificate):
-        witness = None
-        if want_witness and _pruning(g) is not None:
-            nmatch = find_induced(g, GRAPH_N)
-            if nmatch is not None:
-                witness = _checked_pattern(g, nmatch)
-        return Verdict(COALITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
-    outcome = _flip_search(cg, res, flip_cap)
-    method = "flip-search-extension"
-    if outcome.orientation is not None and outcome.tried == 1:  # at side 0
-        if _pruning(g) is not None:
-            return _checked_member(COALITION, "dh-transitive", outcome.orientation, _stats(cg, res, None))
-        if _gem_house_free(g) and has_hole(g) is None:
-            method = "gem-house-hole-free"
-    return _flip_verdict(COALITION, method, cg, res, outcome)
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:

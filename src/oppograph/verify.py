@@ -1,24 +1,62 @@
-"""Independent certificate checkers.
+"""Independent certificate checkers, and the verdict types they accept.
 
-These deliberately avoid the production code paths: orientations are
-checked at each P4's mid-edge over adjacency bitsets, the auxiliary
-adjacency is rebuilt by the definition's two links per P4 from P4s grown
-from their smaller end vertex, and 2-coloring and acyclicity use DFS.
-Certificates emitted by the recognizers must re-verify here, and
-`check_orientation` is also their member self-check.  The O(n^4)
-4-subset scan `brute_force_p4s` is the reference in tests.
+`Verdict` and its certificate types are defined here, by the checker
+that says what they must hold, so this module imports nothing from
+`recognize`.  The checkers deliberately avoid the production code paths:
+orientations are checked at each P4's mid-edge over adjacency bitsets,
+the auxiliary adjacency is rebuilt by the definition's two links per P4
+from P4s grown from their smaller end vertex, and 2-coloring and
+acyclicity use DFS.  Certificates emitted by the recognizers must
+re-verify here, and `check_orientation` is also their member self-check.
+The O(n^4) 4-subset scan `brute_force_p4s` is the reference in tests.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .constraints import OddWalkCertificate
 from .graphs import DirectedCycleCertificate, Graph, Orientation, bits, neighbour_bits
 from .p4 import COALITION, GENERALIZED_OPPOSITION, GRAPH_CLASSES, OPPOSITION
 from .patterns import GRAPH_A, GRAPH_G1, GRAPH_G2, GRAPH_N, Pattern, PatternMatch, make_Tk
-from .recognize import MEMBER, NON_MEMBER, UNDECIDED, FlipExhaustion, InducedSubgraph, Verdict
+
+MEMBER = "member"
+NON_MEMBER = "non-member"
+UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True)
+class FlipExhaustion:
+    """Every flip vector in the reversal quotient forced a directed cycle."""
+
+    entries: tuple[tuple[tuple[int, ...], DirectedCycleCertificate], ...]
+
+
+@dataclass(frozen=True)
+class InducedSubgraph:
+    """G[S] is no member, so neither is G: both classes are hereditary.
+
+    ``vertices`` is S in increasing order; ``certificate`` refutes G[S]
+    in its own ids, local vertex i standing for ``vertices[i]``."""
+
+    vertices: tuple[int, ...]
+    certificate: FlipExhaustion | OddWalkCertificate
+
+
+@dataclass(frozen=True)
+class Verdict:
+    graph_class: str
+    decision: str
+    method: str
+    certificate: object
+    stats: dict = field(default_factory=dict)
+    witness: PatternMatch | None = None
+
+    @property
+    def is_member(self) -> bool:
+        return self.decision == MEMBER
 
 
 def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
@@ -317,11 +355,16 @@ _OPPOSITION_OBSTRUCTIONS = {p.name: p for p in (GRAPH_A, GRAPH_G1, GRAPH_G2)}
 _TK_NAME = re.compile(r"T([1-9][0-9]{0,5})")
 
 
-def _named_obstruction(g: Graph, graph_class: str, name: str) -> Pattern | None:
+def _pattern_name(match: PatternMatch) -> str | None:
+    name = getattr(match.pattern, "name", None)
+    return name if isinstance(name, str) else None
+
+
+def _named_obstruction(g: Graph, graph_class: str, name: str | None) -> Pattern | None:
     """The canonical pattern a witness name stands for in a class: N for
-    coalition; A, G1, G2 or T<k> otherwise.  None for any other name, or
-    for a T<k> larger than the graph."""
-    if graph_class == COALITION:
+    coalition; A, G1, G2 or T<k> otherwise.  None for no name, any other
+    name, or a T<k> larger than the graph."""
+    if graph_class == COALITION or name is None:
         return GRAPH_N if name == "N" else None
     if name in _OPPOSITION_OBSTRUCTIONS:
         return _OPPOSITION_OBSTRUCTIONS[name]
@@ -343,9 +386,10 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
     if v.witness is not None:
         if not isinstance(v.witness, PatternMatch):
             return False, "witness is not a pattern embedding"
-        pattern = _named_obstruction(g, v.graph_class, v.witness.pattern.name)
+        name = _pattern_name(v.witness)
+        pattern = _named_obstruction(g, v.graph_class, name)
         if pattern is None:
-            return False, f"witness: {v.witness.pattern.name!r} is no {v.graph_class} obstruction"
+            return False, f"witness: {name!r} is no {v.graph_class} obstruction"
         ok, msg = check_pattern_match(g, PatternMatch(pattern, v.witness.mapping))
         if not ok:
             return False, f"witness: {msg}"
@@ -369,7 +413,7 @@ def check_verdict(g: Graph, v: Verdict) -> tuple[bool, str]:
         if isinstance(cert, PatternMatch):
             # N is the one pattern known to lie outside a class (coalition);
             # its edges come from GRAPH_N, never from the certificate
-            if v.graph_class != COALITION or cert.pattern.name != "N":
+            if v.graph_class != COALITION or _pattern_name(cert) != "N":
                 return False, "only N embeddings refute membership, and only coalition"
             return check_pattern_match(g, PatternMatch(GRAPH_N, cert.mapping))
         return False, "non-member verdict without a certificate"

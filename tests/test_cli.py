@@ -313,28 +313,10 @@ def test_autodetection_parses_graph6_once(monkeypatch, tmp_path):
     assert info.value.code == EXIT_PARSE and len(calls) == 1
 
 
-def test_flip_cap_env(monkeypatch, co_c6_el):
-    monkeypatch.setenv("OPPO_FLIP_CAP", "1")
-    code, _ = run(["recognize", "--class", "opposition", co_c6_el])
-    # co-C6 has one aux component; cap 1 still allows the single vector
-    assert code == EXIT_NON_MEMBER
-    for bad in ("bogus", "0"):
-        monkeypatch.setenv("OPPO_FLIP_CAP", bad)
-        code, _ = run(["recognize", "--class", "opposition", co_c6_el])
-        assert code == EXIT_USAGE
-
-
-def test_flip_cap_only_where_a_recognizer_runs(monkeypatch, tmp_path):
-    # aux and oracle run no recognizer: they neither read OPPO_FLIP_CAP
-    # nor take --flip-cap
+def test_flip_cap_only_where_a_recognizer_runs(tmp_path):
+    # aux and oracle run no recognizer, so they take no --flip-cap
     path = tmp_path / "p4.el"
     path.write_text("a b\nb c\nc d\n")
-    monkeypatch.setenv("OPPO_FLIP_CAP", "abc")
-    code, out = run(["oracle", "--class", "opposition", str(path)])
-    assert code == EXIT_MEMBER and "decision: member" in out
-    code, out = run(["aux", "--kind", "opposition", "--check-bipartite", str(path)])
-    assert code == EXIT_MEMBER and "bipartite, 1 component" in out
-    monkeypatch.delenv("OPPO_FLIP_CAP")
     for argv in (["oracle", "--class", "opposition"], ["aux", "--kind", "opposition"]):
         code, out = run([*argv, "--flip-cap", "5", str(path)])
         assert (code, out) == (EXIT_USAGE, "")

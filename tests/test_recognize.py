@@ -447,8 +447,7 @@ def test_reversal_closure_of_member_certificates(co_c6_labeled, h1):
 
 def test_obstruction_search_on_trees():
     t2 = make_Tk(2).as_graph()
-    name, match = opposition_obstruction(t2)
-    assert name == "T2"
+    assert opposition_obstruction(t2).pattern.name == "T2"
 
 
 def test_verdict_payload_schema(co_c6_labeled):

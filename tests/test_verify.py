@@ -3,7 +3,9 @@ large verdicts without the 4-subset P4 scan."""
 
 import random
 import re
-from dataclasses import replace
+from copy import copy
+from dataclasses import fields, is_dataclass, replace
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -380,6 +382,65 @@ def test_witness_that_is_no_pattern_match_rejected(witness):
     g = GRAPH_N.as_graph()
     v = recognize_coalition(g, want_witness=True)
     assert "not a pattern embedding" in _rejected(g, replace(v, witness=witness))
+
+
+@pytest.mark.parametrize("pattern", [None, "N", [GRAPH_N], Pattern(["N"], 6, GRAPH_N.edges)])
+def test_pattern_that_is_no_named_pattern_rejected(pattern):
+    # the N certificate and the N witness alike
+    g = GRAPH_N.as_graph()
+    forged = PatternMatch(pattern, (0, 1, 2, 3, 4, 5))
+    v = recognize_coalition_distance_hereditary(g)
+    assert "only N embeddings" in _rejected(g, replace(v, certificate=forged))
+    v = recognize_coalition(g, want_witness=True)
+    assert _rejected(g, replace(v, witness=forged)) == "witness: None is no coalition obstruction"
+
+
+@pytest.mark.parametrize("pattern", [None, "T1", [make_Tk(1)], Pattern(["T1"], 8, make_Tk(1).edges)])
+def test_opposition_witness_pattern_that_is_no_named_pattern_rejected(pattern):
+    g = make_Tk(1).as_graph()
+    v = recognize_opposition(g, want_witness=True)
+    assert v.witness is not None and check_verdict(g, v) == (True, "ok")
+    forged = replace(v, witness=PatternMatch(pattern, v.witness.mapping))
+    assert _rejected(g, forged) == "witness: None is no opposition obstruction"
+
+
+_JUNK = (None, "x", 3, 1.5, [], (), {}, ((0, 1),))
+
+
+def _junk_copies(obj):
+    """Copies of ``obj`` with one field replaced by a junk value, at any
+    depth of its dataclass fields; an orientation's field is its graph."""
+    if isinstance(obj, Orientation):
+        names = ("base",)
+    else:
+        names = [f.name for f in fields(obj)] if is_dataclass(obj) else ()
+    for name in names:
+        for value in (*_JUNK, *_junk_copies(getattr(obj, name))):
+            mutant = copy(obj)
+            object.__setattr__(mutant, name, value)
+            yield mutant
+
+
+def test_no_junk_field_makes_the_checker_raise():
+    recognizers = (
+        partial(recognize_opposition, want_witness=True),
+        recognize_generalized_opposition,
+        partial(recognize_coalition, want_witness=True),
+        recognize_coalition_distance_hereditary,
+    )
+    graphs = [GRAPH_N.as_graph(), complement(cycle_graph(6)), make_Tk(1).as_graph(),
+              parse_graph6("F}SyO"), parse_graph6("FUxqO")]
+    checked = 0
+    for g in graphs:
+        for recognize in recognizers:
+            v = recognize(g)
+            assert check_verdict(g, v)[0]
+            for mutant in _junk_copies(v):
+                ok, msg = check_verdict(g, mutant)
+                assert isinstance(ok, bool) and isinstance(msg, str)
+                checked += 1
+    # six verdict fields each take every junk value, and inner fields more
+    assert checked > 20 * 6 * len(_JUNK)
 
 
 # ---------------------------------------------------------------------------
