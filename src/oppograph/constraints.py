@@ -12,8 +12,9 @@ conflict-free direction choices.  Bipartiteness therefore decides the
 "generalized" membership question, and a bipartition side induces the
 forced partial orientation of the end-edges.
 
-The graphs are built from mid-edge blocks without listing P4s, and a
-neighbour list is generated from G only when asked for (see
+The graphs are built from mid-edge blocks without listing P4s, in one
+pass over the quotient of G by its twin classes, and a neighbour list
+is generated from G only when asked for (see
 ``ConstraintGraph.neighbours``).
 """
 
@@ -38,6 +39,54 @@ from .p4 import COALITION, OPPOSITION
 ArcVar = tuple[int, int]
 
 
+def _twin_quotient(g: Graph) -> tuple[list[int], list[int], list[int]] | None:
+    """The quotient of g by its twin classes, or None when g has no twins.
+
+    Open twins (equal N(v)) and closed twins (equal N[v]) are collapsed
+    into their least vertex until no twins are left; no vertex has twins
+    of both kinds.  Each class is a module that induces a cograph, so no
+    P4 meets it twice.  Returns (rep, weight, nbr): rep[v] is the least
+    vertex of v's class, and a representative r has the class size
+    weight[r] and the quotient neighbourhood bitset nbr[r].  Only the
+    neighbours of a collapsed vertex are hashed again, so the collapse
+    takes O(n + m) dict operations on n-bit keys.
+    """
+    n = g.n
+    nbr = list(neighbour_bits(g))
+    rep = list(range(n))
+    weight = [1] * n
+    owner: dict[int, int] = {}  # N(v) and N[v], as bitsets, of every vertex v left
+    todo, gone = range(n), 0
+    while todo:
+        hit = 0  # the neighbours of the vertices collapsed this round
+        for v in todo:
+            for key in (nbr[v], nbr[v] | 1 << v):
+                u = owner.setdefault(key, v)
+                if u == v:
+                    continue
+                a, b = (u, v) if u < v else (v, u)  # b joins a's class
+                for k in (nbr[b], nbr[b] | 1 << b):
+                    if owner.get(k) == b:
+                        del owner[k]
+                owner[key] = a
+                rep[b] = a
+                weight[a] += weight[b]
+                gone |= 1 << b
+                hit |= nbr[b]
+                if b == v:
+                    break
+        if not gone:
+            return None
+        todo = list(bits(hit & ~gone))
+        for v in todo:
+            for k in (nbr[v], nbr[v] | 1 << v):
+                del owner[k]
+            nbr[v] &= ~gone
+    for v in range(n):
+        rep[v] = rep[rep[v]]  # rep[v] <= v, so rep[rep[v]] is final
+    return rep, weight, nbr
+
+
 class ConstraintGraph:
     """The auxiliary graph O(G) (kind "opposition") or C(G) ("coalition").
 
@@ -56,6 +105,15 @@ class ConstraintGraph:
     visited vertex taking its unvisited non-neighbours across with one
     AND-NOT, so the pass costs O(sum over edges of the smaller side +
     #P4s) big-int operations, O(k) on K_{2,k}.
+
+    The pass runs on the quotient of G by its twin classes
+    (``_twin_quotient``), or on G itself when G has average degree below
+    6 or no twins.  No P4 meets a class twice, so the P4s of G are the
+    lifts of the quotient's: an edge of G between two classes takes the
+    class and side of their quotient edge, an edge inside a class is in
+    no P4, and a quotient P4 A-B-C-D counts |A||B||C||D| times.  The
+    class sizes are split into bit planes, so the far side of a block is
+    weighed with one bit count per plane.
 
     ``vars`` holds both arcs of every end-edge, sorted by edge: variable
     2k is the k-th end-edge (x, y) with x < y and 2k + 1 is (y, x).
@@ -76,8 +134,23 @@ class ConstraintGraph:
     def __init__(self, kind: str, base: Graph):
         if kind not in (OPPOSITION, COALITION):
             raise ValueError(f"constraint graph kind must be opposition or coalition, got {kind!r}")
-        adj = base.adj
         edges = base.edges
+        # below average degree 6 the pass on G is too cheap for the
+        # collapse to pay for itself
+        quotient = _twin_quotient(base) if len(edges) >= 3 * base.n else None
+        if quotient is None:
+            weight, nbr, planes = None, neighbour_bits(base), None
+            degree = list(map(len, base.adj))
+        else:  # the block pass runs on the quotient
+            rep, weight, nbr = quotient
+            degree = list(map(int.bit_count, nbr))
+            edges = [(r, s) for r in range(base.n) if rep[r] == r for s in bits(nbr[r] >> r + 1 << r + 1)]
+            # plane k holds the representatives whose class size has bit k set
+            planes = [0] * max(weight).bit_length()
+            for r, w in enumerate(weight):
+                if rep[r] == r:
+                    for k in bits(w):
+                        planes[k] |= 1 << r
         # edge ids by endpoint: inc[u][v] is the id of {u, v}
         inc: list[dict[int, int]] = [{} for _ in range(base.n)]
         for e, (u, v) in enumerate(edges):
@@ -91,10 +164,9 @@ class ConstraintGraph:
         bad = [False] * m
 
         coalition = kind == COALITION
-        nbr = neighbour_bits(base)
         p4_count = 0
         for b, c in edges:
-            if len(adj[b]) > len(adj[c]):
+            if degree[b] > degree[c]:
                 b, c = c, b
             nb, nc = nbr[b], nbr[c]
             unl, unr = nb & ~nc & ~(1 << c), nc & ~nb & ~(1 << b)  # in no component yet
@@ -121,8 +193,17 @@ class ConstraintGraph:
                 comp_r = before ^ unr  # the component's part of R
                 if not comp_r:
                     continue  # first has no P4 in this block
-                for a in comp[0]:
-                    p4_count += (comp_r & ~nbr[a]).bit_count()
+                if planes is None:
+                    for a in comp[0]:
+                        p4_count += (comp_r & ~nbr[a]).bit_count()
+                else:  # a P4 A-B-C-D of the quotient lifts to |A||B||C||D| P4s
+                    lifts = 0
+                    for a in comp[0]:
+                        ds = comp_r & ~nbr[a]
+                        lifts += weight[a] * sum(
+                            (ds & plane).bit_count() << k for k, plane in enumerate(planes)
+                        )
+                    p4_count += weight[b] * weight[c] * lifts
                 # a->b for a in comp[0] and d->c (c->d for coalition) for
                 # d in comp[1] all take the side of first->b
                 e0 = inc[b][first]
@@ -147,6 +228,20 @@ class ConstraintGraph:
                         members[r0] += small
                         members[r] = None
                         bad[r0] = bad[r0] or bad[r]
+
+        if quotient is not None:
+            # an edge of G between two classes takes the class and side of
+            # their quotient edge, the side flipped if the representatives
+            # are in the other order; an edge inside a class is in no P4,
+            # so it joins the singleton class m
+            head.append(m)
+            parity.append(0)
+            members.append([m])
+            edges = base.edges
+            lift = [inc[rep[x]].get(rep[y], m) for x, y in edges]
+            head = [head[e] for e in lift]
+            parity = [parity[e] ^ (rep[x] > rep[y]) for e, (x, y) in zip(lift, edges)]
+            m = len(edges)
 
         # an edge in a P4 shares its class with the far end-edge, so the
         # singleton classes are the edges in no P4

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hub_last_k2, isomorphic, random_graph
+from conftest import hub_last_k2, isomorphic, random_graph, shuffled_union
+from oppograph import constraints
 from oppograph.constraints import (
     Bipartition,
     ConstraintGraph,
     OddWalkCertificate,
     _path_up,
+    _twin_quotient,
     bipartition_or_odd_walk,
     extend_acyclic,
     forced_orientation,
@@ -23,6 +25,8 @@ from oppograph.graphs import (
     PartialOrientation,
     complete_graph,
     cycle_graph,
+    neighbour_bits,
+    parse_graph6,
     path_graph,
 )
 from oppograph.oracle import oracle_generalized_opposition
@@ -343,6 +347,30 @@ def _eager_bipartition_or_odd_walk(vars_, adj):
     return Bipartition(tuple(side), tuple(comp), comp_id)
 
 
+def _eager_components(adj):
+    """The components of the aux graph, numbered by least variable, as
+    (component, side, bipartite): the component and BFS side of every
+    variable, the least variable of its component taking side 0, and
+    whether each component is bipartite."""
+    n = len(adj)
+    comp, side, bipartite = [-1] * n, [0] * n, []
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        k = comp[start] = len(bipartite)
+        bipartite.append(True)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if comp[w] < 0:
+                    comp[w], side[w] = k, 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    bipartite[k] = False
+    return comp, side, bipartite
+
+
 def _assert_equals_eager(kind, g):
     cg = ConstraintGraph(kind, g)
     res = bipartition_or_odd_walk(cg)
@@ -353,6 +381,14 @@ def _assert_equals_eager(kind, g):
     assert cg.bipartite == isinstance(res, Bipartition)
     assert res == _eager_bipartition_or_odd_walk(vars_, adj)
     assert list(cg.adj) == adj
+    # variables 2k and 2k + 1 share a component, so the least variable of
+    # a component is the least end-edge of its class, read forwards
+    comp, side, bipartite = _eager_components(adj)
+    assert cg.edge_class == comp[::2]
+    assert cg.class_bad == [not b for b in bipartite]
+    assert [s for k, s in zip(cg.edge_class, cg.edge_side) if bipartite[k]] == [
+        s for k, s in zip(comp[::2], side[::2]) if bipartite[k]
+    ]
     if isinstance(res, OddWalkCertificate):
         assert check_odd_walk(g, kind, res) == (True, "ok")
     return res
@@ -408,6 +444,7 @@ def test_block_core_merges_carry_the_bad_flag():
     )
     good_into_bad = ((OPPOSITION, Graph(6, [(0, 3), (0, 4), (1, 5), (2, 4), (3, 5), (4, 5)])),)
     for kind, g in bad_into_good + good_into_bad:
+        assert _twin_quotient(g) is None  # twin-free: the block pass runs on g
         assert isinstance(_assert_equals_eager(kind, g), OddWalkCertificate)
         assert ConstraintGraph(kind, g).class_bad == [True]
 
@@ -418,6 +455,7 @@ def test_block_core_swap_moves_the_block_side():
     # class at odd parity, so that variable's side relative to the new
     # head flips before the rest of the block is placed
     g = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (3, 5)])
+    assert _twin_quotient(g) is None  # twin-free: the block pass runs on g
     for kind in (OPPOSITION, COALITION):
         assert isinstance(_assert_equals_eager(kind, g), Bipartition)
 
@@ -427,3 +465,112 @@ def test_block_core_on_hub_last_k2_3000():
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
         assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
+
+
+# ---------------------------------------------------------------------------
+# the block pass on the twin quotient
+
+
+def _substitute(host, parts):
+    """host with vertex i replaced by parts[i]: every vertex of parts[i] is
+    adjacent to every vertex of parts[j] for each host edge ij."""
+    offset = [0]
+    for part in parts:
+        offset.append(offset[-1] + part.n)
+    edges = [(u + offset[i], v + offset[i]) for i, part in enumerate(parts) for u, v in part.edges]
+    edges += [
+        (offset[i] + u, offset[j] + v)
+        for i, j in host.edges
+        for u in range(parts[i].n)
+        for v in range(parts[j].n)
+    ]
+    return Graph(offset[-1], edges)
+
+
+# a threshold graph, each vertex added isolated or dominating in turn: only
+# 0 and 1 are twins in it, and its collapse to one vertex takes five rounds
+THRESHOLD_6 = Graph(6, [(0, 2), (1, 2), (0, 4), (1, 4), (2, 4), (3, 4)])
+# class sizes 1 to 9 fill the bit planes 0 to 3
+TWIN_PARTS = [complete_graph(2), path_graph(3), cycle_graph(4), THRESHOLD_6]
+TWIN_PARTS += [Graph(s) for s in range(1, 10)]
+
+
+def _twin_heavy_corpus():
+    graphs = [_substitute(complete_graph(3), [Graph(1), Graph(2), Graph(3)])]  # K_{1,2,3}
+    graphs.append(_substitute(complete_graph(3), [Graph(3)] * 3))  # K_{3,3,3}
+    # O(G) and C(G) of F}SyO and FUxqO are bipartite, of C5 (opposition)
+    # and N (coalition) not
+    hosts = [parse_graph6("F}SyO"), parse_graph6("FUxqO"), cycle_graph(5), GRAPH_N.as_graph()]
+    for h, host in enumerate(hosts):
+        for shift in range(len(TWIN_PARTS)):
+            parts = [TWIN_PARTS[(i + shift) % len(TWIN_PARTS)] for i in range(host.n)]
+            graphs.append(shuffled_union([_substitute(host, parts)], 100 * h + shift))
+    return graphs
+
+
+def _twin_classes(g):
+    """The classes of _twin_quotient(g), one sorted list per representative."""
+    rep, _, _ = _twin_quotient(g)
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(rep[v], []).append(v)
+    return classes
+
+
+@pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
+def test_block_core_equals_eager_on_twin_classes(kind, monkeypatch):
+    passes = []  # whether each ConstraintGraph ran its pass on a quotient
+
+    def spy(g):
+        quotient = _twin_quotient(g)
+        passes.append(quotient is not None)
+        return quotient
+
+    monkeypatch.setattr(constraints, "_twin_quotient", spy)
+    sizes = set()
+    kinds = set()
+    graphs = _twin_heavy_corpus()
+    for g in graphs:
+        kinds.add(type(_assert_equals_eager(kind, g)))
+        sizes |= {len(c) for c in _twin_classes(g).values()}
+    assert kinds == {Bipartition, OddWalkCertificate}
+    assert {1, 2, 3, 4, 6, 8, 9} <= sizes
+    # K_{1,2,3} and one substitution have average degree below 6
+    assert passes.count(True) == len(graphs) - 2
+
+
+def test_twin_quotient_of_hub_last_k2_is_one_vertex():
+    # the leaves collapse, and the hubs; then the two are closed twins
+    for k in (1, 2, 30, 1100):
+        rep, weight, nbr = _twin_quotient(hub_last_k2(k))
+        assert rep == [0] * (k + 2)
+        assert (weight[0], nbr[0]) == (k + 2, 0)
+
+
+def test_twin_quotient_leaves_twin_free_graphs():
+    assert _twin_quotient(parse_graph6("F}SyO")) is None
+    assert _twin_quotient(path_graph(20000)) is None
+
+
+def test_twin_quotient_classes_are_twin_free_modules_at_their_least_vertex():
+    graphs = _twin_heavy_corpus()
+    graphs += [shuffled_union([random_distance_hereditary(n, n)], n) for n in (40, 80, 120)]
+    graphs += [shuffled_union([_substitute(parse_graph6("FUxqO"), [THRESHOLD_6] * 7)], 5)]
+    for g in graphs:
+        rep, weight, nbr = _twin_quotient(g)
+        classes = _twin_classes(g)
+        assert all(r == c[0] and weight[r] == len(c) for r, c in classes.items())
+        full = neighbour_bits(g)
+        reps = sum(1 << r for r in classes)
+        for r, c in classes.items():
+            inside = sum(1 << v for v in c)
+            outside = {full[v] & ~inside for v in c}
+            assert len(outside) == 1  # a module
+            # the quotient neighbourhood: the representatives of the classes around it
+            assert nbr[r] == outside.pop() & reps
+        keys = [nbr[r] for r in classes] + [nbr[r] | 1 << r for r in classes]
+        assert len(set(keys)) == len(keys)  # no twins are left
+        if g.n <= 60:
+            assert all(len({rep[v] for v in p}) == 4 for p in induced_p4s(g))  # no P4 meets a class twice
+    # the substituted threshold graphs each collapse to one vertex
+    assert sorted(weight[r] for r in classes) == [6] * 7
