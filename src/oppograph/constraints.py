@@ -75,13 +75,13 @@ def _twin_quotient(g: Graph) -> tuple[list[int], list[int], list[int]] | None:
                 hit |= nbr[b]
                 if b == v:
                     break
-        if not gone:
-            return None
         todo = list(bits(hit & ~gone))
         for v in todo:
             for k in (nbr[v], nbr[v] | 1 << v):
                 del owner[k]
             nbr[v] &= ~gone
+    if not gone:
+        return None
     for v in range(n):
         rep[v] = rep[rep[v]]  # rep[v] <= v, so rep[rep[v]] is final
     return rep, weight, nbr
@@ -193,6 +193,8 @@ class ConstraintGraph:
                 comp_r = before ^ unr  # the component's part of R
                 if not comp_r:
                     continue  # first has no P4 in this block
+                # unit weights: the weighted loop below, with one all-ones
+                # plane, cost flip-unions 4 % of decide_per_s (BENCH_24.json)
                 if planes is None:
                     for a in comp[0]:
                         p4_count += (comp_r & ~nbr[a]).bit_count()

@@ -32,7 +32,8 @@ from oppograph.graphs import (
 from oppograph.oracle import oracle_generalized_opposition
 from oppograph.p4 import COALITION, OPPOSITION, end_edges, induced_p4s, orientation_good_for
 from oppograph.patterns import GRAPH_N
-from oppograph.verify import _rebuild_aux, aux_adjacent, check_odd_walk
+from oppograph.recognize import recognize_coalition, recognize_opposition
+from oppograph.verify import _rebuild_aux, aux_adjacent, check_odd_walk, check_verdict
 
 # frozen edge set of the auxiliary graph of the labeled co-C6 instance:
 # two 6-cycles joined by the six negation edges, as variable-label pairs
@@ -550,6 +551,21 @@ def test_twin_quotient_of_hub_last_k2_is_one_vertex():
 def test_twin_quotient_leaves_twin_free_graphs():
     assert _twin_quotient(parse_graph6("F}SyO")) is None
     assert _twin_quotient(path_graph(20000)) is None
+    assert _twin_quotient(Graph(0)) is None
+    assert _twin_quotient(Graph(1)) is None
+
+
+@pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
+def test_empty_graph_has_an_empty_constraint_graph(kind):
+    # 0 edges >= 3 * 0 vertices, so the empty graph meets the degree test
+    for g in (Graph(0), parse_graph6("?")):
+        cg = ConstraintGraph(kind, g)
+        assert (cg.vars, cg.p4_count, cg.edge_class, cg.class_bad, cg.adj) == ([], 0, [], [], [])
+        assert bipartition_or_odd_walk(cg).side == ()
+        recognize = recognize_opposition if kind == OPPOSITION else recognize_coalition
+        v = recognize(g)
+        assert v.decision == "member"
+        assert check_verdict(g, v) == (True, "ok")
 
 
 def test_twin_quotient_classes_are_twin_free_modules_at_their_least_vertex():
