@@ -134,26 +134,23 @@ class _Part:
         self.aux: list[int] = []
         self.vars: list[tuple[int, int, int, int]] = []
 
-    def search(self, pinned: int, cap: int):
-        """Local vectors by rank, bit ``pinned`` held at 0 and the other
-        bits in increasing order as the bits of the rank, for at most
-        ``cap`` vectors.  Returns the first vector whose forced part of
-        G[S] is acyclic and its min-id topological order (or None, None),
+    def search(self, cap: int):
+        """The search G[S] runs alone: local vectors by rank, bit 0 (the
+        least aux component) held at 0 and bit j the bit j - 1 of the rank,
+        for at most ``cap`` vectors.  Returns the min-id topological order
+        of the first vector whose forced part of G[S] is acyclic (or None)
         and the (vector, cycle) entries before it, each cycle the one
         ``topo_order_or_cycle`` reports, all in local ids.  The rank-0
         entry is (side 0, ``cycle``), so passes start at rank 1."""
-        free = [j for j in range(len(self.aux)) if j != pinned]
         entries = [((0,) * len(self.aux), self.cycle)]
-        for rank in range(1, min(1 << len(free), cap)):
-            bits = [0] * len(self.aux)
-            for i, j in enumerate(free):
-                bits[j] = (rank >> i) & 1
+        for rank in range(1, min(1 << (len(self.aux) - 1), cap)):
+            bits = (0,) + tuple((rank >> j) & 1 for j in range(len(self.aux) - 1))
             arcs = [(x, y) for j, side, x, y in self.vars if side == bits[j]]
             order, cyc = topo_order_or_cycle(len(self.vertices), arcs)
             if cyc is None:
-                return tuple(bits), order, entries
-            entries.append((tuple(bits), cyc))
-        return None, None, entries
+                return order, entries
+            entries.append((bits, cyc))
+        return None, entries
 
 
 def _parts(cg: ConstraintGraph, b: Bipartition, indeg: list[int]) -> list[_Part]:
@@ -194,8 +191,8 @@ def _parts(cg: ConstraintGraph, b: Bipartition, indeg: list[int]) -> list[_Part]
 
 
 def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
-    """The least flip vector in rank order (aux component 0 pinned: the
-    global reversal quotient) whose forced orientation is acyclic.
+    """A flip vector whose forced orientation is acyclic, each component
+    of G searched in rank order in its own reversal quotient.
 
     The first vector, side 0 in every aux component, takes one Kahn pass
     over the whole graph.  Only the components of G holding a vertex it
@@ -204,19 +201,15 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
 
     A P4 lies inside one component and a union of acyclic orientations is
     acyclic, so a vector is acyclic exactly when its restriction to every
-    component is.  The part holding aux component 0 searches with that
-    bit pinned.  Reversing one other part complements its bits, so its
-    least acyclic choice has its top bit 0, which it pins instead.  The
-    parts use disjoint bit positions of the rank, so the least acyclic
-    vector is the sum of the least acyclic choices, and ``flips_tried``
-    is its rank plus 1, as if every vector before it had been tried.
-    Each part may try ``flip_cap`` vectors.
+    component is.  Each part runs the search G[S] runs alone, its least
+    aux component pinned, and may try ``flip_cap`` vectors.
+    ``flips_tried`` counts the forced orientations whose acyclicity was
+    tested: the side-0 pass plus every Kahn pass a part ran.
 
     The first part whose search exhausts refutes G: when it holds every
     aux component the certificate is its whole-graph ``FlipExhaustion``,
     else an ``InducedSubgraph`` holding the exhaustion of G[S].  With no
-    exhaustion, a part that hit the cap leaves the verdict undecided, and
-    every other component with aux variables counts one vector tried.  A
+    exhaustion, a part that hit the cap leaves the verdict undecided.  A
     member is oriented along the pass's order outside the parts and their
     min-id topological orders inside: per component, the arcs of a min-id
     topological completion, as ``orient_along`` reads only the relative
@@ -227,18 +220,13 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
         return _FlipOutcome(orient_along(cg.base, order), None, 1)
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
     parts = _parts(cg, b, indeg)
-    flips = [0] * b.component_count
     in_part = set().union(*(part.vertices for part in parts))
     order = [v for v in order if v not in in_part]
-    tried, capped = 0, False
+    tried, capped = 1, False
     for part in parts:
-        pinned = 0 if part.aux[0] == 0 else len(part.aux) - 1
-        bits, topo, entries = part.search(pinned, cap)
-        tried += len(entries)
-        if bits is not None:
-            tried += 1
-            for k, bit in zip(part.aux, bits):
-                flips[k] = bit
+        topo, entries = part.search(cap)
+        tried += len(entries) - 1 + (topo is not None)  # rank 0 was the shared pass
+        if topo is not None:
             order += [part.vertices[v] for v in topo]
         elif len(entries) < 1 << (len(part.aux) - 1):
             capped = True
@@ -247,18 +235,12 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
                 (bits, DirectedCycleCertificate(tuple(part.vertices[v] for v in cyc.vertices)))
                 for bits, cyc in entries
             ))
-            return _FlipOutcome(None, exhaustion, len(entries))
+            return _FlipOutcome(None, exhaustion, tried)
         else:
-            if pinned:
-                entries = part.search(0, cap)[2]
-            inner = InducedSubgraph(part.vertices, FlipExhaustion(tuple(entries)))
-            return _FlipOutcome(None, inner, len(entries))
+            return _FlipOutcome(None, InducedSubgraph(part.vertices, FlipExhaustion(tuple(entries))), tried)
     if capped:
-        ends = {x for x, _ in cg.vars}
-        tried += sum(not ends.isdisjoint(c) for c in connected_components(cg.base)) - len(parts)
         return _FlipOutcome(None, None, tried)
-    rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
-    return _FlipOutcome(orient_along(cg.base, order), None, rank + 1)
+    return _FlipOutcome(orient_along(cg.base, order), None, tried)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package's import structure, read from its source with `ast`: the
 checker imports nothing from the recognizer it checks, and modules import
-at their top."""
+at their top.  Every source file also parses as the oldest Python that
+``pyproject.toml`` accepts."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import oppograph
 
 PACKAGE = Path(oppograph.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported_names(node) -> set[str]:
@@ -37,3 +39,12 @@ def test_the_only_function_local_import_is_verify_orientation():
                 if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn)):
                     local.add(f"{path.stem}.{fn.name}")
     assert local == {"p4.verify_orientation"}
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # requires-python is ">=3.10"; with feature_version, ast rejects
+    # grammar added later (except*, for one) without a 3.10 interpreter
+    paths = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

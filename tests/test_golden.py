@@ -74,11 +74,14 @@ def _graphs():
         # is no member is refuted by one component
         "union-c5": shuffled_union([cycle_graph(5), co_c6, path_graph(5), house], 5),
         "union-co-c6": shuffled_union([co_c6, path_graph(5), gem, complement(cycle_graph(6))], 6),
-        # the exhausting component does not hold aux component 0, so its
-        # search pins its top bit
+        # the exhausting component does not hold aux component 0; it runs
+        # the search it runs alone, after F}SyO's one pass past side 0
         "union-top-pinned": shuffled_union([parse_graph6("F}SyO"), parse_graph6("FUxqO")], 1),
+        # members past side 0 in the component without aux component 0 too
         "f-x2": disjoint_union([parse_graph6("F}SyO")] * 2),
-        # past FUxqO's cyclic side 0, P4 and P5 each count one vector tried
+        "fnccw-x2": disjoint_union([parse_graph6("FNccw")] * 2),
+        # at cap 1 FUxqO stops at its cyclic side 0: flips_tried counts the
+        # one side-0 pass, and nothing for the acyclic P4 and P5
         "fuxqo+p4+p5": shuffled_union([parse_graph6("FUxqO"), path_graph(4), path_graph(5)], 2),
     }
 
@@ -143,6 +146,8 @@ _CASES = [
     ("coal/union-co-c6-cap5", "union-co-c6", recognize_coalition, {"flip_cap": 5}),
     ("opp/union-top-pinned", "union-top-pinned", recognize_opposition, {}),
     ("opp/f-x2-cap1", "f-x2", recognize_opposition, {"flip_cap": 1}),
+    ("opp/f-x2", "f-x2", recognize_opposition, {}),
+    ("coal/fnccw-x2", "fnccw-x2", recognize_coalition, {}),
     ("opp/fuxqo+p4+p5-cap1", "fuxqo+p4+p5", recognize_opposition, {"flip_cap": 1}),
 ]
 
@@ -251,9 +256,11 @@ GOLDEN = {
     "opp/union-co-c6-cap5": "634933bb0ba96635f2b3b551e5c47c968bbe30911e08f930c2dfc0bb4c7f328f",
     "coal/union-co-c6": "5a88215a33770fdc4ae4b6124f2f0ab6b54477c89d02dfb05fe258a8f1ead3f3",
     "coal/union-co-c6-cap5": "5a88215a33770fdc4ae4b6124f2f0ab6b54477c89d02dfb05fe258a8f1ead3f3",
-    "opp/union-top-pinned": "2cff883740503ed4c60bc50b105531b898dda9e4cb373143c99f0d9e4cabbf2f",
-    "opp/f-x2-cap1": "bf3935a07b1ff6e2ca85326c236b65e468ce1fe2943c2920f6052fdedc71b3d2",
-    "opp/fuxqo+p4+p5-cap1": "2cf13cfe4002d7944b299cded6a35c157341978047c10f56eb6ac14c57cb31ba",
+    "opp/union-top-pinned": "71ef15ae56953777548890466dedc4efd22a3b47da8949e0ddee97c673daa3da",
+    "opp/f-x2-cap1": "9477f52a3741f66d6a67d82fb37f29c44b8f65e97a0516ffe3d2449626834256",
+    "opp/f-x2": "6e0bb2b25e7eb74b95e369a46e80579f6b98ed1c36732c2286b73b4cecc548db",
+    "coal/fnccw-x2": "05e13b78f3de4039465377826710be99ba3a4c7f8acee0546f04fdab3132cdd0",
+    "opp/fuxqo+p4+p5-cap1": "308aff3e5b7ee147ca118463cba518e45af8bba07f6c73243d976cd83ef1aa6d",
 }
 
 GOLDEN_ORIENT = {

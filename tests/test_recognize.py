@@ -17,13 +17,13 @@ from oppograph.constraints import (
 from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
+    Orientation,
     complement,
     complete_graph,
     connected_components,
     cycle_graph,
     induced_subgraph,
     kahn_pass,
-    orient_along,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -165,30 +165,39 @@ def test_opposition_non_chordal_dh_twin_route():
     assert oracle_opposition(g).is_member
 
 
-def test_flip_cap_gives_undecided(co_c6):
-    # the cap bounds the search of each component of G; two copies of the
-    # rank-1 member F}SyO need two vectors each, so a cap of one leaves
-    # the union undecided after one vector per copy
+def test_flip_cap_gives_undecided(co_c6, monkeypatch):
+    # the cap bounds the search of each component of G; a copy of the
+    # rank-1 member F}SyO needs two vectors, so a cap of one leaves two
+    # copies undecided after their shared side-0 pass, the one forced
+    # orientation tested, and a cap of two decides them
+    import oppograph.recognize as rec
+
+    passes = _spy_calls(monkeypatch, rec, "topo_order_or_cycle")
     f = parse_graph6("F}SyO")
     g = disjoint_union([f, f])
     v = recognize_opposition(g, flip_cap=1)
     assert v.decision == "undecided"
     ok, msg = check_verdict(g, v)
     assert ok, msg
-    assert v.stats["flips_tried"] == 2
-    assert recognize_opposition(g, flip_cap=2).is_member
+    assert v.stats["flips_tried"] == 1 + len(passes) == 1
+    passes.clear()
+    v = recognize_opposition(g, flip_cap=2)
+    assert v.is_member and v.stats["flips_tried"] == 1 + len(passes) == 3
     # a component that exhausts within the cap decides, even after one
     # that hit it: co-C6 is refuted by its one vector
+    passes.clear()
     g = disjoint_union([f, co_c6])
     v = recognize_opposition(g, flip_cap=1)
     _assert_verdict(g, v, "non-member")
     assert v.certificate.vertices == tuple(range(7, 13))
+    assert v.stats["flips_tried"] == 1 + len(passes) == 1
     # three disjoint co-C6 copies: the first one refutes the union
+    passes.clear()
     g = disjoint_union([co_c6] * 3)
     full = recognize_opposition(g)
     _assert_verdict(g, full, "non-member")
+    assert full.stats["flips_tried"] == 1 + len(passes) == 1
     assert full.certificate == InducedSubgraph(tuple(range(6)), recognize_opposition(co_c6).certificate)
-    assert full.stats["flips_tried"] == 1
 
 
 def test_flip_cap_below_one_is_rejected(co_c6_labeled):
@@ -871,6 +880,46 @@ def _assert_same_outcome(got, want):
     assert got.tried == want.tried
 
 
+def _composed_search(g, kind, flip_cap):
+    """The flip search of G composed from the whole-graph searches of its
+    connected components alone, kept as the reference for unions (on a
+    graph with one component holding aux variables `_flip_search` equals
+    the whole-graph search).  Components are taken by least vertex.  The
+    first one whose search exhausts refutes G with its own certificate:
+    relabelled to G's ids when it holds every aux variable, else inside an
+    induced-subgraph certificate on its vertices.  Otherwise a component
+    that hit the cap leaves G undecided, and with none G is a member with
+    every component's own arcs, relabelled.  ``tried`` is 1, the side-0
+    vector they share, plus each searched component's own count minus its
+    side 0."""
+    ends = {x for x, _ in ConstraintGraph(kind, g).vars}
+    arcs, tried, capped = [], 1, False
+    for comp in connected_components(g):
+        sub, ids = induced_subgraph(g, comp)
+        own = _reference(sub, kind, flip_cap)
+        tried += own.tried - 1
+        if own.orientation is not None:
+            arcs += [(ids[u], ids[v]) for u, v in own.orientation.arcs()]
+        elif own.certificate is None:
+            capped = True
+        elif ends <= set(comp):
+            exhaustion = FlipExhaustion(tuple(
+                (flips, DirectedCycleCertificate(tuple(ids[v] for v in cyc.vertices)))
+                for flips, cyc in own.certificate.entries
+            ))
+            return _FlipOutcome(None, exhaustion, tried)
+        else:
+            return _FlipOutcome(None, InducedSubgraph(ids, own.certificate), tried)
+    if capped:
+        return _FlipOutcome(None, None, tried)
+    return _FlipOutcome(Orientation(g, arcs), None, tried)
+
+
+def _searched_past_side0(g, kind):
+    """How many components of G search past their side 0 alone."""
+    return sum(_reference(induced_subgraph(g, comp)[0], kind).tried > 1 for comp in connected_components(g))
+
+
 _WITH_P4S = (
     cycle_graph(5),
     complement(cycle_graph(6)),
@@ -891,14 +940,15 @@ _WITHOUT_P4S = (complete_graph(3), complete_graph(2), complete_graph(1))
 
 def test_flip_search_per_component_matches_whole_graph():
     # a graph with one component holding aux variables searches as the
-    # whole-graph reference does; a union decides a member at the
-    # reference's least acyclic vector, and refutes a non-member by the
-    # first component (by least vertex) whose search exhausts, with the
-    # reference's exhaustion of that component
+    # whole-graph reference does; an uncapped union is decided as the
+    # reference decides it, and every union is searched as its components
+    # are alone: a member takes each component's own arcs, a non-member
+    # the first exhausted component's own certificate, and flips_tried
+    # counts the side-0 vector they share once
     rng = random.Random(5)
     seen = dict.fromkeys(
-        ("one part", "member at rank > 0", "cap partway", "no P4s", "induced subgraph",
-         "top bit pinned", "decided past the cap"), 0
+        ("one part", "member past side 0", "cap partway", "no P4s", "induced subgraph",
+         "exhausted without aux component 0", "decided past the cap"), 0
     )
     for _ in range(250):
         gs = [rng.choice(_WITH_P4S) for _ in range(rng.randint(1, 4))]
@@ -915,34 +965,31 @@ def test_flip_search_per_component_matches_whole_graph():
             ends = {x for x, _ in cg.vars}
             parts = [comp for comp in comps if not ends.isdisjoint(comp)]
             seen["no P4s"] += len(parts) < len(comps)
-            want = _whole_graph_flip_search(cg, b, None)
             for cap in (None, 1, 2, 5):
                 got = _flip_search(cg, b, cap)
                 if len(parts) <= 1:
                     seen["one part"] += 1
                     _assert_same_outcome(got, _whole_graph_flip_search(cg, b, cap))
                     continue
+                _assert_same_outcome(got, _composed_search(g, kind, cap))
+                if cap is None:
+                    want = _whole_graph_flip_search(cg, b, None)
+                    assert (got.orientation is None, got.certificate is None) == (
+                        want.orientation is None, want.certificate is None
+                    )
                 if got.orientation is None and got.certificate is None:
-                    assert cap is not None and got.tried <= cap * len(parts)
                     seen["cap partway"] += 1
-                elif want.orientation is not None:
-                    _assert_same_outcome(got, want)
-                    seen["member at rank > 0"] += want.tried > 1
-                    seen["decided past the cap"] += cap is not None and want.tried > cap
+                elif got.orientation is not None:
+                    seen["member past side 0"] += got.tried > 1
+                    seen["decided past the cap"] += cap is not None and got.tried > cap
                 else:
                     cert = got.certificate
-                    assert isinstance(cert, InducedSubgraph)
-                    assert list(cert.vertices) in parts
-                    sub = induced_subgraph(g, cert.vertices)[0]
-                    inner = _reference(sub, kind).certificate
-                    assert cert.certificate == inner and got.tried == len(inner.entries)
-                    # earlier components are members or hit the cap
-                    for comp in parts[: parts.index(list(cert.vertices))]:
-                        earlier = _reference(induced_subgraph(g, comp)[0], kind, cap)
-                        assert earlier.certificate is None
+                    assert isinstance(cert, InducedSubgraph) and list(cert.vertices) in parts
                     seen["induced subgraph"] += 1
                     aux0 = next(x for x, _ in cg.vars)
-                    seen["top bit pinned"] += aux0 not in cert.vertices and len(inner.entries) > 1
+                    seen["exhausted without aux component 0"] += (
+                        aux0 not in cert.vertices and len(cert.certificate.entries) > 1
+                    )
     assert all(seen.values()), seen
 
 
@@ -957,78 +1004,21 @@ def test_flip_search_without_aux_components():
         assert got.tried == 1 and got.orientation is not None
 
 
-def _every_component_search(cg, b, flip_cap):
-    """The flip search past a cyclic side 0 as it ran before it reused its
-    side-0 pass, kept as the reference: every component of G that holds
-    aux variables searches from rank 0, one Kahn pass per vector."""
-    cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    parts = []
-    for comp in connected_components(cg.base):
-        local = {v: i for i, v in enumerate(comp)}
-        held = [i for i, (x, _) in enumerate(cg.vars) if x in local]
-        if held:
-            parts.append((comp, local, sorted({b.component[i] for i in held}), held))
-    flips, order, tried, capped = [0] * b.component_count, [], 0, False
-    for comp, local, aux, held in parts:
-
-        def search(pinned):
-            free = [j for j in range(len(aux)) if j != pinned]
-            entries = []
-            for rank in range(min(1 << len(free), cap)):
-                bits = [0] * len(aux)
-                for i, j in enumerate(free):
-                    bits[j] = (rank >> i) & 1
-                arcs = [
-                    (local[cg.vars[i][0]], local[cg.vars[i][1]])
-                    for i in held
-                    if b.side[i] == bits[aux.index(b.component[i])]
-                ]
-                topo, cyc = topo_order_or_cycle(len(comp), arcs)
-                if cyc is None:
-                    return tuple(bits), topo, entries
-                entries.append((tuple(bits), cyc))
-            return None, None, entries
-
-        pinned = 0 if aux[0] == 0 else len(aux) - 1
-        bits, topo, entries = search(pinned)
-        tried += len(entries)
-        if bits is not None:
-            tried += 1
-            for k, bit in zip(aux, bits):
-                flips[k] = bit
-            order += [comp[v] for v in topo]
-        elif len(entries) < 1 << (len(aux) - 1):
-            capped = True
-        elif len(parts) == 1:
-            exhaustion = FlipExhaustion(tuple(
-                (bits, DirectedCycleCertificate(tuple(comp[v] for v in cyc.vertices)))
-                for bits, cyc in entries
-            ))
-            return _FlipOutcome(None, exhaustion, len(entries))
-        else:
-            if pinned:
-                entries = search(0)[2]
-            inner = InducedSubgraph(tuple(comp), FlipExhaustion(tuple(entries)))
-            return _FlipOutcome(None, inner, len(entries))
-    if capped:
-        return _FlipOutcome(None, None, tried)
-    rank = sum(bit << (k - 1) for k, bit in enumerate(flips) if k)
-    order += sorted(set(range(cg.base.n)).difference(order))
-    return _FlipOutcome(orient_along(cg.base, order), None, rank + 1)
-
-
 def test_flip_search_equals_the_every_component_search():
-    # random interleaved unions of two or three blocks whose side 0 is
-    # cyclic in some class (F}SyO and FNccw are members past the first
-    # vector, FUxqO and FtGZO non-members) beside blocks whose side 0 is
-    # acyclic or that hold no aux variable; counted when two or more
-    # components are cyclic at side 0
+    # random interleaved unions of two to four blocks whose side 0 is
+    # cyclic in some class (F}SyO and FNccw, drawn most often, are members
+    # past the first vector, FUxqO and FtGZO non-members) beside blocks
+    # whose side 0 is acyclic or that hold no aux variable: each is
+    # searched as its components are alone, and an uncapped one is decided
+    # as the whole-graph reference decides it; counted when two or more
+    # components are cyclic at side 0, and members when two or more of
+    # them search past it
     rng = random.Random(20)
     blocks = [parse_graph6(s) for s in ("F}SyO", "FNccw", "FUxqO", "FtGZO")]
     acyclic = (path_graph(4), path_graph(5), HOUSE.as_graph(), GEM.as_graph()) + _WITHOUT_P4S
     seen = Counter()
     for _ in range(200):
-        gs = [rng.choice(blocks[:2] * 2 + blocks[2:]) for _ in range(rng.randint(2, 3))]
+        gs = [rng.choice(blocks[:2] * 3 + blocks[2:]) for _ in range(rng.randint(2, 4))]
         gs += [rng.choice(acyclic) for _ in range(rng.randint(1, 3))]
         g = shuffled_union(gs, rng)
         for kind in (OPPOSITION, COALITION):
@@ -1040,19 +1030,25 @@ def test_flip_search_equals_the_every_component_search():
             cyclic = sum(any(indeg[v] for v in comp) for comp in connected_components(g))
             for cap in (None, 1, 2):
                 got = _flip_search(cg, b, cap)
-                _assert_same_outcome(got, _every_component_search(cg, b, cap))
+                _assert_same_outcome(got, _composed_search(g, kind, cap))
+                if cap is None:
+                    want = _whole_graph_flip_search(cg, b, None)
+                    assert (got.orientation is None) == (want.orientation is None)
+                    if got.orientation is not None:
+                        seen["members past side 0 in two components"] += _searched_past_side0(g, kind) >= 2
                 if cyclic >= 2:
                     outcome = "member" if got.orientation else "refuted" if got.certificate else "undecided"
                     seen[outcome] += 1
-    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_no_kahn_pass_runs_over_an_acyclic_component(monkeypatch):
     # a member at the first vector takes the one side-0 pass and builds no
     # part; past a cyclic side 0 only the parts run passes, one per vector
     # after rank 0, whose cycle the side-0 pass gave, so a part with one
-    # aux component runs none.  Beside the 7-vertex F}SyO and the 6-vertex
-    # co-C6, side 0 is acyclic in P5 and the house, and K3 has no P4
+    # aux component runs none, and flips_tried is 1 plus the passes.
+    # Beside the 7-vertex F}SyO and the 6-vertex co-C6, side 0 is acyclic
+    # in P5 and the house, and K3 has no P4
     import oppograph.recognize as rec
     from oppograph.generate import random_opposition_ptolemaic
 
@@ -1073,18 +1069,18 @@ def test_no_kahn_pass_runs_over_an_acyclic_component(monkeypatch):
         assert v.method == method and v.stats["flips_tried"] in (None, 1)
         assert len(side0) == 1 and parts == [] and passes == []
     f, co_c6 = parse_graph6("F}SyO"), complement(cycle_graph(6))
-    for blocks, cap, decision, tried, n_passes in (
-        ([f], None, "member", 2, 1),
-        ([f, f], None, "member", 4, 2),
-        ([co_c6], None, "non-member", 1, 0),
-        ([f, co_c6], None, "non-member", 1, 1),
-        ([f], 1, "undecided", 3, 0),
+    for blocks, cap, decision, n_passes in (
+        ([f], None, "member", 1),
+        ([f, f], None, "member", 2),
+        ([co_c6], None, "non-member", 0),
+        ([f, co_c6], None, "non-member", 1),
+        ([f], 1, "undecided", 0),
     ):
         for calls in (side0, parts, passes):
             calls.clear()
         g = disjoint_union(blocks + [path_graph(5), HOUSE.as_graph(), complete_graph(3)])
         v = recognize_opposition(g, flip_cap=cap)
-        assert (v.decision, v.stats["flips_tried"]) == (decision, tried)
+        assert (v.decision, v.stats["flips_tried"]) == (decision, 1 + n_passes)
         assert len(side0) == 1 and len(parts) == 1
         assert [n for n, _ in passes] == [7] * n_passes
 
@@ -1105,26 +1101,35 @@ _BLOCKS = (
 
 def test_unions_are_decided_and_members_match_whole_graph_scan():
     # every block has at most two aux components, so no union may come
-    # back undecided; members of the flip search take the least acyclic
-    # vector of the whole-graph rank scan
+    # back undecided; every flip-search verdict is the composition of the
+    # components' own searches, and is the whole-graph scan's decision
+    # (checked up to 12 aux components). F}SyO and FNccw, drawn most
+    # often, make members searched past side 0 in two components
     rng = random.Random(10)
-    flip_members = 0
+    flip_verdicts = Counter()
     for _ in range(100):
         gs = []
         while sum(h.n for h in gs) < 34:
-            gs.append(rng.choice(_BLOCKS))
+            gs.append(rng.choice(_BLOCKS + _BLOCKS[-2:] * 3))
         g = shuffled_union(gs, rng)
         for kind, recognize in ((OPPOSITION, recognize_opposition), (COALITION, recognize_coalition)):
             v = recognize(g)
             assert v.decision != "undecided"
             ok, msg = check_verdict(g, v)
             assert ok, msg
-            if v.is_member and v.method.startswith("flip-search") and v.stats["aux_components"] <= 12:
-                want = _reference(g, kind)
-                assert v.certificate.arcs() == want.orientation.arcs()
-                assert v.stats["flips_tried"] == want.tried
-                flip_members += 1
-    assert flip_members >= 20
+            if not v.method.startswith("flip-search"):
+                continue
+            got = _FlipOutcome(*((v.certificate, None) if v.is_member else (None, v.certificate)),
+                               v.stats["flips_tried"])
+            _assert_same_outcome(got, _composed_search(g, kind, None))
+            if v.stats["aux_components"] <= 12:
+                assert v.is_member == (_reference(g, kind).orientation is not None)
+            flip_verdicts[v.decision] += 1
+            flip_verdicts["members past side 0 in two components"] += (
+                v.is_member and _searched_past_side0(g, kind) >= 2
+            )
+    assert flip_verdicts["member"] >= 20 and flip_verdicts["non-member"] >= 20, flip_verdicts
+    assert flip_verdicts["members past side 0 in two components"] >= 10, flip_verdicts
 
 
 def test_roadmap_unions_are_decided():
@@ -1136,18 +1141,26 @@ def test_roadmap_unions_are_decided():
     assert isinstance(v.certificate, InducedSubgraph) and len(v.certificate.vertices) == 6
     f = parse_graph6("F}SyO")
     g = disjoint_union([f] * 12)
-    _assert_verdict(g, recognize_opposition(g), "member")
-
-
-def test_eight_copies_keep_their_payload():
-    # the least acyclic vector of 8 copies of F}SyO has rank 10923; the
-    # payload is the one the whole-graph search gave
-    g = disjoint_union([parse_graph6("F}SyO")] * 8)
     v = recognize_opposition(g)
-    assert v.stats["flips_tried"] == 10924
+    _assert_verdict(g, v, "member")
+    assert v.stats["flips_tried"] == 13
+
+
+def test_eight_copies_keep_their_payload(monkeypatch):
+    # each copy of F}SyO runs its own search, one Kahn pass past its side
+    # 0, and takes the arcs F}SyO gets alone; the payload is pinned
+    import oppograph.recognize as rec
+
+    passes = _spy_calls(monkeypatch, rec, "topo_order_or_cycle")
+    f = parse_graph6("F}SyO")
+    g = disjoint_union([f] * 8)
+    v = recognize_opposition(g)
+    assert v.stats["flips_tried"] == 1 + len(passes) == 9
+    own = recognize_opposition(f).certificate.arcs()
+    assert v.certificate.arcs() == sorted((u + 7 * i, w + 7 * i) for i in range(8) for u, w in own)
     payload = json.dumps(verdict_payload(v, g), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "df0c60060a79fa95372c6d064c8705dc72384d181a3ed6ff02535bb86c5d82c7"
+        "c8d7b45aed451924ff3654485dc70b2a2cb1dbb0a3cd5a57027bd6b14f7c7b93"
     )
 
 
