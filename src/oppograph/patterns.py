@@ -1,18 +1,18 @@
 """Forbidden-pattern catalog and structural graph-class detectors.
 
 Covers induced-subgraph search (backtracking over an explicit stack), hole
-finding, chordality with certificates, ptolemaic and distance-hereditary
-recognition by pruning, and the T_k and H_k obstruction families.
+finding, chordality with certificates, ptolemaic recognition, the
+distance-hereditary test (pendants and twins removed in rounds), and the
+T_k and H_k obstruction families.
 
 The chordality and distance-hereditary tests have yes/no forms
-(``_perfect_elimination_order``, ``_pruning``) for the recognizers;
+(``_perfect_elimination_order``, ``_prunes``) for the recognizers;
 witnesses are built only by the public functions that return them, and
 only when the test fails.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -341,117 +341,69 @@ def is_ptolemaic(g: Graph) -> tuple[bool, PatternMatch | None]:
 # distance-hereditary pruning
 
 
-@dataclass(frozen=True)
-class PruneStep:
-    kind: str  # pendant | true-twin | false-twin
-    removed: int
-    anchor: int  # the neighbor (pendant) or the kept twin
+def _prunes(g: Graph) -> bool:
+    """Whether pendants and twins prune g to an edgeless graph: the yes/no
+    test of ``is_distance_hereditary``.
 
-
-@dataclass(frozen=True)
-class PruningSequence:
-    steps: tuple[PruneStep, ...]
-
-
-def _pruning(g: Graph) -> PruningSequence | None:
-    """The pruning sequence of ``is_distance_hereditary``, or None when
-    the pruning gets stuck: the yes/no test, with no witness search.
-
-    Each step removes the least pendant (its neighbour the anchor), or,
-    with no pendant, the twin pair with the least (anchor, removed).
-    Vertices are grouped by open and by closed neighbourhood in one dict
-    keyed by int bitmask (N(w) = N[u] would put w in N[u] = N(w), so the
-    kinds never collide; a closed key holds its own members).  Each group
-    is a sorted list, so its best pair is its first two members.  Heaps
-    hold the pendants and each group's first two, and entries gone stale
-    are skipped when they surface.  The groups are built from the live
-    vertices at the first step that finds no pendant, so pendant steps
-    before it (every step of a tree) group nothing; from then on removing
-    v regroups only v and its neighbours.
+    Removing a pendant or a twin keeps a graph distance-hereditary or not,
+    and a DH graph with an edge has one of them, so the order of removals
+    does not matter.  Each round first strips the pendant chains that
+    start at its vertices, then keys each one left by its N(v) and N[v]
+    bitsets in one dict (an open key never equals a closed one: N(w) =
+    N[u] would put w in N[u] = N(w)).  A vertex whose key is held by a
+    live vertex is a twin and is removed; a key held by a removed vertex
+    passes to the next vertex with that key.  A live owner still has the
+    key: its key changes only by losing the bit of a removed vertex, and
+    no vertex keyed later has that bit.  The next round gets the
+    neighbours of the removed vertices, whose keys and degrees changed.
     """
-    nbrs = [set(s) for s in g.adj]
     mask = list(neighbour_bits(g))
+    degree = [len(s) for s in g.adj]
     alive = [True] * g.n
-    groups: dict[int, list[int]] | None = None  # key -> sorted members
-    pendants = [v for v in range(g.n) if len(nbrs[v]) == 1]  # sorted: a heap
-    twins: list[tuple[int, int, int]] = []  # (anchor, removed, 1 if true twins)
-    edges = g.m
-    steps: list[PruneStep] = []
-    while edges:
-        while pendants and not (alive[pendants[0]] and len(nbrs[pendants[0]]) == 1):
-            heappop(pendants)
-        if pendants:
-            v = heappop(pendants)
-            step = PruneStep("pendant", v, next(iter(nbrs[v])))
-        else:
-            if groups is None:
-                groups = {}
-                for u in range(g.n):
-                    if alive[u]:
-                        groups.setdefault(mask[u], []).append(u)
-                        groups.setdefault(mask[u] | 1 << u, []).append(u)
-                for k, group in groups.items():
-                    if len(group) > 1:
-                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
-            while twins:
-                a, b, closed = twins[0]
-                if alive[a] and alive[b] and mask[a] | closed << a == mask[b] | closed << b:
-                    break
-                heappop(twins)
-            if not twins:
-                return None
-            a, v, closed = heappop(twins)
-            step = PruneStep("true-twin" if closed else "false-twin", v, a)
-        steps.append(step)
+    owner: dict[int, int] = {}  # N(v) or N[v], as a bitset -> v
+    hit: set[int] = set()
+
+    def remove(v: int) -> None:
         alive[v] = False
-        near = nbrs[v]
-        if groups is not None:
-            for u in (v, *near):
-                for k in (mask[u], mask[u] | 1 << u):
-                    group = groups[k]
-                    i = bisect_left(group, u)
-                    del group[i]
-                    if not group:
-                        del groups[k]
-                    elif i <= 1 and len(group) > 1:
-                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
-        bit = 1 << v
-        for u in near:
-            nbrs[u].discard(v)
-            mask[u] ^= bit  # v is a neighbour: clear its bit
-            if len(nbrs[u]) == 1:
-                heappush(pendants, u)
-            if groups is not None:
-                for k in (mask[u], mask[u] | 1 << u):
-                    group = groups.setdefault(k, [])
-                    i = bisect_left(group, u)
-                    group.insert(i, u)
-                    if i <= 1 and len(group) > 1:
-                        heappush(twins, (group[0], group[1], k >> group[0] & 1))
-        edges -= len(near)
-    return PruningSequence(tuple(steps))
+        for u in g.adj[v]:
+            if alive[u]:
+                mask[u] ^= 1 << v
+                degree[u] -= 1
+                hit.add(u)
+
+    todo = range(g.n)
+    while todo:
+        for v in todo:
+            while alive[v] and degree[v] == 1:
+                u = mask[v].bit_length() - 1  # the one neighbour left
+                remove(v)
+                v = u
+        for v in todo:
+            for key in (mask[v], mask[v] | 1 << v) if alive[v] else ():
+                u = owner.setdefault(key, v)
+                if u != v and alive[u]:
+                    remove(v)
+                    break
+                owner[key] = v
+        todo = list(hit)
+        hit.clear()
+    return not any(m for v, m in enumerate(mask) if alive[v])
 
 
-def is_distance_hereditary(
-    g: Graph,
-) -> tuple[bool, PruningSequence | None, PatternMatch | None]:
-    """Prune pendants and twins down to an edgeless graph.
+def is_distance_hereditary(g: Graph) -> tuple[bool, PatternMatch | None]:
+    """Distance-hereditary, by pruning pendants and twins in rounds; a
+    failure's witness is a gem, house, domino or hole.
 
-    Success returns the pruning sequence; failure returns one of the
-    forbidden patterns (gem, house, domino, or a hole) as witness.  While
-    every step finds a pendant the pruning (``_pruning``) costs
-    O(m log n) set and heap operations and groups no twins; from the
-    first step without one, regrouping adds O(m * n / w) big-int digit
-    operations (w bits per digit) plus the group list shifts.  Only a
+    The pruning (``_prunes``) costs O(n + m) set and dict operations, each
+    on n-bit int keys of O(n/w) digits (w bits per digit).  Only a
     failure pays for the backtracking witness search.
     """
-    seq = _pruning(g)
-    if seq is not None:
-        return True, seq, None
+    if _prunes(g):
+        return True, None
     for p in (GEM, HOUSE, DOMINO):
         witness = find_induced(g, p)
         if witness is not None:
-            return False, None, witness
+            return False, witness
     witness = has_hole(g)
     assert witness is not None, "pruning stuck but no forbidden pattern found"
-    return False, None, witness
+    return False, witness

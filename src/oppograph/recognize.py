@@ -50,7 +50,7 @@ from .patterns import (
     HOUSE,
     PatternMatch,
     _perfect_elimination_order,
-    _pruning,
+    _prunes,
     find_induced,
     find_Tk_free_violation,
     has_hole,
@@ -359,13 +359,13 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
     _check_cap(flip_cap)
     cg, res = _aux(g, graph_class)
     if isinstance(res, OddWalkCertificate):
-        match = obstruction(g) if want_witness and _pruning(g) is not None else None
+        match = obstruction(g) if want_witness and _prunes(g) else None
         witness = None if match is None else _checked_pattern(g, match)
         return Verdict(graph_class, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     outcome = _flip_search(cg, res, flip_cap)
     method = search
     if outcome.orientation is not None and outcome.tried == 1:  # at side 0
-        if _pruning(g) is not None:
+        if _prunes(g):
             order = dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
             return _checked_member(graph_class, dh_label, o, _stats(cg, res, None))
@@ -555,7 +555,7 @@ def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = Non
     graph is (gem, house, hole)-free, so a bipartite C(G) decides
     membership; only a non-member is searched for its N embedding."""
     _check_cap(flip_cap)
-    if _pruning(g) is None:
+    if not _prunes(g):
         return recognize_coalition(g, flip_cap=flip_cap)
     if not ConstraintGraph(COALITION, g).bipartite:
         nmatch = find_induced(g, GRAPH_N)

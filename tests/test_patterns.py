@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -23,9 +23,8 @@ from oppograph.patterns import (
     HOUSE,
     Pattern,
     PatternMatch,
-    PruneStep,
-    PruningSequence,
     _mcs_elimination_order,
+    _prunes,
     cycle_pattern,
     find_induced,
     find_max_Hk,
@@ -210,12 +209,10 @@ def test_is_ptolemaic_examples():
 def test_is_distance_hereditary_examples():
     from oppograph.generate import random_tree
 
-    ok, seq, wit = is_distance_hereditary(random_tree(9, 5))
-    assert ok and all(s.kind == "pendant" for s in seq.steps[:1])
-    ok, seq, wit = is_distance_hereditary(HOUSE.as_graph())
+    assert is_distance_hereditary(random_tree(9, 5)) == (True, None)
+    ok, wit = is_distance_hereditary(HOUSE.as_graph())
     assert not ok and wit.pattern.name == "house"
-    ok, seq, wit = is_distance_hereditary(GRAPH_N.as_graph())
-    assert ok and isinstance(seq, PruningSequence)
+    assert is_distance_hereditary(GRAPH_N.as_graph()) == (True, None)
 
 
 def brute_distance_hereditary(g) -> bool:
@@ -230,42 +227,17 @@ def brute_distance_hereditary(g) -> bool:
 def test_is_distance_hereditary_matches_definition():
     for seed in range(40):
         g = random_graph(8, 0.4, seed + 31)
-        ok, seq, wit = is_distance_hereditary(g)
+        ok, wit = is_distance_hereditary(g)
         assert ok == brute_distance_hereditary(g), seed
         if not ok:
             assert check_pattern_match(g, wit) == (True, "ok")
 
 
-def _assert_replays(g, seq):
-    """Each step removes a pendant or a twin of a vertex still present,
-    and the steps leave an edgeless graph."""
-    alive = set(range(g.n))
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    for step in seq.steps:
-        v = step.removed
-        assert v in alive and step.anchor in alive
-        if step.kind == "pendant":
-            assert adj[v] == {step.anchor}
-        elif step.kind == "true-twin":
-            assert adj[v] - {step.anchor} == adj[step.anchor] - {v} and step.anchor in adj[v]
-        else:
-            assert adj[v] == adj[step.anchor] and step.anchor not in adj[v]
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-        alive.discard(v)
-    assert all(not adj[v] for v in alive)
-
-
-def test_pruning_sequence_replays():
-    g = GRAPH_N.as_graph()
-    ok, seq, _ = is_distance_hereditary(g)
-    assert ok
-    _assert_replays(g, seq)
-
-
 # ---------------------------------------------------------------------------
 # the rescanning pruning loop and the linear-scan MCS, kept as references
+
+
+Step = namedtuple("Step", "kind removed anchor")  # anchor: the neighbour or the kept twin
 
 
 def _reference_step(adj):
@@ -273,7 +245,7 @@ def _reference_step(adj):
     removed), found by rescanning every vertex."""
     for v in sorted(adj):
         if len(adj[v]) == 1:
-            return PruneStep("pendant", v, next(iter(adj[v])))
+            return Step("pendant", v, next(iter(adj[v])))
     open_groups, closed_groups = {}, {}
     best = None
     for v in sorted(adj):
@@ -283,7 +255,7 @@ def _reference_step(adj):
             (closed_groups, nb | {v}, "true-twin"),
         ):
             if key in groups:
-                cand = PruneStep(kind, v, groups[key])
+                cand = Step(kind, v, groups[key])
                 if best is None or (cand.anchor, cand.removed) < (best.anchor, best.removed):
                     best = cand
             else:
@@ -292,6 +264,8 @@ def _reference_step(adj):
 
 
 def reference_is_distance_hereditary(g):
+    """(ok, witness, steps): the decision and witness of
+    ``is_distance_hereditary``, and the steps of the least-first pruning."""
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     steps = []
     while any(adj.values()):
@@ -300,13 +274,13 @@ def reference_is_distance_hereditary(g):
             for p in (GEM, HOUSE, DOMINO):
                 witness = find_induced(g, p)
                 if witness is not None:
-                    return False, None, witness
-            return False, None, has_hole(g)
+                    return False, witness, steps
+            return False, has_hole(g), steps
         for u in adj[step.removed]:
             adj[u].discard(step.removed)
         del adj[step.removed]
         steps.append(step)
-    return True, PruningSequence(tuple(steps)), None
+    return True, None, steps
 
 
 def reference_mcs_order(g):
@@ -367,13 +341,13 @@ def _reference_corpus():
 def test_pruning_and_mcs_match_references():
     kinds = Counter()
     for g in _reference_corpus():
-        got = is_distance_hereditary(g)
-        assert got == reference_is_distance_hereditary(g), g
+        ok, wit, steps = reference_is_distance_hereditary(g)
+        assert is_distance_hereditary(g) == (ok, wit), g
         assert _mcs_elimination_order(g) == reference_mcs_order(g), g
         assert is_chordal(g) == reference_is_chordal(g), g
-        kinds[got[0]] += 1
-        if got[0]:
-            kinds.update(step.kind for step in got[1].steps)
+        kinds[ok] += 1
+        if ok:
+            kinds.update(step.kind for step in steps)
     # both outcomes and every step kind are exercised
     assert min(kinds.values()) >= 500, kinds
 
@@ -382,46 +356,17 @@ def test_pruning_and_chordality_at_scale():
     from oppograph.generate import random_tree
 
     k2 = hub_last_k2(3000)
-    ok, seq, _ = is_distance_hereditary(k2)
-    assert ok and len(seq.steps) == 3001
-    _assert_replays(k2, seq)
+    assert is_distance_hereditary(k2) == (True, None)
     assert isinstance(is_chordal(k2), PatternMatch)
     star = Graph(5001, [(i, 5000) for i in range(5000)])
-    ok, seq, _ = is_distance_hereditary(star)
-    assert ok and all(step.kind == "pendant" for step in seq.steps)
+    assert is_distance_hereditary(star) == (True, None)
     tree = random_tree(5000, 1)
-    ok, seq, _ = is_distance_hereditary(tree)
-    assert ok and all(step.kind == "pendant" for step in seq.steps)
+    assert is_distance_hereditary(tree) == (True, None)
     order = is_chordal(tree)
     assert sorted(order) == list(range(tree.n))
     pos = {v: i for i, v in enumerate(order)}
     # a tree's PEO puts at most one neighbour of each vertex after it
     assert all(sum(pos[u] > pos[v] for u in tree.adj[v]) <= 1 for v in order)
-
-
-def test_pruning_groups_twins_only_once_pendants_run_out(monkeypatch):
-    import oppograph.patterns as patterns
-    from oppograph.generate import random_tree
-
-    # every twin group insert and removal bisects the group for its vertex
-    grouped = []
-    inner = patterns.bisect_left
-
-    def spy(group, v):
-        grouped.append(v)
-        return inner(group, v)
-
-    monkeypatch.setattr(patterns, "bisect_left", spy)
-    tree = random_tree(5000, 1)
-    seq = patterns._pruning(tree)
-    assert len(seq.steps) == 4999 and not grouped
-    # C4 0-1-2-3 with the path 0-4-...-53: pendants peel the path, then
-    # the groups hold only the four cycle vertices
-    g = Graph(54, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)] + [(v, v + 1) for v in range(4, 53)])
-    seq = patterns._pruning(g)
-    assert [s.kind for s in seq.steps[49:]] == ["pendant", "false-twin", "pendant", "pendant"]
-    assert set(grouped) == {0, 1, 2, 3}
-    _assert_replays(g, seq)
 
 
 def test_pruning_matches_reference_at_scale():
@@ -430,7 +375,6 @@ def test_pruning_matches_reference_at_scale():
     # graphs (n 20-80), the ptolemaic generators, K_{2,k} with its hubs
     # first or last, apart or joined, and stars
     from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_ptolemaic
-    from oppograph.patterns import _pruning
 
     rng = random.Random(1801)
     graphs = []
@@ -449,10 +393,40 @@ def test_pruning_matches_reference_at_scale():
         graphs.append(shuffled_union([Graph(k + 1, [(i, k) for i in range(k)])], rng))
     kinds = Counter()
     for g in graphs:
-        ok, want, _ = reference_is_distance_hereditary(g)
-        assert ok and _pruning(g) == want, g
-        kinds.update(step.kind for step in want.steps)
+        ok, wit, steps = reference_is_distance_hereditary(g)
+        assert ok and is_distance_hereditary(g) == (ok, wit), g
+        kinds.update(step.kind for step in steps)
     assert min(kinds.values()) >= 100, kinds
+
+
+def triangle_strip(k, closed=False):
+    """Vertex 0, then k - 1 vertices that alternate between a pendant on
+    the newest vertex and a true twin of it: triangles joined at their
+    even vertices.  The closed strip adds vertex k on both ends, which
+    closes a cycle through the even vertices (a house at k = 5, a hole
+    from k = 7 on)."""
+    nbrs = [set()]  # the neighbours of v below v, all of them while v is newest
+    for v in range(1, k):
+        nbrs.append({v - 1} if v % 2 else nbrs[v - 1] | {v - 1})
+    edges = [(u, v) for v in range(k) for u in nbrs[v]]
+    return Graph(k + 1, edges + [(0, k), (k - 1, k)]) if closed else Graph(k, edges)
+
+
+def test_pruning_alternates_pendants_and_twins_for_many_rounds():
+    # only the strip's end triangles hold a twin, so each round removes a
+    # twin or a pendant at either end: about k / 4 rounds
+    for k in (5, 41, 401):
+        for g in (triangle_strip(k), triangle_strip(k, closed=True)):
+            ok, wit, steps = reference_is_distance_hereditary(g)
+            assert is_distance_hereditary(g) == (ok, wit), (k, g.n)
+            if g.n == k:
+                assert ok and {s.kind for s in steps} == {"pendant", "true-twin"}
+            else:
+                assert not ok and check_pattern_match(g, wit) == (True, "ok")
+    # at k = 4001 the backtracking house search of the witness takes over a
+    # minute, so the closed strip checks the pruning alone
+    assert is_distance_hereditary(triangle_strip(4001)) == (True, None)
+    assert not _prunes(triangle_strip(4001, closed=True))
 
 
 def test_make_tk_structure():

@@ -689,7 +689,7 @@ def test_route_tests_run_only_at_side0(monkeypatch):
     import oppograph.recognize as rec
     from oppograph.generate import random_opposition_ptolemaic
 
-    pruned = _spy_calls(monkeypatch, rec, "_pruning")
+    pruned = _spy_calls(monkeypatch, rec, "_prunes")
     # the flip search exhausts, with no pruning
     v = recognize_opposition(complement(cycle_graph(6)))
     assert (v.decision, v.method) == ("non-member", "flip-search")
@@ -1177,7 +1177,7 @@ def test_side0_orientation_is_the_first_flip_vector():
         random_opposition_ptolemaic,
         random_ptolemaic,
     )
-    from oppograph.patterns import _pruning, find_induced, has_hole
+    from oppograph.patterns import _prunes, find_induced, has_hole
 
     def first_vector(kind, h):
         """The number of aux components once the flip search is checked to
@@ -1221,7 +1221,7 @@ def test_side0_orientation_is_the_first_flip_vector():
             inputs.append(h)
     named = Counter()
     for h in inputs:
-        dh = _pruning(h) is not None
+        dh = _prunes(h)
         if first_vector(OPPOSITION, h) is not None and not dh:
             v = recognize_opposition(h)
             assert (v.method, v.stats["flips_tried"]) == ("gem-house-free", 1)
