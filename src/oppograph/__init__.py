@@ -78,8 +78,6 @@ from .recognize import (
     recognize_coalition_distance_hereditary,
     recognize_generalized_opposition,
     recognize_opposition,
-    recognize_opposition_distance_hereditary,
-    recognize_opposition_gem_house_free,
     transitive_orient,
     verdict_payload,
 )

@@ -144,6 +144,10 @@ def _print_human(out, g: Graph, verdict, show_witness: bool) -> None:
 def cmd_recognize(args, out) -> int:
     g = load_graph(args.input, args.format)
     verdict = _run_recognizer(g, args.graph_class, args.flip_cap, args.witness)
+    try:  # before any output: a capped oracle is a usage error with nothing printed
+        res = _oracle(args.graph_class)(g) if args.oracle else None
+    except OracleCapError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     if args.output == "json":
         payload = verdict_payload(verdict, g)
         payload["input"] = args.input
@@ -161,11 +165,7 @@ def cmd_recognize(args, out) -> int:
         ok, msg = check_verdict(g, verdict)
         out.write("verify: ok\n" if ok else f"verify: rejected: {msg}\n")
         code = code if ok else EXIT_DISAGREEMENT
-    if args.oracle:
-        try:
-            res = _oracle(args.graph_class)(g)
-        except OracleCapError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
+    if res is not None:
         out.write(f"oracle: {res.decision}\n")
         if (res.decision == MEMBER) != verdict.is_member and verdict.decision != UNDECIDED:
             out.write("oracle disagreement\n")

@@ -6,6 +6,10 @@ rejections carry an odd closed walk in the auxiliary graph, an exhausted
 flip search with one directed cycle per flip vector, or a forbidden-pattern
 embedding.  Opposition and coalition share one pipeline, `_recognize`, run
 on O(G) or C(G); the per-class table `_PIPELINES` holds all that differs.
+`recognize_coalition_distance_hereditary` is the coalition pipeline with
+its witness search, its N-rejections relabelled.  No recognizer calls
+`transitive_orient`: it is the comparability test of the theorem that a
+distance-hereditary coalition graph is N-free and a comparability graph.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ class PtolemaicOrientationError(RuntimeError):
         self.p4s = tuple(p4s)
 
 
-def _stats(cg=None, b=None, flips_tried=None):
+def _stats(cg: ConstraintGraph, b=None, flips_tried=None):
     return {
-        "p4_count": cg.p4_count if cg is not None else None,
-        "aux_vertices": cg.var_count if cg is not None else None,
+        "p4_count": cg.p4_count,
+        "aux_vertices": cg.var_count,
         "aux_components": b.component_count if b is not None else None,
         "flips_tried": flips_tried,
     }
@@ -254,11 +258,6 @@ def _aux(g: Graph, kind: str):
     return cg, bipartition_or_odd_walk(cg)
 
 
-def _check_cap(flip_cap: int | None) -> None:
-    if flip_cap is not None and flip_cap < 1:
-        raise ValueError("flip cap must be at least 1")
-
-
 def _dh_side0_orientation(g: Graph) -> Orientation:
     """The flip search's first vector of O(G), side 0, which the
     distance-hereditary theorems make acyclic; ValueError when O(G) is not
@@ -270,17 +269,6 @@ def _dh_side0_orientation(g: Graph) -> Orientation:
     if o is None:
         raise CertificateError("a bipartite opposition aux graph gave a cyclic forced part")
     return o
-
-
-def _flip_verdict(graph_class, method, cg: ConstraintGraph, b: Bipartition, outcome: _FlipOutcome) -> Verdict:
-    """The verdict of the exact flip search: a member, an exhaustion of
-    every flip vector, or undecided when the cap was hit first."""
-    stats = _stats(cg, b, outcome.tried)
-    if outcome.orientation is not None:
-        return _checked_member(graph_class, method, outcome.orientation, stats)
-    if outcome.certificate is None:
-        return Verdict(graph_class, UNDECIDED, method, None, stats)
-    return Verdict(graph_class, NON_MEMBER, method, outcome.certificate, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +290,6 @@ def recognize_generalized_opposition(g: Graph) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # opposition and coalition
-
-
-def _gem_house_free(g: Graph) -> bool:
-    return find_induced(g, GEM) is None and find_induced(g, HOUSE) is None
 
 
 def _dh_twin_order(g: Graph) -> list[int] | None:
@@ -352,15 +336,21 @@ _PIPELINES = {
 
 def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: bool) -> Verdict:
     """The exact flip search over O(G) or C(G).  An odd walk rejects, with
-    the class's witness under ``want_witness`` if G is distance-hereditary.
-    Only a member at the first vector, side 0, runs route tests: the DH
-    label if distance-hereditary, else the pattern-free label."""
+    the class's witness under ``want_witness`` if G is distance-hereditary,
+    where the paper's theorem says one exists.  Only a member at the first
+    vector, side 0, runs route tests: the DH label if distance-hereditary,
+    else the pattern-free label."""
     search, dh_label, dh_order, free_label, free_test, obstruction = _PIPELINES[graph_class]
-    _check_cap(flip_cap)
+    if flip_cap is not None and flip_cap < 1:
+        raise ValueError("flip cap must be at least 1")
     cg, res = _aux(g, graph_class)
     if isinstance(res, OddWalkCertificate):
-        match = obstruction(g) if want_witness and _prunes(g) else None
-        witness = None if match is None else _checked_pattern(g, match)
+        witness = None
+        if want_witness and _prunes(g):
+            match = obstruction(g)
+            if match is None:
+                raise CertificateError(f"distance-hereditary {graph_class} non-member holds no obstruction")
+            witness = _checked_pattern(g, match)
         return Verdict(graph_class, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
     outcome = _flip_search(cg, res, flip_cap)
     method = search
@@ -369,9 +359,15 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
             order = dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
             return _checked_member(graph_class, dh_label, o, _stats(cg, res, None))
-        if _gem_house_free(g) and free_test(g):
+        if find_induced(g, GEM) is None and find_induced(g, HOUSE) is None and free_test(g):
             method = free_label
-    return _flip_verdict(graph_class, method, cg, res, outcome)
+    # the exact flip search's member, exhaustion, or undecided at the cap
+    stats = _stats(cg, res, outcome.tried)
+    if outcome.orientation is not None:
+        return _checked_member(graph_class, method, outcome.orientation, stats)
+    if outcome.certificate is None:
+        return Verdict(graph_class, UNDECIDED, method, None, stats)
+    return Verdict(graph_class, NON_MEMBER, method, outcome.certificate, stats)
 
 
 def recognize_opposition(g: Graph, flip_cap: int | None = None, want_witness: bool = False) -> Verdict:
@@ -386,26 +382,6 @@ def recognize_coalition(g: Graph, flip_cap: int | None = None, want_witness: boo
     the flip search's orientation, with no transitive orientation built.
     The witness is an induced N."""
     return _recognize(COALITION, g, flip_cap, want_witness)
-
-
-def recognize_opposition_gem_house_free(g: Graph) -> Verdict:
-    """Bipartiteness of O(G) alone decides for (gem, house)-free inputs:
-    the flip search's first vector, side 0, extends acyclically."""
-    if not _gem_house_free(g):
-        return recognize_opposition(g)
-    cg, res = _aux(g, OPPOSITION)
-    if isinstance(res, OddWalkCertificate):
-        return Verdict(OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg))
-    v = _flip_verdict(OPPOSITION, "gem-house-free", cg, res, _flip_search(cg, res, 1))
-    if not v.is_member:
-        raise CertificateError("a (gem, house)-free input with bipartite O(G) gave a cyclic forced part")
-    return v
-
-
-# O(G) bipartiteness decides for distance-hereditary inputs, whose members
-# recognize_opposition labels at side 0 (and names the obstruction witness
-# of a rejection), so both names give one verdict.
-recognize_opposition_distance_hereditary = recognize_opposition
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +526,14 @@ def transitive_orient(g: Graph) -> Orientation | None:
 
 
 def recognize_coalition_distance_hereditary(g: Graph, flip_cap: int | None = None) -> Verdict:
-    """For distance-hereditary inputs, membership is exactly N-freeness
-    and members are comparability graphs, transitively oriented.  A DH
-    graph is (gem, house, hole)-free, so a bipartite C(G) decides
-    membership; only a non-member is searched for its N embedding."""
-    _check_cap(flip_cap)
-    if not _prunes(g):
-        return recognize_coalition(g, flip_cap=flip_cap)
-    if not ConstraintGraph(COALITION, g).bipartite:
-        nmatch = find_induced(g, GRAPH_N)
-        if nmatch is None:
-            raise CertificateError("distance-hereditary coalition non-member holds no N")
-        return Verdict(
-            COALITION, NON_MEMBER, "dh-n-witness", _checked_pattern(g, nmatch), _stats()
-        )
-    o = transitive_orient(g)
-    if o is None:
-        raise CertificateError("distance-hereditary coalition member is not a comparability graph")
-    return _checked_member(COALITION, "dh-transitive", o, _stats())
+    """`recognize_coalition` with its witness search: a distance-hereditary
+    non-member is rejected by its induced N alone (membership there is
+    N-freeness), labelled ``dh-n-witness``; every other verdict is
+    `recognize_coalition`'s."""
+    v = recognize_coalition(g, flip_cap, want_witness=True)
+    if v.witness is None:
+        return v
+    return Verdict(COALITION, NON_MEMBER, "dh-n-witness", v.witness, v.stats)
 
 
 # ---------------------------------------------------------------------------

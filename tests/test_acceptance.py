@@ -50,7 +50,6 @@ from oppograph.recognize import (
     recognize_coalition_distance_hereditary,
     recognize_generalized_opposition,
     recognize_opposition,
-    recognize_opposition_distance_hereditary,
     transitive_orient,
 )
 from oppograph.verify import check_verdict
@@ -357,7 +356,6 @@ def test_criterion_6_certificate_self_validation(atlas_stream, dh_corpus):
         ]
         if is_distance_hereditary(g)[0]:
             verdicts.append(recognize_coalition_distance_hereditary(g))
-            verdicts.append(recognize_opposition_distance_hereditary(g, want_witness=True))
         for v in verdicts:
             total += 1
             kinds.add(type(v.certificate).__name__)

@@ -48,3 +48,15 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_one_recognizer_per_class_is_exported():
+    # the distance-hereditary and (gem, house)-free results are route
+    # labels of the class pipelines, not entry points of their own
+    exported = {name for name in dir(oppograph) if name.startswith("recognize_")}
+    assert exported == {
+        "recognize_opposition",
+        "recognize_coalition",
+        "recognize_generalized_opposition",
+        "recognize_coalition_distance_hereditary",
+    }

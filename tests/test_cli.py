@@ -7,7 +7,7 @@ import pytest
 from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST
 from oppograph import cli
 from oppograph.cli import EXIT_DISAGREEMENT, EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_UNDECIDED, EXIT_USAGE, main
-from oppograph.graphs import cycle_graph, encode_graph6
+from oppograph.graphs import cycle_graph, encode_graph6, path_graph
 from oppograph.patterns import make_Hk, make_Tk
 
 
@@ -114,6 +114,16 @@ def test_recognize_verify_before_oracle(c5_g6):
     code, out = run(["recognize", "--class", "opposition", "--oracle", "--verify", c5_g6])
     assert code == EXIT_NON_MEMBER
     assert out.endswith("verify: ok\noracle: non-member\n")
+
+
+def test_recognize_capped_oracle_prints_nothing(tmp_path):
+    # P_12 is past the oracle's cap: a usage error, with no verdict printed
+    # before it
+    path = tmp_path / "p12.g6"
+    path.write_text(encode_graph6(path_graph(12)) + "\n")
+    for extra in ([], ["--verify"], ["--output", "json"]):
+        code, out = run(["recognize", "--class", "opposition", "--oracle", *extra, str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
 
 
 def test_recognize_verify_rejection_exits_3(monkeypatch, c5_g6):

@@ -37,8 +37,6 @@ from oppograph.recognize import (
     recognize_coalition_distance_hereditary,
     recognize_generalized_opposition,
     recognize_opposition,
-    recognize_opposition_distance_hereditary,
-    recognize_opposition_gem_house_free,
     verdict_payload,
 )
 
@@ -107,19 +105,10 @@ _CASES = [
     ("opp/co-c6x3-cap2", "co-c6x3", recognize_opposition, {"flip_cap": 2}),
     ("opp/undecided-cap1", "opp-two-components", recognize_opposition, {"flip_cap": 1}),
     ("opp/two-components", "opp-two-components", recognize_opposition, {}),
-    ("ghf/p7", "p7", recognize_opposition_gem_house_free, {}),
-    ("ghf/c5", "c5", recognize_opposition_gem_house_free, {}),
-    ("ghf/t1", "t1", recognize_opposition_gem_house_free, {}),
-    ("ghf/co-c6", "co-c6", recognize_opposition_gem_house_free, {}),
-    ("ghf/gem-house-free", "gem-house-hole-free", recognize_opposition_gem_house_free, {}),
-    ("dh/a-witness", "a", recognize_opposition_distance_hereditary, {"want_witness": True}),
-    ("dh/g1-witness", "g1", recognize_opposition_distance_hereditary, {"want_witness": True}),
-    ("dh/t1", "t1", recognize_opposition_distance_hereditary, {}),
-    ("dh/h2", "h2", recognize_opposition_distance_hereditary, {}),
-    ("dh/c4-pendant", "c4-pendant", recognize_opposition_distance_hereditary, {}),
-    ("dh/co-c6", "co-c6", recognize_opposition_distance_hereditary, {}),
-    ("dh/dh-twins", "dh-twins", recognize_opposition_distance_hereditary, {}),
-    ("dh/dh-non-member-witness", "dh-non-member", recognize_opposition_distance_hereditary, {"want_witness": True}),
+    ("opp/c5", "c5", recognize_opposition, {}),
+    ("opp/t1", "t1", recognize_opposition, {}),
+    ("opp/a-witness", "a", recognize_opposition, {"want_witness": True}),
+    ("opp/g1-witness", "g1", recognize_opposition, {"want_witness": True}),
     ("coal/n", "n", recognize_coalition, {}),
     ("coal/n-witness", "n", recognize_coalition, {"want_witness": True}),
     ("coal/tree", "tree", recognize_coalition, {}),
@@ -134,9 +123,6 @@ _CASES = [
     ("coal/undecided-cap1", "coal-two-components", recognize_coalition, {"flip_cap": 1}),
     ("coal/two-components", "coal-two-components", recognize_coalition, {}),
     ("coal-dh/n", "n", recognize_coalition_distance_hereditary, {}),
-    ("coal-dh/tree", "tree", recognize_coalition_distance_hereditary, {}),
-    ("coal-dh/dh-twins", "dh-twins", recognize_coalition_distance_hereditary, {}),
-    ("coal-dh/c6", "c6", recognize_coalition_distance_hereditary, {}),
     ("opp/union-c5", "union-c5", recognize_opposition, {}),
     ("coal/union-c5", "union-c5", recognize_coalition, {}),
     ("coal/union-c5-cap5", "union-c5", recognize_coalition, {"flip_cap": 5}),
@@ -219,19 +205,10 @@ GOLDEN = {
     "opp/co-c6x3-cap2": "d1fe1c15c68ee5e78382ecd916b5e7971b8e8ba3d14a64e43fdecb9c7664ea6e",
     "opp/undecided-cap1": "1af1c1dcc585b0584ffa6048fa9eaa3daf9466f8c873a1eeffbce923ceecdf68",
     "opp/two-components": "86237a2f6bccffc6a7d05b7713d5e911c337c7dd505515404ac36376fb6a6835",
-    "ghf/p7": "072759b3c4d4b260ce8399b8b9faddcf22458adf1a768a1b8e925f7eb2db504a",
-    "ghf/c5": "71aab93f4a015da487e1a499f144f4ac05438b322f9283355b8e61049bce2d59",
-    "ghf/t1": "17e69e126ffcbcc053d7f2afa08e40249794b5a2d29a1976853bd7356d0a82b3",
-    "ghf/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
-    "ghf/gem-house-free": "4ca3270807f4ab2571d6f169164fe5daba7add15d8c3c0b44de01175348c4019",
-    "dh/a-witness": "a544f17128e29abb5b263f8ea4db5ffa991bb4f7269e5460e55d4eef891380f0",
-    "dh/g1-witness": "6ebf3eb11b91b05785f52c69d6b571257e7bbda6c8a336c2b4124f01b8f6b8f6",
-    "dh/t1": "17e69e126ffcbcc053d7f2afa08e40249794b5a2d29a1976853bd7356d0a82b3",
-    "dh/h2": "36ae65d20be37e2e175b581fd26551f12a65dd27b1a0f72faf4c66ac4c47fb0b",
-    "dh/c4-pendant": "02f98faa54e6b144d247210d1aa17a27cb0eff6b6364c74d0af2cb894b589afe",
-    "dh/co-c6": "22139f69474df4b80f150f9facce543c2a6ae1ba2ff5940195e93da31aa8556d",
-    "dh/dh-twins": "f8a4a54a52fd81756046bcc19af8df9ac8f1abdebd08da892e8b4532cbab6615",
-    "dh/dh-non-member-witness": "4eb5ac29dbf23ce10b65ac62d29f822e61ce47599afa46e63b8f80dc2f12f183",
+    "opp/c5": "71aab93f4a015da487e1a499f144f4ac05438b322f9283355b8e61049bce2d59",
+    "opp/t1": "17e69e126ffcbcc053d7f2afa08e40249794b5a2d29a1976853bd7356d0a82b3",
+    "opp/a-witness": "a544f17128e29abb5b263f8ea4db5ffa991bb4f7269e5460e55d4eef891380f0",
+    "opp/g1-witness": "6ebf3eb11b91b05785f52c69d6b571257e7bbda6c8a336c2b4124f01b8f6b8f6",
     "coal/n": "14908d5d5a3b5eee4aec3f4ff2823062885b6b2e0df8109114716562cfaac7d9",
     "coal/n-witness": "a21db90cc0f710094f5fe9a89f897cb798d836cbf93e468a8a6e26b84a35aed3",
     "coal/tree": "f076e88d891932e703704e6912b0f294216561d78f6b2e1ad8fbe7a621499331",
@@ -245,10 +222,7 @@ GOLDEN = {
     "coal/co-c6": "aaa8dd46e2a934aa5261f185c3d78639dd16e0529daa82469de8dbcfef7ff279",
     "coal/undecided-cap1": "cd55f50b77c1581379b476a92dd460ce9e55fc16a00ef0a3ec5cab26587ab0df",
     "coal/two-components": "8aa6c246daa0a68c4b0d41e74f4b3dfce44cf3cd61c91eaed9f5def20e5053a4",
-    "coal-dh/n": "27f75ecea3c696b737b177774abe6558abe6e9f6ac7516bb9b9c78f88d081d07",
-    "coal-dh/tree": "a8f14eb8ef9e7919020430ef4c4690a952a574afed21e930755200ea0ce54afe",
-    "coal-dh/dh-twins": "4b26666bdaf62471e53b0ef410b69389ed132cc2fa6339ad2ba053ef8089c2e7",
-    "coal-dh/c6": "bf84041d8d2b6b50c6a3ed628ab0348be21621c83dbb5d60774a1ff274c1004a",
+    "coal-dh/n": "5ede2b9d166e40ec3334919782d05ed874a972d1b831d302e93ad32a2ebfae1b",
     "opp/union-c5": "8b07489b69c45c0c161fe29ed6b2ed2d65344d0fbecb4cf901e8f52473fbd5e4",
     "coal/union-c5": "e122f7210e159c8ee9268c12ea5a42307a408e20cad11d8e887c2de2dfad9dcf",
     "coal/union-c5-cap5": "e122f7210e159c8ee9268c12ea5a42307a408e20cad11d8e887c2de2dfad9dcf",

@@ -44,8 +44,6 @@ from oppograph.recognize import (
     recognize_coalition_distance_hereditary,
     recognize_generalized_opposition,
     recognize_opposition,
-    recognize_opposition_distance_hereditary,
-    recognize_opposition_gem_house_free,
     _dh_side0_orientation,
     _flip_search,
     _FlipOutcome,
@@ -107,23 +105,23 @@ def test_opposition_t1_non_member():
 
 def test_opposition_gem_house_free_paths():
     p7 = path_graph(7)
-    v = recognize_opposition_gem_house_free(p7)
+    v = recognize_opposition(p7)
     _assert_verdict(p7, v, "member")
     assert oracle_opposition(p7).is_member
 
     c5 = cycle_graph(5)
-    v = recognize_opposition_gem_house_free(c5)
+    v = recognize_opposition(c5)
     _assert_verdict(c5, v, "non-member")
 
     t1 = make_Tk(1).as_graph()
-    v = recognize_opposition_gem_house_free(t1)
+    v = recognize_opposition(t1)
     _assert_verdict(t1, v, "non-member")
     assert isinstance(v.certificate, OddWalkCertificate)
 
 
 def test_opposition_gem_house_free_defers(co_c6_labeled):
-    # co-C6 contains houses, so this must defer to the general recognizer
-    v = recognize_opposition_gem_house_free(co_c6_labeled)
+    # co-C6 contains houses, so the flip search decides it unlabelled
+    v = recognize_opposition(co_c6_labeled)
     _assert_verdict(co_c6_labeled, v, "non-member")
     assert v.method == "flip-search"
 
@@ -131,7 +129,7 @@ def test_opposition_gem_house_free_defers(co_c6_labeled):
 def test_opposition_dh_recognizer_on_obstructions():
     for pat in (GRAPH_A, GRAPH_G1, GRAPH_G2):
         g = pat.as_graph()
-        v = recognize_opposition_distance_hereditary(g, want_witness=True)
+        v = recognize_opposition(g, want_witness=True)
         _assert_verdict(g, v, "non-member")
         assert v.witness.pattern.name == pat.name
     # minimality: removing any vertex yields a member
@@ -146,13 +144,13 @@ def test_opposition_dh_recognizer_on_obstructions():
 
 
 def test_opposition_dh_member_uses_constructor(h2):
-    v = recognize_opposition_distance_hereditary(h2)
+    v = recognize_opposition(h2)
     _assert_verdict(h2, v, "member")
     assert v.method == "dh-ptolemaic"
 
 
 def test_opposition_dh_defers_when_not_dh(co_c6_labeled):
-    v = recognize_opposition_distance_hereditary(co_c6_labeled)
+    v = recognize_opposition(co_c6_labeled)
     _assert_verdict(co_c6_labeled, v, "non-member")
 
 
@@ -726,9 +724,9 @@ def test_neighbour_bits_built_once_per_graph(monkeypatch):
 
 
 def test_coalition_dh_members_keep_side0(monkeypatch):
-    # recognize_coalition labels a distance-hereditary member at side 0 and
-    # keeps that orientation; only recognize_coalition_distance_hereditary
-    # orients transitively
+    # a distance-hereditary coalition member keeps the flip search's side-0
+    # orientation, from either coalition recognizer; no recognizer orients
+    # transitively
     import oppograph.recognize as rec
     from oppograph.generate import random_distance_hereditary, random_tree
 
@@ -737,7 +735,10 @@ def test_coalition_dh_members_keep_side0(monkeypatch):
     inputs += [random_distance_hereditary(25, seed) for seed in range(20)]
     members = 0
     for g in inputs:
+        recognize_opposition(g, want_witness=True)
+        recognize_generalized_opposition(g)
         v = recognize_coalition(g)
+        dh = recognize_coalition_distance_hereditary(g)
         if not v.is_member:
             continue
         assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
@@ -746,10 +747,9 @@ def test_coalition_dh_members_keep_side0(monkeypatch):
         side0 = extend_acyclic(forced_orientation(cg, b, (0,) * b.component_count))
         assert v.certificate.arcs() == side0.arcs()
         _assert_verdict(g, v, "member")
+        assert verdict_payload(dh, g) == verdict_payload(v, g)
         members += 1
     assert members >= 10 and not built
-    v = recognize_coalition_distance_hereditary(inputs[0])
-    assert v.method == "dh-transitive" and len(built) == 1
 
 
 def test_coalition_dh_searches_for_n_only_in_non_members(monkeypatch):
@@ -767,10 +767,15 @@ def test_coalition_dh_searches_for_n_only_in_non_members(monkeypatch):
     v = recognize_coalition_distance_hereditary(n)
     assert v.method == "dh-n-witness" and searched == [(n, GRAPH_N)]
     _assert_verdict(n, v, "non-member")
-    # a non-bipartite C(G) with no N found is a bug, not a verdict
+    # a distance-hereditary input with an odd walk and no obstruction found
+    # is a bug, not a verdict, for either class
     monkeypatch.setattr(rec, "find_induced", lambda g, p: None)
-    with pytest.raises(CertificateError, match="holds no N"):
+    with pytest.raises(CertificateError, match="coalition non-member holds no obstruction"):
         recognize_coalition_distance_hereditary(n)
+    monkeypatch.setattr(rec, "find_Tk_free_violation", lambda g: None)
+    a = GRAPH_A.as_graph()
+    with pytest.raises(CertificateError, match="opposition non-member holds no obstruction"):
+        recognize_opposition(a, want_witness=True)
 
 
 def test_hub_last_k2_4000_coalition():
