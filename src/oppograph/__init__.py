@@ -40,7 +40,6 @@ from .p4 import (
     GRAPH_CLASSES,
     OPPOSITION,
     P4,
-    LayerDecomposition,
     classify_layer_type,
     end_edges,
     induced_p4s,

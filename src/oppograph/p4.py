@@ -14,7 +14,6 @@ opposition.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import Graph, Orientation
 
@@ -88,22 +87,12 @@ def verify_orientation(o: Orientation, graph_class: str) -> bool:
 # BFS layers and the five layer types
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """BFS distance layers from a root vertex."""
-
-    root: int
-    layer: tuple[int, ...]
-
-    def of(self, v: int) -> int:
-        return self.layer[v]
-
-
 class DisconnectedRootError(ValueError):
     pass
 
 
-def layer_decompose(g: Graph, w: int) -> LayerDecomposition:
+def layer_decompose(g: Graph, w: int) -> tuple[int, ...]:
+    """The BFS distance of every vertex from the root w."""
     dist = [-1] * g.n
     dist[w] = 0
     queue = deque([w])
@@ -115,14 +104,14 @@ def layer_decompose(g: Graph, w: int) -> LayerDecomposition:
                 queue.append(u)
     if any(d < 0 for d in dist):
         raise DisconnectedRootError(f"graph is not connected from root {w}")
-    return LayerDecomposition(w, tuple(dist))
+    return tuple(dist)
 
 
 class LayerTypeError(ValueError):
     """No layer type matches: the ptolemaic structural assumptions fail."""
 
 
-def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, P4]:
+def classify_layer_type(p: P4, layers: tuple[int, ...]) -> tuple[str, P4]:
     """Match a P4 against the five layer patterns.
 
     Returns the type letter and the relabeled path (a, b, c, d) realizing
@@ -132,9 +121,8 @@ def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, P4]:
       C: b@i, a,c@i+1, d@i+2           D: a,b@i, c@i+1, d@i+2
       E: a,b,c@i, d@i+1
     """
-    lv = layers.layer
     for order in (p, p[::-1]):
-        la, lb, lc, ld = (lv[v] for v in order)
+        la, lb, lc, ld = (layers[v] for v in order)
         if (lb, lc, ld) == (la + 1, la + 2, la + 3):
             return "A", order
         if lb == lc and la == ld == lb + 1:
@@ -145,4 +133,4 @@ def classify_layer_type(p: P4, layers: LayerDecomposition) -> tuple[str, P4]:
             return "D", order
         if la == lb == lc and ld == lc + 1:
             return "E", order
-    raise LayerTypeError(f"P4 {p} fits no layer pattern from root {layers.root}")
+    raise LayerTypeError(f"P4 {p} fits no layer pattern from root {layers.index(0)}")

@@ -5,10 +5,10 @@ finding, chordality with certificates, ptolemaic recognition, the
 distance-hereditary test (pendants and twins removed in rounds), and the
 T_k and H_k obstruction families.
 
-The chordality and distance-hereditary tests have yes/no forms
-(``_perfect_elimination_order``, ``_prunes``) for the recognizers;
-witnesses are built only by the public functions that return them, and
-only when the test fails.
+The chordality, distance-hereditary and (gem, house)-free tests have
+yes/no forms (``_perfect_elimination_order``, ``_prunes``,
+``_gem_house_free``) for the recognizers; witnesses are built only by the
+public functions that return them, and only when the test fails.
 """
 
 from __future__ import annotations
@@ -97,51 +97,23 @@ def make_Hk(k: int, variant: str = "full") -> Pattern:
     Built inductively: H_{j+1} joins a new vertex v_{j+1} to all of
     N[v_j] (the minus variant to N[v_j] minus v_0), then hangs the tail
     v_{j+1}' - v_{j+1}''.  Vertex ids start at the root: v_k, v_k',
-    v_k'' are 0, 1, 2, then v_0, v_0', v_0'', v_1, ...
+    v_k'' are 0, 1, 2, then v_0, v_0', v_0'', v_1, ...  Unrolled, H_1 is
+    v_0 - v_1 with the tails v_0' - v_0'' and v_1' - v_1'' hung off v_1,
+    and each later v_j sees v_i and v_i' for i < j (v_0 not in the minus
+    variant) and its own v_j'.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if variant not in ("full", "minus"):
         raise ValueError(f"variant must be 'full' or 'minus', got {variant!r}")
-    minus = variant == "minus" and k >= 2
-    adj: dict[tuple[str, int], set[tuple[str, int]]] = {}
-
-    def add(u, v):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    v = lambda i: ("v", i)
-    vp = lambda i: ("vp", i)
-    vpp = lambda i: ("vpp", i)
-    for name in (v(0), vp(0), vpp(0), v(1), vp(1), vpp(1)):
-        adj.setdefault(name, set())
-    add(vpp(0), vp(0))
-    add(vp(0), v(1))
-    add(v(1), vp(1))
-    add(vp(1), vpp(1))
-    add(v(1), v(0))
-    for j in range(2, k + 1):
-        closed = adj[v(j - 1)] | {v(j - 1)}
-        if minus:
-            closed.discard(v(0))
-        for u in closed:
-            add(v(j), u)
-        add(v(j), vp(j))
-        add(vp(j), vpp(j))
-    ids: dict[tuple[str, int], int] = {v(k): 0, vp(k): 1, vpp(k): 2}
-    nxt = 3
-    for i in range(k):
-        for name in (v(i), vp(i), vpp(i)):
-            ids[name] = nxt
-            nxt += 1
-    edges = set()
-    for u, nbrs in adj.items():
-        for w in nbrs:
-            edges.add(tuple(sorted((ids[u], ids[w]))))
-    roles = []
-    prime = {"v": "v{}", "vp": "v{}'", "vpp": "v{}''"}
-    for name, i in sorted(ids.items(), key=lambda kv: kv[1]):
-        roles.append((prime[name[0]].format(name[1]), i))
+    v = lambda i: 0 if i == k else 3 * i + 3  # v_i' and v_i'' follow v_i
+    skip_v0 = variant == "minus"
+    edges = [(v(i) + 1, v(i) + 2) for i in range(k + 1)]
+    for j in range(1, k + 1):
+        edges += [(v(j), v(i) + 1) for i in range(j + 1)]
+        edges += [(v(j), v(i)) for i in range(1 if skip_v0 and j >= 2 else 0, j)]
+    ticks = ("", "'", "''")
+    roles = [(f"v{i}{ticks[t]}", v(i) + t) for i in (k, *range(k)) for t in range(3)]
     suffix = "-" if variant == "minus" else ""
     return _pat(f"H{k}{suffix}", 3 * k + 3, edges, roles)
 
@@ -390,17 +362,30 @@ def _prunes(g: Graph) -> bool:
     return not any(m for v, m in enumerate(mask) if alive[v])
 
 
+def _gem_house_free(g: Graph) -> bool:
+    """Whether g has no induced gem or house, read off its induced P4s.
+
+    G has one exactly when some induced P4 a-b-c-d has a vertex adjacent
+    to a, to d, and to b or c: one seeing all four makes a gem, one seeing
+    a, b, d or a, c, d a house (no vertex of the P4 sees both ends).  Every
+    gem and house holds such a P4 with such a vertex.
+    """
+    nbr = neighbour_bits(g)
+    return not any(nbr[a] & nbr[d] & (nbr[b] | nbr[c]) for a, b, c, d in induced_p4s(g))
+
+
 def is_distance_hereditary(g: Graph) -> tuple[bool, PatternMatch | None]:
     """Distance-hereditary, by pruning pendants and twins in rounds; a
     failure's witness is a gem, house, domino or hole.
 
     The pruning (``_prunes``) costs O(n + m) set and dict operations, each
     on n-bit int keys of O(n/w) digits (w bits per digit).  Only a
-    failure pays for the backtracking witness search.
+    failure pays for the backtracking witness search, which skips the gem
+    and house when ``_gem_house_free`` finds none.
     """
     if _prunes(g):
         return True, None
-    for p in (GEM, HOUSE, DOMINO):
+    for p in (DOMINO,) if _gem_house_free(g) else (GEM, HOUSE, DOMINO):
         witness = find_induced(g, p)
         if witness is not None:
             return False, witness

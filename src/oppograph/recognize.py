@@ -46,13 +46,12 @@ from .p4 import (
     orientation_good_for,
 )
 from .patterns import (
-    GEM,
     GRAPH_A,
     GRAPH_G1,
     GRAPH_G2,
     GRAPH_N,
-    HOUSE,
     PatternMatch,
+    _gem_house_free,
     _perfect_elimination_order,
     _prunes,
     find_induced,
@@ -359,7 +358,7 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
             order = dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
             return _checked_member(graph_class, dh_label, o, _stats(cg, res, None))
-        if find_induced(g, GEM) is None and find_induced(g, HOUSE) is None and free_test(g):
+        if _gem_house_free(g) and free_test(g):
             method = free_label
     # the exact flip search's member, exhaustion, or undecided at the cap
     stats = _stats(cg, res, outcome.tried)
@@ -446,7 +445,7 @@ def _layer_orient(g: Graph, p4s: list[P4], root: int) -> Orientation:
     layers = layer_decompose(g, root)
     heads: dict[tuple[int, int], int] = {}
     for u, v in g.edges:
-        lu, lv = layers.of(u), layers.of(v)
+        lu, lv = layers[u], layers[v]
         if lu == lv:
             continue
         lo, hi = (u, v) if lu < lv else (v, u)

@@ -69,3 +69,16 @@ def shuffled_union(gs, seed) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def triangle_strip(k, closed=False):
+    """Vertex 0, then k - 1 vertices that alternate between a pendant on
+    the newest vertex and a true twin of it: triangles joined at their
+    even vertices.  The closed strip adds vertex k on both ends, which
+    closes a cycle through the even vertices (a house at k = 5, a hole
+    from k = 7 on)."""
+    nbrs = [set()]  # the neighbours of v below v, all of them while v is newest
+    for v in range(1, k):
+        nbrs.append({v - 1} if v % 2 else nbrs[v - 1] | {v - 1})
+    edges = [(u, v) for v in range(k) for u in nbrs[v]]
+    return Graph(k + 1, edges + [(0, k), (k - 1, k)]) if closed else Graph(k, edges)

@@ -91,18 +91,17 @@ def test_generalized_allows_cycles():
 def test_layer_decompose_p5():
     g = path_graph(5)
     layers = layer_decompose(g, 2)
-    assert layers.layer == (2, 1, 0, 1, 2)
+    assert layers == (2, 1, 0, 1, 2)
 
 
 def test_layer_decompose_h1(h1):
     # ids: 0=v1, 1=v1', 2=v1'', 3=v0, 4=v0', 5=v0''
-    layers = layer_decompose(h1, 0)
-    assert [layers.of(v) for v in range(6)] == [0, 1, 2, 1, 1, 2]
+    assert layer_decompose(h1, 0) == (0, 1, 2, 1, 1, 2)
 
 
 def test_layer_decompose_c5_sizes():
     layers = layer_decompose(cycle_graph(5), 0)
-    sizes = [sum(1 for x in layers.layer if x == i) for i in range(3)]
+    sizes = [layers.count(i) for i in range(3)]
     assert sizes == [1, 2, 2]
 
 
@@ -123,7 +122,7 @@ def test_classify_layer_type_examples(h1):
     letter, order = classify_layer_type((5, 4, 0, 3), layers)
     assert letter == "C"
     assert order in ((3, 0, 4, 5), (5, 4, 0, 3))
-    assert layers.of(order[1]) == 0
+    assert layers[order[1]] == 0
 
 
 def test_classify_layer_type_b_case():
@@ -153,7 +152,7 @@ def test_classify_layer_type_total_and_unique_on_ptolemaic():
             for p in p4s:
                 letters = set()
                 for order in (p, p[::-1]):
-                    la, lb, lc, ld = (layers.of(v) for v in order)
+                    la, lb, lc, ld = (layers[v] for v in order)
                     if (lb, lc, ld) == (la + 1, la + 2, la + 3):
                         letters.add("A")
                     if lb == lc and la == ld == lb + 1:
@@ -170,7 +169,7 @@ def test_classify_layer_type_total_and_unique_on_ptolemaic():
 
 def test_classify_layer_type_fails_off_ptolemaic():
     g = cycle_graph(6)
-    layers = layer_decompose(g, 0)
-    p = [q for q in induced_p4s(g) if set(q) == {1, 2, 3, 4}][0]
-    with pytest.raises(LayerTypeError):
+    layers = layer_decompose(g, 3)
+    p = [q for q in induced_p4s(g) if set(q) == {4, 5, 0, 1}][0]
+    with pytest.raises(LayerTypeError, match="from root 3$"):
         classify_layer_type(p, layers)

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 from collections import Counter, namedtuple
 
 import pytest
 
-from conftest import disjoint_union, hub_last_k2, isomorphic, random_graph, shuffled_union
+from conftest import disjoint_union, hub_last_k2, isomorphic, random_graph, shuffled_union, triangle_strip
 from oppograph.graphs import (
     Graph,
     complement,
@@ -23,6 +24,7 @@ from oppograph.patterns import (
     HOUSE,
     Pattern,
     PatternMatch,
+    _gem_house_free,
     _mcs_elimination_order,
     _prunes,
     cycle_pattern,
@@ -101,6 +103,18 @@ def test_find_induced_agrees_with_bruteforce():
             assert (None if got is None else got.mapping) == brute_embeds(g, pat), (seed, pat.name)
             if got is not None:
                 assert check_pattern_match(g, got) == (True, "ok")
+
+
+def test_gem_house_free_agrees_with_the_pattern_searches():
+    # every density from sparse to dense, n from 1 to 10
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 10), rng.random(), rng)
+        free = find_induced(g, GEM) is None and find_induced(g, HOUSE) is None
+        assert _gem_house_free(g) == free, g.edges
+        seen[free] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_find_induced_long_path_does_not_recurse():
@@ -399,19 +413,6 @@ def test_pruning_matches_reference_at_scale():
     assert min(kinds.values()) >= 100, kinds
 
 
-def triangle_strip(k, closed=False):
-    """Vertex 0, then k - 1 vertices that alternate between a pendant on
-    the newest vertex and a true twin of it: triangles joined at their
-    even vertices.  The closed strip adds vertex k on both ends, which
-    closes a cycle through the even vertices (a house at k = 5, a hole
-    from k = 7 on)."""
-    nbrs = [set()]  # the neighbours of v below v, all of them while v is newest
-    for v in range(1, k):
-        nbrs.append({v - 1} if v % 2 else nbrs[v - 1] | {v - 1})
-    edges = [(u, v) for v in range(k) for u in nbrs[v]]
-    return Graph(k + 1, edges + [(0, k), (k - 1, k)]) if closed else Graph(k, edges)
-
-
 def test_pruning_alternates_pendants_and_twins_for_many_rounds():
     # only the strip's end triangles hold a twin, so each round removes a
     # twin or a pendant at either end: about k / 4 rounds
@@ -423,10 +424,14 @@ def test_pruning_alternates_pendants_and_twins_for_many_rounds():
                 assert ok and {s.kind for s in steps} == {"pendant", "true-twin"}
             else:
                 assert not ok and check_pattern_match(g, wit) == (True, "ok")
-    # at k = 4001 the backtracking house search of the witness takes over a
-    # minute, so the closed strip checks the pruning alone
+    # at k = 4001 the closed strip holds no gem or house, so its witness
+    # search skips those two backtracking searches and finds the hole
+    # through the even vertices
     assert is_distance_hereditary(triangle_strip(4001)) == (True, None)
-    assert not _prunes(triangle_strip(4001, closed=True))
+    g = triangle_strip(4001, closed=True)
+    assert not _prunes(g) and _gem_house_free(g)
+    ok, wit = is_distance_hereditary(g)
+    assert not ok and wit.pattern.name == "C2002" and check_pattern_match(g, wit) == (True, "ok")
 
 
 def test_make_tk_structure():
@@ -495,6 +500,40 @@ def test_hk_counts_and_chordality():
             assert g.n == 3 * k + 3
             assert isinstance(is_chordal(g), tuple)
             assert is_ptolemaic(g)[0]
+
+
+# sha256 of repr(make_Hk(k, variant)): name, size, sorted edges and roles
+HK_DIGESTS = {
+    (1, "full"): "22768940378cb3ea2d5818bb7c7c2cce74a260753dba3185d2ede53b48006345",
+    (1, "minus"): "90ba4a2a6defec0ea8c18820a8243ff9f747f247bc6948ef7ba9795f431b5ceb",
+    (2, "full"): "e9f4788a476a6185d9211d27632dd04274830dbf154c9c3591a49bc5e681865f",
+    (2, "minus"): "6411c9acaccb97f584f865522f0546611bc1bc807fbee606ba7a1e645d84c2f6",
+    (3, "full"): "9653e4c052cd4f182d6d56ce2a026ea525b2bbef316a96520408508039f3c75e",
+    (3, "minus"): "85919c552bbdeddfceac7f50c0eeb16cecb7dde001f698b46aedad7b9e8cadb4",
+    (4, "full"): "dc308c573eee574b8c55fabf0ab589df97da4fe690a502a303d660c437a3df25",
+    (4, "minus"): "608af6a197f6d1feb7333bd66729b9737bd42ec870f7e00a4378fe4650a27862",
+    (5, "full"): "3793aef677c8c137c0ff9af689b2e5e074d621ef0c332a80a9b8c683282c88af",
+    (5, "minus"): "dfc64e2d02b88eaf6c7ecf0d97757e46bc2ed8d51b139d6ed51a22409276b1c3",
+    (6, "full"): "e78917e0c5b5a232779afb444976d7ab2e7ee43dea9e56ee777b2e44f8576af3",
+    (6, "minus"): "bc09fea9c0e52573e49a7662e5c836baf30f29ca3b64e58daddf3cd5fae8c9d6",
+    (7, "full"): "5d502f23b21b09a829a13eb23d241a7943ade5070d25265a0ff88afba4aeacc6",
+    (7, "minus"): "0596c9acdd883eacfef61c742bd2503b3eda1be929d6fff5d358e50126a84423",
+    (8, "full"): "a5e9bb16699d1f3ff64f3f9ba47b23b53b46ef5718127bcb57cde54bd86ac8e8",
+    (8, "minus"): "ddba33e173c503556f09eb96322f958283c7c1f80c977e4b7b8ce74ce5c4c118",
+    (9, "full"): "9d107adaff332f141291530380d2b2176c7e7ec95a5b4b8754b11541db486143",
+    (9, "minus"): "0a2613b767bdfe3adfb7b03247da3d4a7ccf591b7f6645d51e9f190cb0f48644",
+    (10, "full"): "12b78422e000cf17b097d2cf74beb37be0c2aff4c341d236fab504f4d41e93c0",
+    (10, "minus"): "d22024a0292a29596dd40a2381fa4b9da7c81e24d0c22b3c43af0d8aaa14c904",
+    (11, "full"): "c4a01a519151f86e237ef85454b6e6b261e0f2b1c06d515c076680b842dcbf1a",
+    (11, "minus"): "3e261107d0290abb461ea1142bd7657a145e5e83d679a599a19d4124f27da7e0",
+    (12, "full"): "71345c69eb73c5104f522449fc8c2e6fb52f217c85b1b8a43aceed7e855d2aee",
+    (12, "minus"): "478caa63daceef70e65a80841394ac3691471dfebde67457e158822ad6e7f310",
+}
+
+
+@pytest.mark.parametrize("k, variant", sorted(HK_DIGESTS))
+def test_make_hk_is_pinned(k, variant):
+    assert hashlib.sha256(repr(make_Hk(k, variant)).encode()).hexdigest() == HK_DIGESTS[k, variant]
 
 
 def test_find_max_hk():

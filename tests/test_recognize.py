@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import disjoint_union, hub_last_k2, random_graph, shuffled_union
+from conftest import disjoint_union, hub_last_k2, random_graph, shuffled_union, triangle_strip
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -625,13 +625,14 @@ def test_twin_reduction_ending_at_a_chordal_level(monkeypatch):
 
 
 def _count_searches(monkeypatch):
-    """Count ``find_induced`` calls by pattern name and ``has_hole`` calls,
-    patched in every module that looks either name up."""
+    """Count ``find_induced`` calls by pattern name and ``has_hole`` and
+    ``_gem_house_free`` calls by function name, patched in every module
+    that looks the name up."""
     import oppograph.patterns
     import oppograph.recognize
 
     calls = Counter()
-    for name in ("find_induced", "has_hole"):
+    for name in ("find_induced", "has_hole", "_gem_house_free"):
         inner = getattr(oppograph.patterns, name)
 
         def spy(g, *args, name=name, inner=inner):
@@ -660,14 +661,37 @@ def test_route_tests_build_no_witness(monkeypatch):
     v = recognize_opposition(f)
     assert v.is_member and v.stats["flips_tried"] > 1
     assert calls == {}
-    # a member at the first vector searches each pattern once to name it,
-    # and coalition looks for a hole too
+    # a member at the first vector runs the P4 test for a gem or house
+    # once to name it, with no pattern search, and coalition looks for a
+    # hole too
     domino = parse_graph6("Er_g")
     assert recognize_opposition(domino).method == "gem-house-free"
-    assert calls == {"gem": 1, "house": 1}
+    assert calls == {"_gem_house_free": 1}
     calls.clear()
     assert recognize_coalition(domino).method == "gem-house-hole-free"
-    assert calls == {"gem": 1, "house": 1, "has_hole": 1}
+    assert calls == {"_gem_house_free": 1, "has_hole": 1}
+
+
+def test_route_test_on_the_closed_strip_searches_no_pattern(monkeypatch):
+    import oppograph.patterns
+    import oppograph.recognize
+
+    # the closed triangle strip is a coalition member at side 0 and not
+    # distance-hereditary, so it runs the route test; a backtracking house
+    # search there is quadratic, as house vertex 1 has no earlier neighbour
+    def forbidden(*args):
+        raise AssertionError("find_induced on the recognizer path")
+
+    for module in (oppograph.patterns, oppograph.recognize):
+        monkeypatch.setattr(module, "find_induced", forbidden, raising=False)
+    g = triangle_strip(801, closed=True)
+    for want_witness in (False, True):
+        v = recognize_opposition(g, want_witness=want_witness)
+        assert (v.decision, v.method, v.witness) == ("non-member", "aux-odd-walk", None)
+        v = recognize_coalition(g, want_witness=want_witness)
+        assert (v.decision, v.method, v.stats["flips_tried"]) == ("member", "flip-search-extension", 1)
+    assert recognize_generalized_opposition(g).decision == "non-member"
+    assert recognize_coalition_distance_hereditary(g).method == "flip-search-extension"
 
 
 def _spy_calls(monkeypatch, module, name):
