@@ -334,7 +334,10 @@ _G6_NONZERO = re.compile(r"[^?]")
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode as a standard graph6 line (labels are not preserved)."""
+    """Encode as a standard graph6 line (labels are not preserved).
+
+    The body starts as "?" (six 0 bits) per character; edge i < j sets bit
+    k = j(j - 1)/2 + i, the rule ``parse_graph6`` decodes."""
     n = g.n
     if n <= _G6_MAX_SHORT:
         head = chr(n + 63)
@@ -342,20 +345,11 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise GraphError("graph too large for this graph6 encoder")
-    bits: list[int] = []
-    for j in range(1, n):
-        aj = g.adj[j]
-        for i in range(j):
-            bits.append(1 if i in aj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [head]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    body = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] += 32 >> k % 6
+    return head + body.decode()
 
 
 def parse_graph6(line: str) -> Graph:

@@ -299,14 +299,14 @@ def is_chordal(g: Graph) -> tuple[int, ...] | PatternMatch:
 
 
 def is_ptolemaic(g: Graph) -> tuple[bool, PatternMatch | None]:
-    """Chordal and gem-free; the witness explains a failure."""
+    """Chordal and gem-free; the witness explains a failure.  A chordal
+    graph has no house (it holds a C4), so ``_gem_house_free`` decides."""
     res = is_chordal(g)
     if isinstance(res, PatternMatch):
         return False, res
-    gem = find_induced(g, GEM)
-    if gem is not None:
-        return False, gem
-    return True, None
+    if _gem_house_free(g):
+        return True, None
+    return False, find_induced(g, GEM)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,14 @@ def test_graph6_long_form_rejects_nonzero_padding():
 
 
 def test_graph6_matches_networkx():
+    # the size header grows from one character to four between n = 62 and
+    # 63; n = 0, 1, 2, 62, 63, 64 and 65 leave 0, 0, 5, 5, 3, 0 and 2
+    # padding bits
     nx = pytest.importorskip("networkx")
-    for seed in range(10):
-        g = random_graph(9, 0.4, seed)
+    graphs = [random_graph(9, 0.4, seed) for seed in range(10)]
+    graphs += [random_graph(n, 0.5, n) for n in (0, 1, 2, 62, 63, 64, 65)]
+    graphs += [complete_graph(2), random_graph(100, 0.9, 100)]
+    for g in graphs:
         G = nx.Graph()
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges)

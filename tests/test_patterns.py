@@ -220,6 +220,39 @@ def test_is_ptolemaic_examples():
     assert ok and wit is None
 
 
+def reference_is_ptolemaic(g):
+    """The chordality witness, else the least gem, else a pass."""
+    res = is_chordal(g)
+    if isinstance(res, PatternMatch):
+        return False, res
+    gem = find_induced(g, GEM)
+    return (True, None) if gem is None else (False, gem)
+
+
+def test_is_ptolemaic_matches_reference_and_searches_only_on_failure(monkeypatch):
+    # random graphs (n <= 11, every density) and the two ptolemaic
+    # generators (n <= 40); a pass must not run any backtracking search
+    from oppograph import patterns
+    from oppograph.generate import random_opposition_ptolemaic, random_ptolemaic
+
+    searched = []
+    monkeypatch.setattr(patterns, "find_induced", lambda g, p: searched.append(p.name) or find_induced(g, p))
+    rng = random.Random(3001)
+    seen = Counter()
+    for i in range(2000):
+        if i % 4 < 2:
+            g = random_graph(rng.randint(0, 11), rng.random(), rng)
+        else:
+            make = random_ptolemaic if i % 4 == 2 else random_opposition_ptolemaic
+            g = make(rng.randint(4, 40), rng.randrange(10**6))
+        searched.clear()
+        ok, wit = is_ptolemaic(g)
+        assert bool(searched) != ok, (searched, g.edges)
+        assert (ok, wit) == reference_is_ptolemaic(g), g.edges
+        seen[ok] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_is_distance_hereditary_examples():
     from oppograph.generate import random_tree
 
