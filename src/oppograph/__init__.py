@@ -2,7 +2,6 @@
 with certified orientations and obstructions."""
 
 from .constraints import (
-    Bipartition,
     ConstraintGraph,
     OddWalkCertificate,
     bipartition_or_odd_walk,

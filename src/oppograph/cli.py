@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .constraints import ConstraintGraph, OddWalkCertificate, bipartition_or_odd_walk
+from .constraints import ConstraintGraph, bipartition_or_odd_walk
 from .generate import random_distance_hereditary, random_ptolemaic, random_tree
 from .graphs import Graph, GraphError, emit_dot, encode_graph6, parse_edge_list, parse_graph6
 from .oracle import OracleCapError, oracle_coalition, oracle_generalized_opposition, oracle_opposition
@@ -212,16 +212,16 @@ def cmd_aux(args, out) -> int:
         out.write(cg.to_dot())
         return EXIT_MEMBER
     res = bipartition_or_odd_walk(cg)
-    if isinstance(res, OddWalkCertificate):
+    if res is not None:
         walk = " ".join(f"({g.label(x)},{g.label(y)})" for x, y in res.walk)
         out.write(f"non-bipartite: odd walk of length {res.length()}: {walk}\n")
         return EXIT_NON_MEMBER
     colors = ("lightblue", "lightyellow")
     out.write(cg.to_dot([
-        f'style=filled, fillcolor={colors[side]}, comment="component {k}"'
-        for side, k in zip(res.side, res.component)
+        f'style=filled, fillcolor={colors[side ^ j]}, comment="component {k}"'
+        for k, side in zip(cg.edge_class, cg.edge_side) for j in (0, 1)
     ]))
-    out.write(f"// bipartite, {res.component_count} component(s)\n")
+    out.write(f"// bipartite, {len(cg.class_bad)} component(s)\n")
     return EXIT_MEMBER
 
 

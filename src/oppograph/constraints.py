@@ -9,8 +9,8 @@ other.  A P4 a-b-c-d adds, per kind:
 
 so that independent sets of the auxiliary graph are exactly the
 conflict-free direction choices.  Bipartiteness therefore decides the
-"generalized" membership question, and a bipartition side induces the
-forced partial orientation of the end-edges.
+"generalized" membership question, and the sides of the end-edges, one
+bit per class, induce the forced partial orientation.
 
 The graphs are built from mid-edge blocks without listing P4s, in one
 pass over the quotient of G by its twin classes, and a neighbour list
@@ -345,15 +345,6 @@ class ConstraintGraph:
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """2-coloring of a constraint graph with per-variable component ids."""
-
-    side: tuple[int, ...]
-    component: tuple[int, ...]
-    component_count: int
-
-
-@dataclass(frozen=True)
 class OddWalkCertificate:
     """Closed walk of odd length witnessing non-bipartiteness.
 
@@ -404,12 +395,12 @@ def _first_conflict_walk(cg: ConstraintGraph, start: int) -> tuple[ArcVar, ...]:
     raise ValueError("the class of the start variable is bipartite")
 
 
-def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertificate:
-    """The 2-coloring read from the classes; otherwise a verifiable odd
+def bipartition_or_odd_walk(cg: ConstraintGraph) -> OddWalkCertificate | None:
+    """None when O(G) or C(G) is bipartite; otherwise a verifiable odd
     closed walk.
 
-    Components are numbered by least variable, and each takes side 0 at
-    its least variable, as a BFS 2-coloring in variable order gives them.
+    The classes are then the components, and variable 2k + j has side
+    ``edge_side[k] ^ j``, as a BFS 2-coloring in variable order gives it.
     The walk is the tree-path walk through the first conflict of a BFS
     2-coloring from the least variable of the first bad class
     (``_first_conflict_walk``), so equal inputs give equal certificates.
@@ -418,31 +409,23 @@ def bipartition_or_odd_walk(cg: ConstraintGraph) -> Bipartition | OddWalkCertifi
     """
     bad = next((k for k, b in enumerate(cg.class_bad) if b), None)
     if bad is None:
-        side: list[int] = []
-        component: list[int] = []
-        for k, s in zip(cg.edge_class, cg.edge_side):
-            side += (s, 1 - s)
-            component += (k, k)
-        return Bipartition(tuple(side), tuple(component), len(cg.class_bad))
+        return None
     return OddWalkCertificate(_first_conflict_walk(cg, 2 * cg.edge_class.index(bad)))
 
 
-def forced_orientation(
-    cg: ConstraintGraph, b: Bipartition, flips: tuple[int, ...] | list[int]
-) -> PartialOrientation:
-    """The partial orientation D(A) picked by a bipartition side.
+def forced_orientation(cg: ConstraintGraph, flips: tuple[int, ...] | list[int]) -> PartialOrientation:
+    """The partial orientation D(A) picked by one side per class of a
+    bipartite O(G) or C(G).
 
-    ``flips`` holds one bit per component choosing which side plays A
-    there.  Every end-edge receives exactly one direction because (x, y)
-    and (y, x) are adjacent, hence on opposite sides.
+    ``flips`` holds one bit per class choosing which side plays A there:
+    end-edge k takes its variable on that side, ``vars[2k]`` when
+    ``edge_side[k]`` equals the class's bit and ``vars[2k + 1]`` else.
     """
-    if len(flips) != b.component_count:
-        raise ValueError("one flip bit per component required")
-    arcs = []
-    for i, (x, y) in enumerate(cg.vars):
-        if b.side[i] == flips[b.component[i]]:
-            arcs.append((x, y))
-    return PartialOrientation(cg.base, arcs)
+    if not cg.bipartite or len(flips) != len(cg.class_bad):
+        raise ValueError("one flip bit per class of a bipartite aux graph required")
+    return PartialOrientation(cg.base, [
+        cg.vars[2 * k + (s != flips[c])] for k, (c, s) in enumerate(zip(cg.edge_class, cg.edge_side))
+    ])
 
 
 def is_acyclic(p: PartialOrientation) -> list[int] | DirectedCycleCertificate:

@@ -188,9 +188,6 @@ class PartialOrientation:
         self.base = base
         self._head = head
 
-    def domain(self) -> list[tuple[int, int]]:
-        return sorted(self._head)
-
     def forward(self, a: int, b: int) -> bool:
         """True iff the edge {a, b} is directed a -> b."""
         key = (a, b) if a < b else (b, a)
@@ -214,9 +211,6 @@ class Orientation(PartialOrientation):
         missing = [e for e in base.edges if e not in self._head]
         if missing:
             raise GraphError(f"{len(missing)} edges left undirected, e.g. {missing[0]}")
-
-    def reverse(self) -> "Orientation":
-        return Orientation(self.base, [(h, t) for t, h in self.arcs()])
 
 
 def orient_along(g: Graph, order: list[int]) -> Orientation:

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import (
-    Bipartition,
-    ConstraintGraph,
-    OddWalkCertificate,
-    bipartition_or_odd_walk,
-)
+from .constraints import ConstraintGraph, OddWalkCertificate, bipartition_or_odd_walk
 from .graphs import (
     DirectedCycleCertificate,
     Graph,
@@ -79,18 +74,18 @@ class PtolemaicOrientationError(RuntimeError):
         self.p4s = tuple(p4s)
 
 
-def _stats(cg: ConstraintGraph, b=None, flips_tried=None):
+def _stats(cg: ConstraintGraph, flips_tried=None):
     return {
         "p4_count": cg.p4_count,
         "aux_vertices": cg.var_count,
-        "aux_components": b.component_count if b is not None else None,
+        "aux_components": len(cg.class_bad) if cg.bipartite else None,
         "flips_tried": flips_tried,
     }
 
 
-def _side0_arcs(cg: ConstraintGraph, b: Bipartition) -> list[tuple[int, int]]:
-    """The arcs side 0 forces in every aux component: the first flip vector."""
-    return [xy for xy, side in zip(cg.vars, b.side) if not side]
+def _side0_arcs(cg: ConstraintGraph) -> list[tuple[int, int]]:
+    """Side 0 in every aux component, one arc per end-edge: the first flip vector."""
+    return [cg.vars[2 * k + s] for k, s in enumerate(cg.edge_side)]
 
 
 def _checked_member(graph_class, method, orientation, stats) -> Verdict:
@@ -123,19 +118,25 @@ class _Part:
 
     ``vertices`` are its vertices in increasing order; local vertex i is
     ``vertices[i]``, as in ``induced_subgraph``.  ``aux`` lists the aux
-    components inside it in increasing order, and ``vars`` each of its
-    variables as (position of its aux component in ``aux``, side, local
-    arc).  The classes of O(G[S]) or C(G[S]) are those of the part in the
-    same order with the same sides, so local bit vectors are the flip
-    vectors of G[S].  ``cycle`` is its side-0 cycle in local ids.
+    components inside it in increasing order, and ``edges`` each of its
+    end-edges k as (position of its aux component in ``aux``,
+    ``edge_side[k]``, the local arc of variable 2k).  The classes of
+    O(G[S]) or C(G[S]) are those of the part in the same order with the
+    same sides, so local bit vectors are the flip vectors of G[S].
+    ``cycle`` is its side-0 cycle in local ids.
     """
 
-    __slots__ = ("vertices", "aux", "vars", "cycle")
+    __slots__ = ("vertices", "aux", "edges", "cycle")
 
     def __init__(self, vertices: tuple[int, ...]):
         self.vertices = vertices
         self.aux: list[int] = []
-        self.vars: list[tuple[int, int, int, int]] = []
+        self.edges: list[tuple[int, int, int, int]] = []
+
+    def arcs(self, flips: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The local arcs the bit vector ``flips`` forces: an end-edge
+        keeps its arc where its side is its component's bit."""
+        return [(x, y) if side == flips[j] else (y, x) for j, side, x, y in self.edges]
 
     def search(self, cap: int):
         """The search G[S] runs alone: local vectors by rank, bit 0 (the
@@ -148,59 +149,52 @@ class _Part:
         entries = [((0,) * len(self.aux), self.cycle)]
         for rank in range(1, min(1 << (len(self.aux) - 1), cap)):
             bits = (0,) + tuple((rank >> j) & 1 for j in range(len(self.aux) - 1))
-            arcs = [(x, y) for j, side, x, y in self.vars if side == bits[j]]
-            order, cyc = topo_order_or_cycle(len(self.vertices), arcs)
+            order, cyc = topo_order_or_cycle(len(self.vertices), self.arcs(bits))
             if cyc is None:
                 return order, entries
             entries.append((bits, cyc))
         return None, entries
 
 
-def _parts(cg: ConstraintGraph, b: Bipartition, indeg: list[int]) -> list[_Part]:
+def _parts(cg: ConstraintGraph, indeg: list[int]) -> list[_Part]:
     """The components of G holding a vertex that the side-0 Kahn pass left
-    over (``indeg``), by least vertex, each found by a search from one
-    such vertex and given the ``leftover_cycle`` of its own side-0 arcs.
-    Aux components are numbered by least variable, so each part meets its
-    own in increasing order."""
-    nbr = neighbour_bits(cg.base)
+    over (``indeg``), by least vertex, each given the ``leftover_cycle``
+    of its own side-0 arcs.  Aux components are numbered by least
+    end-edge, so each part meets its own in increasing order."""
     part_of: list[_Part | None] = [None] * cg.base.n
     local = [0] * cg.base.n
     parts = []
-    for start in range(cg.base.n):
-        if indeg[start] and part_of[start] is None:
-            seen, todo = 1 << start, [start]
-            while todo:
-                fresh = nbr[todo.pop()] & ~seen
-                seen |= fresh
-                todo += bits(fresh)
-            part = _Part(tuple(bits(seen)))
-            for i, v in enumerate(part.vertices):
+    for comp in connected_components(cg.base):
+        if any(indeg[v] for v in comp):
+            part = _Part(tuple(comp))
+            for i, v in enumerate(comp):
                 part_of[v], local[v] = part, i
             parts.append(part)
     pos: dict[int, int] = {}  # aux component -> its position in its part
-    for i, (x, y) in enumerate(cg.vars):
-        part, k = part_of[x], b.component[i]
+    for (x, y), k, side in zip(cg.vars[::2], cg.edge_class, cg.edge_side):
+        part = part_of[x]
         if part is None:
             continue
         if k not in pos:
             pos[k] = len(part.aux)
             part.aux.append(k)
-        part.vars.append((pos[k], b.side[i], local[x], local[y]))
+        part.edges.append((pos[k], side, local[x], local[y]))
     for part in parts:
-        side0 = [(x, y) for _, side, x, y in part.vars if not side]
-        part.cycle = leftover_cycle(side0, [indeg[v] for v in part.vertices])
-    parts.sort(key=lambda part: part.vertices[0])
+        part.cycle = leftover_cycle(part.arcs((0,) * len(part.aux)), [indeg[v] for v in part.vertices])
     return parts
 
 
-def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _FlipOutcome:
+def _flip_search(cg: ConstraintGraph, flip_cap: int | None) -> _FlipOutcome:
     """A flip vector whose forced orientation is acyclic, each component
     of G searched in rank order in its own reversal quotient.
 
-    The first vector, side 0 in every aux component, takes one Kahn pass
-    over the whole graph.  Only the components of G holding a vertex it
-    left over, the parts, search further: side 0 is acyclic in the
-    others, and a min-id Kahn order restricted to one of them is its own.
+    A flip vector holds one bit per aux component, and end-edge k takes
+    its variable 2k where ``edge_side[k]`` equals its component's bit,
+    else its variable 2k + 1.  The first vector, side 0 in every aux
+    component, takes one Kahn pass over the whole graph.  Only the
+    components of G holding a vertex it left over, the parts, search
+    further: side 0 is acyclic in the others, and a min-id Kahn order
+    restricted to one of them is its own.
 
     A P4 lies inside one component and a union of acyclic orientations is
     acyclic, so a vector is acyclic exactly when its restriction to every
@@ -218,11 +212,11 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
     topological completion, as ``orient_along`` reads only the relative
     order of adjacent vertices.
     """
-    order, indeg = kahn_pass(cg.base.n, _side0_arcs(cg, b))
+    order, indeg = kahn_pass(cg.base.n, _side0_arcs(cg))
     if len(order) == cg.base.n:
         return _FlipOutcome(orient_along(cg.base, order), None, 1)
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    parts = _parts(cg, b, indeg)
+    parts = _parts(cg, indeg)
     in_part = set().union(*(part.vertices for part in parts))
     order = [v for v in order if v not in in_part]
     tried, capped = 1, False
@@ -233,7 +227,7 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
             order += [part.vertices[v] for v in topo]
         elif len(entries) < 1 << (len(part.aux) - 1):
             capped = True
-        elif len(part.aux) == b.component_count:
+        elif len(part.aux) == len(cg.class_bad):
             exhaustion = FlipExhaustion(tuple(
                 (bits, DirectedCycleCertificate(tuple(part.vertices[v] for v in cyc.vertices)))
                 for bits, cyc in entries
@@ -251,8 +245,8 @@ def _flip_search(cg: ConstraintGraph, b: Bipartition, flip_cap: int | None) -> _
 
 
 def _aux(g: Graph, kind: str):
-    """The auxiliary graph O(G) or C(G), and either its bipartition or an
-    odd closed walk in it."""
+    """The auxiliary graph O(G) or C(G), and an odd closed walk in it, or
+    None when it is bipartite."""
     cg = ConstraintGraph(kind, g)
     return cg, bipartition_or_odd_walk(cg)
 
@@ -261,10 +255,10 @@ def _dh_side0_orientation(g: Graph) -> Orientation:
     """The flip search's first vector of O(G), side 0, which the
     distance-hereditary theorems make acyclic; ValueError when O(G) is not
     bipartite."""
-    cg, res = _aux(g, OPPOSITION)
-    if isinstance(res, OddWalkCertificate):
+    cg, walk = _aux(g, OPPOSITION)
+    if walk is not None:
         raise ValueError("O(G) is not bipartite: not an opposition graph")
-    o = _flip_search(cg, res, 1).orientation
+    o = _flip_search(cg, 1).orientation
     if o is None:
         raise CertificateError("a bipartite opposition aux graph gave a cyclic forced part")
     return o
@@ -277,14 +271,12 @@ def _dh_side0_orientation(g: Graph) -> Orientation:
 def recognize_generalized_opposition(g: Graph) -> Verdict:
     """Bipartiteness of O(G) decides.  A member takes the side-0 arcs and,
     low to high, the edges that end no P4 (acyclic or not)."""
-    cg, res = _aux(g, OPPOSITION)
-    if isinstance(res, OddWalkCertificate):
-        return Verdict(
-            GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", res, _stats(cg)
-        )
+    cg, walk = _aux(g, OPPOSITION)
+    if walk is not None:
+        return Verdict(GENERALIZED_OPPOSITION, NON_MEMBER, "aux-odd-walk", walk, _stats(cg))
     ends = set(cg.vars[::2])
-    o = Orientation(g, _side0_arcs(cg, res) + [e for e in g.edges if e not in ends])
-    return _checked_member(GENERALIZED_OPPOSITION, "aux-bipartite", o, _stats(cg, res, 0))
+    o = Orientation(g, _side0_arcs(cg) + [e for e in g.edges if e not in ends])
+    return _checked_member(GENERALIZED_OPPOSITION, "aux-bipartite", o, _stats(cg, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +334,26 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
     search, dh_label, dh_order, free_label, free_test, obstruction = _PIPELINES[graph_class]
     if flip_cap is not None and flip_cap < 1:
         raise ValueError("flip cap must be at least 1")
-    cg, res = _aux(g, graph_class)
-    if isinstance(res, OddWalkCertificate):
+    cg, walk = _aux(g, graph_class)
+    if walk is not None:
         witness = None
         if want_witness and _prunes(g):
             match = obstruction(g)
             if match is None:
                 raise CertificateError(f"distance-hereditary {graph_class} non-member holds no obstruction")
             witness = _checked_pattern(g, match)
-        return Verdict(graph_class, NON_MEMBER, "aux-odd-walk", res, _stats(cg), witness)
-    outcome = _flip_search(cg, res, flip_cap)
+        return Verdict(graph_class, NON_MEMBER, "aux-odd-walk", walk, _stats(cg), witness)
+    outcome = _flip_search(cg, flip_cap)
     method = search
     if outcome.orientation is not None and outcome.tried == 1:  # at side 0
         if _prunes(g):
             order = dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
-            return _checked_member(graph_class, dh_label, o, _stats(cg, res, None))
+            return _checked_member(graph_class, dh_label, o, _stats(cg))
         if _gem_house_free(g) and free_test(g):
             method = free_label
     # the exact flip search's member, exhaustion, or undecided at the cap
-    stats = _stats(cg, res, outcome.tried)
+    stats = _stats(cg, outcome.tried)
     if outcome.orientation is not None:
         return _checked_member(graph_class, method, outcome.orientation, stats)
     if outcome.certificate is None:

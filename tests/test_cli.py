@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from conftest import CO_C6_EDGE_LIST, N_EDGE_LIST
 from oppograph import cli
 from oppograph.cli import EXIT_DISAGREEMENT, EXIT_MEMBER, EXIT_NON_MEMBER, EXIT_PARSE, EXIT_UNDECIDED, EXIT_USAGE, main
-from oppograph.graphs import cycle_graph, encode_graph6, path_graph
+from oppograph.constraints import ConstraintGraph
+from oppograph.graphs import cycle_graph, encode_graph6, parse_graph6, path_graph
+from oppograph.p4 import COALITION, OPPOSITION
 from oppograph.patterns import make_Hk, make_Tk
 
 
@@ -221,6 +225,39 @@ def test_aux_p4_check_bipartite(tmp_path):
     code, out = run(["aux", "--kind", "opposition", "--check-bipartite", str(path)])
     assert code == EXIT_MEMBER
     assert "bipartite, 1 component" in out
+
+
+@pytest.mark.parametrize("kind", [OPPOSITION, COALITION])
+def test_aux_check_bipartite_colours_every_variable_as_a_bfs(kind, tmp_path):
+    # F}SyO beside a P5: four aux components, and in each kind some
+    # end-edges k put their variable 2k on side 1.  Every node's colour and
+    # component equal a BFS 2-colouring of the aux graph in variable
+    # order, each component starting at side 0 from its least variable
+    g6 = "K}SyO?@?G?_@"
+    path = tmp_path / "f_p5.g6"
+    path.write_text(g6 + "\n")
+    code, out = run(["aux", "--kind", kind, "--check-bipartite", str(path)])
+    assert code == EXIT_MEMBER
+    assert out.endswith("}\n// bipartite, 4 component(s)\n")
+    cg = ConstraintGraph(kind, parse_graph6(g6))
+    side, comp = [None] * cg.var_count, [None] * cg.var_count
+    count = 0
+    for start in range(cg.var_count):
+        if side[start] is not None:
+            continue
+        side[start], comp[start], queue = 0, count, deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in cg.adj[v]:
+                if side[w] is None:
+                    side[w], comp[w] = 1 - side[v], count
+                    queue.append(w)
+                assert side[w] != side[v]
+        count += 1
+    assert count == 4 and any(side[::2])
+    nodes = re.findall(r'^  (\d+) \[label="[^"]*", style=filled, fillcolor=(\w+), comment="component (\d+)"\];$', out, re.M)
+    colours = ("lightblue", "lightyellow")
+    assert nodes == [(str(i), colours[side[i]], str(comp[i])) for i in range(cg.var_count)]
 
 
 def test_dot_quotes_backslashes_and_quotes(tmp_path):

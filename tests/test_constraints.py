@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import hub_last_k2, isomorphic, random_graph, shuffled_union
 from oppograph import constraints
 from oppograph.constraints import (
-    Bipartition,
     ConstraintGraph,
     OddWalkCertificate,
     _path_up,
@@ -51,9 +50,8 @@ def test_aux_p4_is_four_cycle():
     cg = ConstraintGraph(OPPOSITION, path_graph(4))
     assert cg.var_count == 4
     assert all(len(a) == 2 for a in cg.adj)
-    res = bipartition_or_odd_walk(cg)
-    assert isinstance(res, Bipartition)
-    assert res.component_count == 1
+    assert bipartition_or_odd_walk(cg) is None
+    assert len(cg.class_bad) == 1
 
 
 def test_aux_co_c6_matches_known_edge_set(co_c6_labeled):
@@ -66,7 +64,7 @@ def test_aux_co_c6_matches_known_edge_set(co_c6_labeled):
         if i < j
     }
     assert got == CO_C6_AUX_EDGES
-    assert isinstance(bipartition_or_odd_walk(cg), Bipartition)
+    assert bipartition_or_odd_walk(cg) is None
 
 
 def test_aux_n_is_co_c6(co_c6):
@@ -109,18 +107,17 @@ def test_bipartiteness_equals_generalized_oracle_small():
     for seed in range(40):
         g = random_graph(6, 0.5, seed)
         cg = ConstraintGraph(OPPOSITION, g)
-        bip = isinstance(bipartition_or_odd_walk(cg), Bipartition)
+        bip = bipartition_or_odd_walk(cg) is None
         assert bip == oracle_generalized_opposition(g).is_member
 
 
 def test_forced_orientation_p4_both_sides():
     g = path_graph(4)
     cg = ConstraintGraph(OPPOSITION, g)
-    b = bipartition_or_odd_walk(cg)
     p4 = induced_p4s(g)[0]
     for flip in (0, 1):
-        d = forced_orientation(cg, b, (flip,))
-        assert sorted(d.domain()) == [(0, 1), (2, 3)]
+        d = forced_orientation(cg, (flip,))
+        assert sorted((min(a), max(a)) for a in d.arcs()) == [(0, 1), (2, 3)]
         assert orientation_good_for(p4, d, OPPOSITION)
 
 
@@ -130,22 +127,21 @@ def test_forced_orientation_every_flip_makes_all_p4s_good():
         p4s = induced_p4s(g)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
-            res = bipartition_or_odd_walk(cg)
-            if not isinstance(res, Bipartition):
+            if bipartition_or_odd_walk(cg) is not None:
                 continue
             ends = set(end_edges(g, p4s))
-            for flips in itertools.product((0, 1), repeat=res.component_count):
-                d = forced_orientation(cg, res, flips)
-                assert set(d.domain()) == ends
+            for flips in itertools.product((0, 1), repeat=len(cg.class_bad)):
+                d = forced_orientation(cg, flips)
+                assert {(min(a), max(a)) for a in d.arcs()} == ends
                 assert all(orientation_good_for(p, d, kind) for p in p4s)
 
 
 def test_co_c6_labeled_forced_orientation_has_directed_triangle(co_c6_labeled):
     cg = ConstraintGraph(OPPOSITION, co_c6_labeled)
-    b = bipartition_or_odd_walk(cg)
-    assert b.component_count == 1
+    assert bipartition_or_odd_walk(cg) is None
+    assert len(cg.class_bad) == 1
     for flip in (0, 1):
-        d = forced_orientation(cg, b, (flip,))
+        d = forced_orientation(cg, (flip,))
         res = is_acyclic(d)
         assert isinstance(res, DirectedCycleCertificate)
         assert len(res) == 3
@@ -177,9 +173,8 @@ def test_extend_acyclic_empty_on_k3_uses_id_order():
 
 def test_extend_acyclic_h1_coalition(h1):
     cg = ConstraintGraph(COALITION, h1)
-    b = bipartition_or_odd_walk(cg)
-    assert isinstance(b, Bipartition)
-    d = forced_orientation(cg, b, (0,) * b.component_count)
+    assert bipartition_or_odd_walk(cg) is None
+    d = forced_orientation(cg, (0,) * len(cg.class_bad))
     assert not isinstance(is_acyclic(d), DirectedCycleCertificate)
     o = extend_acyclic(d)
     from oppograph.p4 import verify_orientation
@@ -322,8 +317,9 @@ def _eager_aux(kind, g):
 
 
 def _eager_bipartition_or_odd_walk(vars_, adj):
-    """BFS 2-coloring in variable order; at the first conflict, the
-    tree-path walk through it."""
+    """BFS 2-coloring in variable order, as (side, component, component
+    count) per variable; at the first conflict, the tree-path walk
+    through it."""
     n = len(vars_)
     side, comp, parent = [-1] * n, [-1] * n, [-1] * n
     comp_id = 0
@@ -345,7 +341,7 @@ def _eager_bipartition_or_odd_walk(vars_, adj):
                     walk = px[: px.index(lca) + 1][::-1] + py[: py.index(lca) + 1]
                     return OddWalkCertificate(tuple(vars_[u] for u in walk))
         comp_id += 1
-    return Bipartition(tuple(side), tuple(comp), comp_id)
+    return tuple(side), tuple(comp), comp_id
 
 
 def _eager_components(adj):
@@ -379,8 +375,14 @@ def _assert_equals_eager(kind, g):
     assert cg.vars == vars_
     assert cg.p4_count == p4_count
     assert ends + 2 * p4_count == sum(len(a) for a in adj) // 2
-    assert cg.bipartite == isinstance(res, Bipartition)
-    assert res == _eager_bipartition_or_odd_walk(vars_, adj)
+    assert cg.bipartite == (res is None)
+    # variable 2k + j of end-edge k has side edge_side[k] ^ j
+    coloring = (
+        tuple(s ^ j for s in cg.edge_side for j in (0, 1)),
+        tuple(k for k in cg.edge_class for _ in (0, 1)),
+        len(cg.class_bad),
+    )
+    assert (coloring if res is None else res) == _eager_bipartition_or_odd_walk(vars_, adj)
     assert list(cg.adj) == adj
     # variables 2k and 2k + 1 share a component, so the least variable of
     # a component is the least end-edge of its class, read forwards
@@ -406,7 +408,7 @@ def test_block_core_equals_eager_on_random_graphs(kind, offset):
     for seed in range(200):
         g = random_graph(4 + seed % 13, 0.1 + 0.8 * ((seed * 53) % 100) / 100, offset + seed + 9000)
         kinds.add(type(_assert_equals_eager(kind, g)))
-    assert kinds == {Bipartition, OddWalkCertificate}
+    assert kinds == {type(None), OddWalkCertificate}
 
 
 @pytest.mark.parametrize("offset", SEED_OFFSETS)
@@ -458,7 +460,7 @@ def test_block_core_swap_moves_the_block_side():
     g = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (3, 5)])
     assert _twin_quotient(g) is None  # twin-free: the block pass runs on g
     for kind in (OPPOSITION, COALITION):
-        assert isinstance(_assert_equals_eager(kind, g), Bipartition)
+        assert _assert_equals_eager(kind, g) is None
 
 
 def test_block_core_on_hub_last_k2_3000():
@@ -534,7 +536,7 @@ def test_block_core_equals_eager_on_twin_classes(kind, monkeypatch):
     for g in graphs:
         kinds.add(type(_assert_equals_eager(kind, g)))
         sizes |= {len(c) for c in _twin_classes(g).values()}
-    assert kinds == {Bipartition, OddWalkCertificate}
+    assert kinds == {type(None), OddWalkCertificate}
     assert {1, 2, 3, 4, 6, 8, 9} <= sizes
     # K_{1,2,3} and one substitution have average degree below 6
     assert passes.count(True) == len(graphs) - 2
@@ -561,7 +563,7 @@ def test_empty_graph_has_an_empty_constraint_graph(kind):
     for g in (Graph(0), parse_graph6("?")):
         cg = ConstraintGraph(kind, g)
         assert (cg.vars, cg.p4_count, cg.edge_class, cg.class_bad, cg.adj) == ([], 0, [], [], [])
-        assert bipartition_or_odd_walk(cg).side == ()
+        assert bipartition_or_odd_walk(cg) is None
         recognize = recognize_opposition if kind == OPPOSITION else recognize_coalition
         v = recognize(g)
         assert v.decision == "member"

@@ -449,7 +449,7 @@ def test_reversal_closure_of_member_certificates(co_c6_labeled, h1):
             GENERALIZED_OPPOSITION: recognize_generalized_opposition,
         }[cls](g)
         assert v.is_member
-        assert verify_orientation(v.certificate.reverse(), cls)
+        assert verify_orientation(Orientation(g, [(h, t) for t, h in v.certificate.arcs()]), cls)
 
 
 def test_obstruction_search_on_trees():
@@ -767,8 +767,7 @@ def test_coalition_dh_members_keep_side0(monkeypatch):
             continue
         assert (v.method, v.stats["flips_tried"]) == ("dh-transitive", None)
         cg = ConstraintGraph(COALITION, g)
-        b = bipartition_or_odd_walk(cg)
-        side0 = extend_acyclic(forced_orientation(cg, b, (0,) * b.component_count))
+        side0 = extend_acyclic(forced_orientation(cg, (0,) * len(cg.class_bad)))
         assert v.certificate.arcs() == side0.arcs()
         _assert_verdict(g, v, "member")
         assert verdict_payload(dh, g) == verdict_payload(v, g)
@@ -875,19 +874,19 @@ def test_oracle_agreement_n8_n9_random():
 # the flip search checks one component of G at a time
 
 
-def _whole_graph_flip_search(cg, b, flip_cap):
+def _whole_graph_flip_search(cg, flip_cap):
     """The flip search with one forced orientation and one acyclicity
     check of the whole graph per flip vector in rank order, kept as the
     reference."""
     cap = DEFAULT_FLIP_CAP if flip_cap is None else flip_cap
-    c = b.component_count
+    c = len(cg.class_bad)
     total = 1 << (c - 1) if c > 0 else 1
     entries = []
     for rank in range(total):
         if rank >= cap:
             return _FlipOutcome(None, None, rank)
         flips = (0,) + tuple((rank >> i) & 1 for i in range(c - 1)) if c > 0 else ()
-        partial = forced_orientation(cg, b, flips)
+        partial = forced_orientation(cg, flips)
         res = is_acyclic(partial)
         if not isinstance(res, DirectedCycleCertificate):
             return _FlipOutcome(extend_acyclic(partial), None, rank + 1)
@@ -896,9 +895,7 @@ def _whole_graph_flip_search(cg, b, flip_cap):
 
 
 def _reference(g, kind, flip_cap=None):
-    cg = ConstraintGraph(kind, g)
-    b = bipartition_or_odd_walk(cg)
-    return _whole_graph_flip_search(cg, b, flip_cap)
+    return _whole_graph_flip_search(ConstraintGraph(kind, g), flip_cap)
 
 
 def _assert_same_outcome(got, want):
@@ -988,21 +985,20 @@ def test_flip_search_per_component_matches_whole_graph():
         comps = connected_components(g)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
-            b = bipartition_or_odd_walk(cg)
-            if isinstance(b, OddWalkCertificate):
+            if bipartition_or_odd_walk(cg) is not None:
                 continue
             ends = {x for x, _ in cg.vars}
             parts = [comp for comp in comps if not ends.isdisjoint(comp)]
             seen["no P4s"] += len(parts) < len(comps)
             for cap in (None, 1, 2, 5):
-                got = _flip_search(cg, b, cap)
+                got = _flip_search(cg, cap)
                 if len(parts) <= 1:
                     seen["one part"] += 1
-                    _assert_same_outcome(got, _whole_graph_flip_search(cg, b, cap))
+                    _assert_same_outcome(got, _whole_graph_flip_search(cg, cap))
                     continue
                 _assert_same_outcome(got, _composed_search(g, kind, cap))
                 if cap is None:
-                    want = _whole_graph_flip_search(cg, b, None)
+                    want = _whole_graph_flip_search(cg, None)
                     assert (got.orientation is None, got.certificate is None) == (
                         want.orientation is None, want.certificate is None
                     )
@@ -1026,10 +1022,9 @@ def test_flip_search_without_aux_components():
     g = disjoint_union([complete_graph(3), complete_graph(2), complete_graph(1)])
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
-        b = bipartition_or_odd_walk(cg)
-        assert b.component_count == 0
-        got = _flip_search(cg, b, None)
-        _assert_same_outcome(got, _whole_graph_flip_search(cg, b, None))
+        assert bipartition_or_odd_walk(cg) is None and cg.class_bad == []
+        got = _flip_search(cg, None)
+        _assert_same_outcome(got, _whole_graph_flip_search(cg, None))
         assert got.tried == 1 and got.orientation is not None
 
 
@@ -1052,16 +1047,15 @@ def test_flip_search_equals_the_every_component_search():
         g = shuffled_union(gs, rng)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
-            b = bipartition_or_odd_walk(cg)
-            if isinstance(b, OddWalkCertificate):
+            if bipartition_or_odd_walk(cg) is not None:
                 continue
-            indeg = kahn_pass(g.n, [xy for xy, side in zip(cg.vars, b.side) if not side])[1]
+            indeg = kahn_pass(g.n, [cg.vars[2 * k + side] for k, side in enumerate(cg.edge_side)])[1]
             cyclic = sum(any(indeg[v] for v in comp) for comp in connected_components(g))
             for cap in (None, 1, 2):
-                got = _flip_search(cg, b, cap)
+                got = _flip_search(cg, cap)
                 _assert_same_outcome(got, _composed_search(g, kind, cap))
                 if cap is None:
-                    want = _whole_graph_flip_search(cg, b, None)
+                    want = _whole_graph_flip_search(cg, None)
                     assert (got.orientation is None) == (want.orientation is None)
                     if got.orientation is not None:
                         seen["members past side 0 in two components"] += _searched_past_side0(g, kind) >= 2
@@ -1212,14 +1206,13 @@ def test_side0_orientation_is_the_first_flip_vector():
         """The number of aux components once the flip search is checked to
         stop at side 0, or None when the aux graph is not bipartite."""
         cg = ConstraintGraph(kind, h)
-        b = bipartition_or_odd_walk(cg)
-        if isinstance(b, OddWalkCertificate):
+        if bipartition_or_odd_walk(cg) is not None:
             return None
-        outcome = _flip_search(cg, b, None)
+        outcome = _flip_search(cg, None)
         assert outcome.tried == 1
-        side0 = extend_acyclic(forced_orientation(cg, b, (0,) * b.component_count))
+        side0 = extend_acyclic(forced_orientation(cg, (0,) * len(cg.class_bad)))
         assert outcome.orientation.arcs() == side0.arcs()
-        return b.component_count
+        return len(cg.class_bad)
 
     rng = random.Random(8)
     checked, several = Counter(), Counter()
@@ -1268,6 +1261,6 @@ def test_member_self_check_raises_on_a_bad_orientation(monkeypatch):
     import oppograph.recognize as rec
 
     # the side-0 arcs replaced by every end-edge low -> high
-    monkeypatch.setattr(rec, "_side0_arcs", lambda cg, b: list(cg.vars[::2]))
+    monkeypatch.setattr(rec, "_side0_arcs", lambda cg: list(cg.vars[::2]))
     with pytest.raises(CertificateError, match=r"P4 \(0, 1, 2, 3\) violates the generalized-opposition condition"):
         recognize_generalized_opposition(path_graph(5))
