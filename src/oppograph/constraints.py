@@ -320,16 +320,6 @@ class ConstraintGraph:
         out.sort()
         return out
 
-    def var_label(self, i: int) -> str:
-        x, y = self.vars[i]
-        return f"{self.base.label(x)}{self.base.label(y)}"
-
-    def to_graph(self) -> Graph:
-        edges = [
-            (i, j) for i in range(self.var_count) for j in self.adj[i] if i < j
-        ]
-        return Graph(self.var_count, edges, labels=[self.var_label(i) for i in range(self.var_count)])
-
     def to_dot(self, attrs: list[str] | None = None) -> str:
         """DOT text with one node per variable, named by its id and
         labelled ``x->y``; ``attrs[i]`` adds attributes to node i."""

@@ -4,9 +4,9 @@
 that says what they must hold, so this module imports nothing from
 `recognize`.  The checkers deliberately avoid the production code paths:
 orientations are checked at each P4's mid-edge over adjacency bitsets,
-the auxiliary adjacency is rebuilt by the definition's two links per P4
-from P4s grown from their smaller end vertex, and 2-coloring and
-acyclicity use DFS.  Certificates emitted by the recognizers must
+the auxiliary sides come from a parity union-find over end-edges, fed
+one P4 at a time as P4s are grown from their smaller end vertex, and
+acyclicity uses DFS.  Certificates emitted by the recognizers must
 re-verify here, and `check_orientation` is also their member self-check.
 The O(n^4) 4-subset scan `brute_force_p4s` is the reference in tests.
 """
@@ -14,6 +14,7 @@ The O(n^4) 4-subset scan `brute_force_p4s` is the reference in tests.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -84,8 +85,9 @@ def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
-    """Induced P4s a-b-c-d grown from the smaller end a (canonical a < d).
+def path_extension_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the induced P4s a-b-c-d grown from the smaller end a
+    (canonical a < d).
 
     b ranges over N(a), c over N(b) minus N[a], d over N(c) minus
     (N[a] | N[b]) with d > a, on Python-int neighbourhood bitsets.  Every
@@ -93,7 +95,6 @@ def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
     the order of `brute_force_p4s`.
     """
     nbr = neighbour_bits(g)
-    out = []
     for a in range(g.n):
         closed_a = nbr[a] | (1 << a)
         above_a = -1 << (a + 1)
@@ -101,8 +102,7 @@ def path_extension_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
             far = above_a & ~(closed_a | nbr[b])
             for c in bits(nbr[b] & ~closed_a):
                 for d in bits(nbr[c] & far):
-                    out.append((a, b, c, d))
-    return out
+                    yield a, b, c, d
 
 
 def _dfs_acyclic(n: int, arcs) -> bool:
@@ -237,64 +237,64 @@ def check_pattern_match(g: Graph, match: PatternMatch) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _rebuild_aux(g: Graph, kind: str):
-    """Variables (both arcs of every end-edge, by edge) and the auxiliary
-    adjacency: (x, y)~(y, x), and per P4 a-b-c-d the two links that
-    `aux_adjacent` accepts for the kind."""
-    p4s = path_extension_p4s(g)
-    ends = set()
-    for a, b, c, d in p4s:
-        ends.add((a, b) if a < b else (b, a))
-        ends.add((c, d) if c < d else (d, c))
-    vars_ = []
-    for x, y in sorted(ends):
-        vars_.append((x, y))
-        vars_.append((y, x))
-    index = {v: i for i, v in enumerate(vars_)}
-    adj = [[i ^ 1] for i in range(len(vars_))]
-    for a, b, c, d in p4s:
-        if kind == OPPOSITION:
-            links = (((a, b), (c, d)), ((b, a), (d, c)))
-        else:
-            links = (((a, b), (d, c)), ((b, a), (c, d)))
-        for p, q in links:
-            i, j = index[p], index[q]
-            adj[i].append(j)
-            adj[j].append(i)
-    return vars_, adj
+def _end_edge_sides(g: Graph, kind: str) -> tuple[dict[tuple[int, int], tuple[int, int]], int] | None:
+    """The aux component and side of every end-edge, or None when the
+    auxiliary graph is not bipartite: ``sides[(x, y)]``, x < y, is the
+    component, numbered by least end-edge, and the side of variable
+    (x, y) relative to the least end-edge of the component.
 
+    A parity union-find over edge ids, ``parity[e]`` relative to
+    ``parent[e]``, takes one P4 a-b-c-d at a time: (a, b) goes across
+    from (c, d) (opposition) or (d, c) (coalition).  Union by size keeps
+    trees O(log m) deep, so ``find`` is a loop, in O(n + m) memory.  An
+    end-edge is joined to the far end-edge of its P4, so the end-edges
+    are the edges in trees of size > 1.
+    """
+    edges = g.edges
+    ids: list[dict[int, int]] = [{} for _ in range(g.n)]  # ids[u][v]: the id of {u, v}
+    for e, (u, v) in enumerate(edges):
+        ids[u][v] = ids[v][u] = e
+    m = len(edges)
+    parent, parity, size = list(range(m)), [0] * m, [1] * m
 
-def _dfs_two_color(nvars: int, adj) -> tuple[list[int], list[int], int] | None:
-    side = [-1] * nvars
-    comp = [-1] * nvars
-    comps = 0
-    for root in range(nvars):
-        if side[root] >= 0:
+    def find(e: int) -> tuple[int, int]:
+        p = 0
+        while parent[e] != e:
+            p ^= parity[e]
+            e = parent[e]
+        return e, p
+
+    coalition = kind == COALITION
+    for a, b, c, d in path_extension_p4s(g):
+        r, p = find(ids[a][b])
+        s, q = find(ids[c][d])
+        need = 1 ^ p ^ q ^ (a > b) ^ (c > d) ^ coalition  # r's side relative to s's
+        if r == s:
+            if need:
+                return None
             continue
-        side[root] = 0
-        comp[root] = comps
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if side[w] < 0:
-                    side[w] = 1 - side[v]
-                    comp[w] = comps
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return None
-        comps += 1
-    return side, comp, comps
+        if size[r] < size[s]:
+            r, s = s, r
+        parent[s], parity[s] = r, need
+        size[r] += size[s]
+    sides: dict[tuple[int, int], tuple[int, int]] = {}
+    heads: dict[int, tuple[int, int]] = {}  # root -> (component, least end-edge's parity)
+    for e, edge in enumerate(edges):
+        r, p = find(e)
+        if size[r] > 1:
+            comp, p0 = heads.setdefault(r, (len(heads), p))
+            sides[edge] = (comp, p ^ p0)
+    return sides, len(heads)
 
 
 def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bool, str]:
-    """Re-derive the bipartition independently and confirm that every flip
-    vector in the reversal quotient is listed with a genuine cycle."""
-    vars_, adj = _rebuild_aux(g, kind)
-    colored = _dfs_two_color(len(vars_), adj)
-    if colored is None:
+    """Re-derive the end-edge sides independently and confirm that every
+    flip vector in the reversal quotient is listed with a cycle whose
+    arcs are variables on the side the vector picks in their component."""
+    found = _end_edge_sides(g, kind)
+    if found is None:
         return False, "auxiliary graph is not even bipartite"
-    side, comp, comps = colored
+    sides, comps = found
     if comps == 0:
         return False, "no variables, nothing to exhaust"
     expected = 1 << (comps - 1)
@@ -303,7 +303,6 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
     if len(cert.entries) != expected:
         return False, f"expected {expected} flip vectors, got {len(cert.entries)}"
     seen = set()
-    index = {v: i for i, v in enumerate(vars_)}
     for entry in cert.entries:
         if not (isinstance(entry, tuple) and len(entry) == 2):
             return False, f"entry {entry!r} is not a (flips, cycle) pair"
@@ -322,10 +321,11 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
             return False, "degenerate cycle"
         for i in range(len(vs)):
             x, y = vs[i], vs[(i + 1) % len(vs)]
-            if (x, y) not in index:
+            edge = (x, y) if x < y else (y, x)
+            if edge not in sides:
                 return False, f"cycle arc ({x}, {y}) is not an end-edge variable"
-            k = index[(x, y)]
-            if side[k] != flips[comp[k]]:
+            comp, side = sides[edge]
+            if side ^ (x > y) != flips[comp]:
                 return False, f"cycle arc ({x}, {y}) is not selected by flips {flips}"
     return True, "ok"
 

@@ -52,6 +52,19 @@ def hub_last_k2(k: int) -> Graph:
     return Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
 
 
+def clique_blowup(g: Graph, t: int) -> Graph:
+    """g with every vertex v replaced by the clique K_t on t*v .. t*v + t - 1,
+    two cliques joined completely where g has an edge."""
+    edges = [(t * v + i, t * v + j) for v in range(g.n) for i in range(t) for j in range(i + 1, t)]
+    edges += [(t * u + i, t * v + j) for u, v in g.edges for i in range(t) for j in range(t)]
+    return Graph(g.n * t, edges)
+
+
+def aux_graph(cg) -> Graph:
+    """The auxiliary graph of a ConstraintGraph, vertex i standing for variable i."""
+    return Graph(cg.var_count, [(i, j) for i, js in enumerate(cg.adj) for j in js if i < j])
+
+
 def disjoint_union(gs) -> Graph:
     """The graphs side by side, each one's ids shifted past the previous ones."""
     edges, off = [], 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hub_last_k2, isomorphic, random_graph, shuffled_union
+from conftest import aux_graph, clique_blowup, hub_last_k2, isomorphic, random_graph, shuffled_union
 from oppograph import constraints
 from oppograph.constraints import (
     ConstraintGraph,
@@ -32,7 +32,7 @@ from oppograph.oracle import oracle_generalized_opposition
 from oppograph.p4 import COALITION, OPPOSITION, end_edges, induced_p4s, orientation_good_for
 from oppograph.patterns import GRAPH_N
 from oppograph.recognize import recognize_coalition, recognize_opposition
-from oppograph.verify import _rebuild_aux, aux_adjacent, check_odd_walk, check_verdict
+from oppograph.verify import _end_edge_sides, aux_adjacent, check_odd_walk, check_verdict
 
 # frozen edge set of the auxiliary graph of the labeled co-C6 instance:
 # two 6-cycles joined by the six negation edges, as variable-label pairs
@@ -57,8 +57,9 @@ def test_aux_p4_is_four_cycle():
 def test_aux_co_c6_matches_known_edge_set(co_c6_labeled):
     cg = ConstraintGraph(OPPOSITION, co_c6_labeled)
     assert cg.var_count == 12
+    label = [co_c6_labeled.label(x) + co_c6_labeled.label(y) for x, y in cg.vars]
     got = {
-        frozenset((cg.var_label(i), cg.var_label(j)))
+        frozenset((label[i], label[j]))
         for i in range(cg.var_count)
         for j in cg.adj[i]
         if i < j
@@ -70,29 +71,53 @@ def test_aux_co_c6_matches_known_edge_set(co_c6_labeled):
 def test_aux_n_is_co_c6(co_c6):
     cg = ConstraintGraph(COALITION, GRAPH_N.as_graph())
     assert cg.var_count == 6
-    assert isomorphic(cg.to_graph(), co_c6)
+    assert isomorphic(aux_graph(cg), co_c6)
     res = bipartition_or_odd_walk(cg)
     assert isinstance(res, OddWalkCertificate)
     assert res.length() == 3
     assert check_odd_walk(GRAPH_N.as_graph(), COALITION, res) == (True, "ok")
 
 
+def _assert_checker_sides_agree(g, kind):
+    """The verifier's union-find gives the producer's classes and sides."""
+    cg = ConstraintGraph(kind, g)
+    found = _end_edge_sides(g, kind)
+    assert (found is None) == (not cg.bipartite)
+    if found is not None:
+        sides, comps = found
+        assert comps == len(cg.class_bad)
+        assert sides == {
+            cg.vars[2 * k]: (c, s) for k, (c, s) in enumerate(zip(cg.edge_class, cg.edge_side))
+        }
+
+
 def test_aux_adjacency_matches_definition_quadratically():
+    bipartite = set()
     for seed in range(8):
         g = random_graph(7, 0.45, seed)
         for kind in (OPPOSITION, COALITION):
             cg = ConstraintGraph(kind, g)
-            # the verifier's rebuild from its own P4 list must agree too
-            vars_, adj = _rebuild_aux(g, kind)
-            assert vars_ == cg.vars
             for i in range(cg.var_count):
-                assert len(adj[i]) == len(set(adj[i])), (seed, kind, cg.vars[i])
                 for j in range(cg.var_count):
                     if i == j:
                         continue
                     expect = aux_adjacent(g, kind, cg.vars[i], cg.vars[j])
                     assert (j in cg.adj[i]) == expect, (seed, kind, cg.vars[i], cg.vars[j])
-                    assert (j in adj[i]) == expect, (seed, kind, cg.vars[i], cg.vars[j])
+            _assert_checker_sides_agree(g, kind)
+            bipartite.add(cg.bipartite)
+    assert bipartite == {False, True}
+
+
+@pytest.mark.parametrize("g", [
+    clique_blowup(parse_graph6("EtXW"), 4),  # m >= 3n: the producer's quotient path
+    clique_blowup(cycle_graph(5), 3),  # the same, O(G) not bipartite
+    hub_last_k2(400),
+    path_graph(3000),  # two aux components of about 1500 end-edges each
+    cycle_graph(901),
+], ids=["prism-K4", "C5-K3", "hub-last-K2,400", "P3000", "C901"])
+def test_checker_sides_match_constraint_graph(g):
+    for kind in (OPPOSITION, COALITION):
+        _assert_checker_sides_agree(g, kind)
 
 
 def test_o_c5_contains_odd_walk():

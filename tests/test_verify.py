@@ -3,6 +3,7 @@ large verdicts without the 4-subset P4 scan."""
 
 import random
 import re
+import tracemalloc
 from copy import copy
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
@@ -10,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import disjoint_union, hub_last_k2
+from conftest import clique_blowup, disjoint_union, hub_last_k2
 from oppograph import verify
 from oppograph.constraints import OddWalkCertificate
 from oppograph.generate import random_tree
@@ -555,6 +556,24 @@ def test_check_verdict_without_subset_scan(no_subset_scan):
         ("non-member", "PatternMatch"),
         ("undecided", "NoneType"),
     }
+
+
+@pytest.mark.parametrize("graph_class", [OPPOSITION, COALITION])
+def test_flip_exhaustion_check_holds_no_p4_list(graph_class):
+    # the prism C3 x K2 with every vertex replaced by K_8 (n = 48, 24 576
+    # P4s) is refuted by flip exhaustion alone; streaming its P4s into
+    # the end-edge union-find keeps the check in O(n + m) memory, where
+    # a list of them peaks near 3 MiB
+    g = clique_blowup(parse_graph6("EtXW"), 8)
+    v = RECOGNIZERS[graph_class](g)
+    assert isinstance(v.certificate, FlipExhaustion)
+    tracemalloc.start()
+    try:
+        assert check_verdict(g, v) == (True, "ok")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------
