@@ -172,9 +172,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 
 class PartialOrientation:
-    """Directions for a subset of the edges of a graph."""
+    """Directions for a subset of the edges of a graph.  The arcs are
+    sorted once, at construction; ``arcs()`` returns a fresh copy."""
 
-    __slots__ = ("base", "_head")
+    __slots__ = ("base", "_head", "_arcs")
 
     def __init__(self, base: Graph, arcs: Iterable[tuple[int, int]] = ()):
         head: dict[tuple[int, int], int] = {}
@@ -187,6 +188,7 @@ class PartialOrientation:
             head[key] = h
         self.base = base
         self._head = head
+        self._arcs = tuple(sorted((u, v) if h == v else (v, u) for (u, v), h in head.items()))
 
     def forward(self, a: int, b: int) -> bool:
         """True iff the edge {a, b} is directed a -> b."""
@@ -194,11 +196,7 @@ class PartialOrientation:
         return self._head[key] == b
 
     def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), h in self._head.items():
-            out.append((u, v) if h == v else (v, u))
-        out.sort()
-        return out
+        return list(self._arcs)
 
 
 class Orientation(PartialOrientation):

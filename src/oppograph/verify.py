@@ -138,7 +138,8 @@ def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool,
     generalized opposition.  Per mid-edge {b, c}, a runs over the smaller
     of N(b) minus N[c] and N(c) minus N[b], d over the other minus N(a),
     and one AND-NOT finds every bad d for an a: O(sum over edges of the
-    smaller side) big-int operations.
+    smaller side) big-int operations.  A mid-edge with an empty side
+    costs one AND-NOT and a one-bit test.
     """
     if graph_class not in GRAPH_CLASSES:
         return False, f"unknown graph class {graph_class!r}"
@@ -151,10 +152,15 @@ def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool,
     for t, h in arcs:
         into[h] |= 1 << t
     for b, c in g.edges:
-        left = nbr[b] & ~nbr[c] & ~(1 << c)
-        right = nbr[c] & ~nbr[b] & ~(1 << b)
-        if not left or not right:
+        # N(b) minus N(c) holds c, so one bit left means an empty side
+        left = nbr[b] & ~nbr[c]
+        if left & left - 1 == 0:
             continue
+        right = nbr[c] & ~nbr[b]
+        if right & right - 1 == 0:
+            continue
+        left ^= 1 << c
+        right ^= 1 << b
         if left.bit_count() > right.bit_count():
             b, c, left, right = c, b, right, left
         # a->b and d->c are opposed, as are b->a and c->d; so the class

@@ -20,8 +20,11 @@ from oppograph.graphs import (
     path_graph,
     topo_order_or_cycle,
 )
+from oppograph.constraints import ConstraintGraph, forced_orientation
+from oppograph.p4 import COALITION, GRAPH_CLASSES, OPPOSITION
 from oppograph.patterns import GEM, HOUSE
-from oppograph.recognize import ptolemaic_opposition_orient
+from oppograph.recognize import ptolemaic_opposition_orient, recognize_coalition, recognize_opposition
+from oppograph.verify import check_orientation
 from oppograph.patterns import make_Hk
 
 
@@ -241,6 +244,33 @@ def test_orientation_validation():
         Orientation(g, [(0, 1), (1, 0), (1, 2)])  # both ways
     with pytest.raises(GraphError):
         Orientation(g, [(0, 1), (0, 2)])  # not an edge
+
+
+def _arc_readers(g, o):
+    return [(o.arcs(), [o.forward(u, v) for u, v in o.arcs()], check_orientation(g, o, c)) for c in GRAPH_CLASSES]
+
+
+@pytest.mark.parametrize("kind, recognize", [(OPPOSITION, recognize_opposition), (COALITION, recognize_coalition)])
+def test_arcs_returns_a_fresh_list(kind, recognize):
+    # the arcs are sorted once at construction; each call hands out a
+    # copy, so no caller can change what later readers see
+    g = parse_graph6("F}SyO")  # a member of both classes with forced arcs
+    full = recognize(g).certificate
+    cg = ConstraintGraph(kind, g)
+    partial = forced_orientation(cg, [0] * len(cg.class_bad))
+    assert isinstance(full, Orientation) and partial.arcs()
+    for o in (full, partial):
+        first, second = o.arcs(), o.arcs()
+        assert type(first) is list and first == second == sorted(first) and first is not second
+        before = _arc_readers(g, o)
+        for mutate in (
+            lambda arcs: arcs.append((0, 0)),
+            list.clear,
+            lambda arcs: arcs.__setitem__(0, arcs[0][::-1]),
+        ):
+            arcs = o.arcs()
+            mutate(arcs)
+            assert _arc_readers(g, o) == before
 
 
 def test_partial_orientation_and_topo():

@@ -14,7 +14,7 @@ import pytest
 from conftest import clique_blowup, disjoint_union, hub_last_k2
 from oppograph import verify
 from oppograph.constraints import OddWalkCertificate
-from oppograph.generate import random_tree
+from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_tree
 from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
@@ -592,6 +592,33 @@ def _reference_check(g, o, graph_class):
     return not bad and (acyclic or graph_class == GENERALIZED_OPPOSITION), bad
 
 
+def _reverse_a_few(rng, arcs):
+    for i in rng.sample(range(len(arcs)), min(len(arcs), rng.randint(0, 2))):
+        arcs[i] = arcs[i][::-1]
+    return arcs
+
+
+def _check_against_reference(g, arcs, reasons):
+    """The checker against the reference in every class; the number of
+    classes that accept."""
+    o = Orientation(g, arcs)
+    accepted = 0
+    for graph_class in GRAPH_CLASSES:
+        want, bad = _reference_check(g, o, graph_class)
+        ok, msg = check_orientation(g, o, graph_class)
+        assert ok == want, (g.edges, arcs, graph_class, msg)
+        if bad:
+            # the P4 named is a real induced P4 that breaks the condition
+            hit = re.fullmatch(rf"P4 \((\d+), (\d+), (\d+), (\d+)\) violates the {graph_class} condition", msg)
+            assert hit is not None and tuple(map(int, hit.groups())) in bad, (msg, bad)
+            reasons.add("P4")
+        elif not ok:
+            assert msg == "orientation contains a directed cycle"
+            reasons.add("cycle")
+        accepted += ok
+    return accepted
+
+
 def test_check_orientation_matches_subset_reference():
     rng = random.Random(12)
     reasons = set()
@@ -603,23 +630,26 @@ def test_check_orientation_matches_subset_reference():
             arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
         else:
             # acyclic, then a few arcs reversed
-            arcs = orient_along(g, rng.sample(range(n), n)).arcs()
-            for i in rng.sample(range(len(arcs)), min(len(arcs), rng.randint(0, 2))):
-                arcs[i] = arcs[i][::-1]
-        o = Orientation(g, arcs)
-        for graph_class in GRAPH_CLASSES:
-            want, bad = _reference_check(g, o, graph_class)
-            ok, msg = check_orientation(g, o, graph_class)
-            assert ok == want, (g.edges, arcs, graph_class, msg)
-            if bad:
-                # the P4 named is a real induced P4 that breaks the condition
-                hit = re.fullmatch(rf"P4 \((\d+), (\d+), (\d+), (\d+)\) violates the {graph_class} condition", msg)
-                assert hit is not None and tuple(map(int, hit.groups())) in bad, (msg, bad)
-                reasons.add("P4")
-            elif not ok:
-                assert msg == "orientation contains a directed cycle"
-                reasons.add("cycle")
+            arcs = _reverse_a_few(rng, orient_along(g, rng.sample(range(n), n)).arcs())
+        _check_against_reference(g, arcs, reasons)
     assert reasons == {"P4", "cycle"}
+    # ptolemaic and distance-hereditary graphs, where most mid-edges have
+    # an empty side: each member certificate, then with a few arcs reversed
+    members, accepted, reasons = set(), 0, set()
+    for i in range(60):
+        n = rng.randint(4, 14)
+        grow = random_opposition_ptolemaic if i % 2 else random_distance_hereditary
+        perm = rng.sample(range(n), n)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in grow(n, rng.randrange(1 << 30)).edges])
+        for graph_class, recognize in RECOGNIZERS.items():
+            v = recognize(g)
+            if v.decision == MEMBER:
+                members.add((grow, graph_class))
+                arcs = v.certificate.arcs()
+            else:
+                arcs = orient_along(g, rng.sample(range(n), n)).arcs()
+            accepted += _check_against_reference(g, _reverse_a_few(rng, arcs), reasons)
+    assert len(members) == 6 and reasons == {"P4", "cycle"} and accepted > 0, (members, reasons, accepted)
 
 
 def test_check_orientation_on_k2_2000():
