@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graphs import Graph, neighbour_bits
+from .graphs import Graph, bits, neighbour_bits
 from .p4 import induced_p4s
 
 
@@ -369,9 +369,34 @@ def _gem_house_free(g: Graph) -> bool:
     to a, to d, and to b or c: one seeing all four makes a gem, one seeing
     a, b, d or a, c, d a house (no vertex of the P4 sees both ends).  Every
     gem and house holds such a P4 with such a vertex.
+
+    The P4s stream one mid-edge {b, c} at a time, as in
+    `verify.check_orientation`: a runs over the smaller of N(b) minus N[c]
+    and N(c) minus N[b], d over the other minus N(a), and the test stops
+    at the first d with N(d) & N(a) & (N(b) | N(c)) non-empty.  It lists
+    no P4; a mid-edge with an empty side costs one AND-NOT and a one-bit
+    test.
     """
     nbr = neighbour_bits(g)
-    return not any(nbr[a] & nbr[d] & (nbr[b] | nbr[c]) for a, b, c, d in induced_p4s(g))
+    for b, c in g.edges:
+        # N(b) minus N(c) holds c, so one bit left means an empty side
+        left = nbr[b] & ~nbr[c]
+        if left & left - 1 == 0:
+            continue
+        right = nbr[c] & ~nbr[b]
+        if right & right - 1 == 0:
+            continue
+        left ^= 1 << c
+        right ^= 1 << b
+        if left.bit_count() > right.bit_count():
+            left, right = right, left
+        middle = nbr[b] | nbr[c]
+        for a in bits(left):
+            seen = nbr[a] & middle
+            for d in bits(right & ~nbr[a]):
+                if nbr[d] & seen:
+                    return False
+    return True
 
 
 def is_distance_hereditary(g: Graph) -> tuple[bool, PatternMatch | None]:

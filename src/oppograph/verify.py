@@ -4,17 +4,16 @@
 that says what they must hold, so this module imports nothing from
 `recognize`.  The checkers deliberately avoid the production code paths:
 orientations are checked at each P4's mid-edge over adjacency bitsets,
-the auxiliary sides come from a parity union-find over end-edges, fed
-one P4 at a time as P4s are grown from their smaller end vertex, and
-acyclicity uses DFS.  Certificates emitted by the recognizers must
-re-verify here, and `check_orientation` is also their member self-check.
+the auxiliary sides come from a parity union-find over end-edges that
+walks the same mid-edge blocks, and acyclicity uses DFS.  Certificates
+emitted by the recognizers must re-verify here, and `check_orientation`
+is also their member self-check.
 The O(n^4) 4-subset scan `brute_force_p4s` is the reference in tests.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -83,26 +82,6 @@ def brute_force_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
         out.append((a, b, c, d) if a < d else (d, c, b, a))
     out.sort()
     return out
-
-
-def path_extension_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    """Yield the induced P4s a-b-c-d grown from the smaller end a
-    (canonical a < d).
-
-    b ranges over N(a), c over N(b) minus N[a], d over N(c) minus
-    (N[a] | N[b]) with d > a, on Python-int neighbourhood bitsets.  Every
-    bit loop runs lowest first, so the tuples come out in sorted order,
-    the order of `brute_force_p4s`.
-    """
-    nbr = neighbour_bits(g)
-    for a in range(g.n):
-        closed_a = nbr[a] | (1 << a)
-        above_a = -1 << (a + 1)
-        for b in bits(nbr[a]):
-            far = above_a & ~(closed_a | nbr[b])
-            for c in bits(nbr[b] & ~closed_a):
-                for d in bits(nbr[c] & far):
-                    yield a, b, c, d
 
 
 def _dfs_acyclic(n: int, arcs) -> bool:
@@ -250,11 +229,12 @@ def _end_edge_sides(g: Graph, kind: str) -> tuple[dict[tuple[int, int], tuple[in
     (x, y) relative to the least end-edge of the component.
 
     A parity union-find over edge ids, ``parity[e]`` relative to
-    ``parent[e]``, takes one P4 a-b-c-d at a time: (a, b) goes across
-    from (c, d) (opposition) or (d, c) (coalition).  Union by size keeps
-    trees O(log m) deep, so ``find`` is a loop, in O(n + m) memory.  An
-    end-edge is joined to the far end-edge of its P4, so the end-edges
-    are the edges in trees of size > 1.
+    ``parent[e]``, takes the P4s a-b-c-d one mid-edge {b, c} at a time,
+    a over N(b) minus N[c] and d over N(c) minus N[b] minus N(a): (a, b)
+    goes across from (c, d) (opposition) or (d, c) (coalition).  Union
+    by size keeps trees O(log m) deep, so ``find`` is a loop, in O(n + m)
+    memory.  An end-edge is joined to the far end-edge of its P4, so the
+    end-edges are the edges in trees of size > 1.
     """
     edges = g.edges
     ids: list[dict[int, int]] = [{} for _ in range(g.n)]  # ids[u][v]: the id of {u, v}
@@ -271,18 +251,32 @@ def _end_edge_sides(g: Graph, kind: str) -> tuple[dict[tuple[int, int], tuple[in
         return e, p
 
     coalition = kind == COALITION
-    for a, b, c, d in path_extension_p4s(g):
-        r, p = find(ids[a][b])
-        s, q = find(ids[c][d])
-        need = 1 ^ p ^ q ^ (a > b) ^ (c > d) ^ coalition  # r's side relative to s's
-        if r == s:
-            if need:
-                return None
+    nbr = neighbour_bits(g)
+    for b, c in edges:
+        # the P4s a-b-c-d through mid-edge {b, c}, as in check_orientation
+        left = nbr[b] & ~nbr[c]
+        if left & left - 1 == 0:
             continue
-        if size[r] < size[s]:
-            r, s = s, r
-        parent[s], parity[s] = r, need
-        size[r] += size[s]
+        right = nbr[c] & ~nbr[b]
+        if right & right - 1 == 0:
+            continue
+        left ^= 1 << c
+        right ^= 1 << b
+        for a in bits(left):
+            ab = ids[a][b]
+            for d in bits(right & ~nbr[a]):
+                r, p = find(ab)
+                s, q = find(ids[c][d])
+                # r's side relative to s's, the same read from either end
+                need = 1 ^ p ^ q ^ (a > b) ^ (c > d) ^ coalition
+                if r == s:
+                    if need:
+                        return None
+                    continue
+                if size[r] < size[s]:
+                    r, s = s, r
+                parent[s], parity[s] = r, need
+                size[r] += size[s]
     sides: dict[tuple[int, int], tuple[int, int]] = {}
     heads: dict[int, tuple[int, int]] = {}  # root -> (component, least end-edge's parity)
     for e, edge in enumerate(edges):
@@ -339,14 +333,15 @@ def check_flip_exhaustion(g: Graph, kind: str, cert: FlipExhaustion) -> tuple[bo
 def check_induced_subgraph(g: Graph, kind: str, cert: InducedSubgraph) -> tuple[bool, str]:
     """Build G[S] and check the inner flip exhaustion or odd walk on it;
     opposition and coalition graphs are closed under induced subgraphs,
-    so refuting G[S] refutes G."""
+    so refuting G[S] refutes G.  G[S] is read off the neighbourhoods of
+    S, in O(sum of deg v over v in S) time, however large G is."""
     s = cert.vertices
     if not _vertex_ids(g, s):
         return False, "subgraph vertices are not vertex ids of the graph"
     if any(u >= v for u, v in zip(s, s[1:])):
         return False, "subgraph vertices are not sorted and distinct"
     pos = {v: i for i, v in enumerate(s)}
-    sub = Graph(len(s), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
+    sub = Graph(len(s), [(i, pos[v]) for i, u in enumerate(s) for v in g.adj[u] if v > u and v in pos])
     inner = cert.certificate
     if isinstance(inner, FlipExhaustion):
         ok, msg = check_flip_exhaustion(sub, kind, inner)

@@ -32,7 +32,7 @@ from oppograph.oracle import oracle_generalized_opposition
 from oppograph.p4 import COALITION, OPPOSITION, end_edges, induced_p4s, orientation_good_for
 from oppograph.patterns import GRAPH_N
 from oppograph.recognize import recognize_coalition, recognize_opposition
-from oppograph.verify import _end_edge_sides, aux_adjacent, check_odd_walk, check_verdict
+from oppograph.verify import _end_edge_sides, aux_adjacent, brute_force_p4s, check_odd_walk, check_verdict
 
 # frozen edge set of the auxiliary graph of the labeled co-C6 instance:
 # two 6-cycles joined by the six negation edges, as variable-label pairs
@@ -89,6 +89,50 @@ def _assert_checker_sides_agree(g, kind):
         assert sides == {
             cg.vars[2 * k]: (c, s) for k, (c, s) in enumerate(zip(cg.edge_class, cg.edge_side))
         }
+
+
+def _reference_end_edge_sides(g, kind):
+    """`_end_edge_sides` by the definition, for small g: every P4 of the
+    4-subset scan joins its end-edge variables in a dict union-find with
+    sides, variable (x, y) on the side of edge {x, y} iff x < y."""
+    up = {}  # edge -> (parent edge, side relative to it)
+
+    def root(x, y):
+        e, side = (min(x, y), max(x, y)), int(x > y)
+        up.setdefault(e, (e, 0))
+        while up[e][0] != e:
+            e, step = up[e]
+            side ^= step
+        return e, side
+
+    for a, b, c, d in brute_force_p4s(g):
+        # variable (a, b) lies across from (c, d) in O(G), from (d, c) in C(G)
+        r, p = root(a, b)
+        s, q = root(c, d) if kind == OPPOSITION else root(d, c)
+        if r != s:
+            up[r] = (s, p ^ q ^ 1)
+        elif p == q:
+            return None
+    sides, heads = {}, {}
+    for e in g.edges:
+        if e in up:
+            r, p = root(*e)
+            comp, p0 = heads.setdefault(r, (len(heads), p))
+            sides[e] = (comp, p ^ p0)
+    return sides, len(heads)
+
+
+def test_checker_sides_match_a_reference_over_the_4_subset_scan():
+    # a reference that shares nothing with the producer or the checker's
+    # mid-edge walk; None where the aux graph is not bipartite
+    outcomes = set()
+    for seed in range(400):
+        g = random_graph(1 + seed % 9, (seed % 7 + 1) / 8, seed)
+        for kind in (OPPOSITION, COALITION):
+            found = _end_edge_sides(g, kind)
+            assert found == _reference_end_edge_sides(g, kind), (seed, kind, g.edges)
+            outcomes.add(found is None)
+    assert outcomes == {False, True}
 
 
 def test_aux_adjacency_matches_definition_quadratically():

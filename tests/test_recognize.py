@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import disjoint_union, hub_last_k2, random_graph, shuffled_union, triangle_strip
+from conftest import clique_blowup, disjoint_union, hub_last_k2, random_graph, shuffled_union, triangle_strip
 from oppograph.constraints import (
     ConstraintGraph,
     OddWalkCertificate,
@@ -692,6 +693,33 @@ def test_route_test_on_the_closed_strip_searches_no_pattern(monkeypatch):
         assert (v.decision, v.method, v.stats["flips_tried"]) == ("member", "flip-search-extension", 1)
     assert recognize_generalized_opposition(g).decision == "non-member"
     assert recognize_coalition_distance_hereditary(g).method == "flip-search-extension"
+
+
+def test_route_test_lists_no_p4(monkeypatch):
+    import oppograph.p4
+    import oppograph.patterns
+    import oppograph.recognize
+
+    # the 7-vertex member Fh?Dw is decided at side 0 and is not
+    # distance-hereditary, so its K_8 blow-up (n = 56, 24 576 P4s) runs
+    # the (gem, house) route test, which stops at its first house or gem;
+    # a list of every P4 peaks near 2.2 MiB
+    def forbidden(*args):
+        raise AssertionError("induced_p4s on the recognizer path")
+
+    for module in (oppograph.patterns, oppograph.recognize, oppograph.p4):
+        monkeypatch.setattr(module, "induced_p4s", forbidden)
+    g = clique_blowup(parse_graph6("Fh?Dw"), 8)
+    tracemalloc.start()
+    try:
+        o = recognize_opposition(g)
+        c = recognize_coalition(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (o.decision, o.method, o.stats["flips_tried"]) == ("member", "flip-search", 1)
+    assert (c.decision, c.method, c.stats["flips_tried"]) == ("member", "flip-search-extension", 1)
+    assert peak < 1 << 20, peak
 
 
 def _spy_calls(monkeypatch, module, name):
