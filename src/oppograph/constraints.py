@@ -13,8 +13,8 @@ conflict-free direction choices.  Bipartiteness therefore decides the
 bit per class, induce the forced partial orientation.
 
 The graphs are built from mid-edge blocks without listing P4s, in one
-pass over the quotient of G by its twin classes, and a neighbour list
-is generated from G only when asked for (see
+pass of a parity union-find over the quotient of G by its twin classes,
+and a neighbour list is generated from G only when asked for (see
 ``ConstraintGraph.neighbours``).
 """
 
@@ -92,19 +92,21 @@ class ConstraintGraph:
 
     As (x, y) and (y, x) take opposite sides, a P4 a-b-c-d puts a->b on
     the side of d->c (opposition) or of c->d (coalition).  The block of a
-    mid-edge {b, c} has L = N(b) minus N[c] and R = N(c) minus N[b]; its
-    P4s are a-b-c-d with a in L, d in R, a and d non-adjacent.  All
-    variables of one component of that L-R non-adjacency share a side, so
-    each component is merged into one class.  A class is a list of
-    end-edges, each keeping its side relative to the list's first edge;
-    a merge relabels the smaller list into the larger (O(m log m) in
-    all) and carries the bad mark, which a link contradicting the sides
-    sets.  The classes are the components of the auxiliary graph; a
-    class is bipartite unless bad.  L and R are Python-int bitsets, with
-    b the end of smaller degree.  Sweeps from L find the components, each
-    visited vertex taking its unvisited non-neighbours across with one
-    AND-NOT, so the pass costs O(sum over edges of the smaller side +
-    #P4s) big-int operations, O(k) on K_{2,k}.
+    mid-edge {b, c} has L = N(b) minus N[c] and R = N(c) minus N[b], L the
+    smaller by bit count; its P4s are a-b-c-d with a in L, d in R, a and d
+    non-adjacent.  The variables of one component of that L-R
+    non-adjacency share a side, so the component is joined into one class
+    of a parity union-find over edge ids: union by size, a loop ``find``
+    over trees O(log m) deep, and a bad mark on a root, set by a link
+    that contradicts the sides and carried to the new root of a union.
+    The classes are the aux components; a class is bipartite unless bad.
+    L and R are Python-int bitsets.  A block with an empty side costs one
+    AND-NOT and a one-bit test; when L is one vertex a, its one component,
+    a and R minus N(a), is taken without a sweep.  Otherwise sweeps from
+    L find the components, each visited vertex taking its unvisited
+    non-neighbours across with one AND-NOT.  The pass costs O(sum over
+    edges of the smaller side + #P4s) big-int operations and as many
+    finds, O(k) on K_{2,k}.
 
     The pass runs on the quotient of G by its twin classes
     (``_twin_quotient``), or on G itself when G has average degree below
@@ -140,10 +142,8 @@ class ConstraintGraph:
         quotient = _twin_quotient(base) if len(edges) >= 3 * base.n else None
         if quotient is None:
             weight, nbr, planes = None, neighbour_bits(base), None
-            degree = list(map(len, base.adj))
         else:  # the block pass runs on the quotient
             rep, weight, nbr = quotient
-            degree = list(map(int.bit_count, nbr))
             edges = [(r, s) for r in range(base.n) if rep[r] == r for s in bits(nbr[r] >> r + 1 << r + 1)]
             # plane k holds the representatives whose class size has bit k set
             planes = [0] * max(weight).bit_length()
@@ -156,117 +156,117 @@ class ConstraintGraph:
         for e, (u, v) in enumerate(edges):
             inc[u][v] = inc[v][u] = e
         m = len(edges)
-        # a class is the list members[h] at its first end-edge h = head[e];
-        # parity[e] is the side of e's (low, high) variable XOR its head's
-        head = list(range(m))
-        parity = [0] * m
-        members = [[e] for e in range(m)]
-        bad = [False] * m
-
+        # parity[e]: the side of e's (low, high) variable relative to
+        # parent[e]'s; bad[r]: root r's class is not bipartite
+        parent, parity, size, bad = list(range(m)), [0] * m, [1] * m, [False] * m
         coalition = kind == COALITION
         p4_count = 0
         for b, c in edges:
-            if degree[b] > degree[c]:
-                b, c = c, b
-            nb, nc = nbr[b], nbr[c]
-            unl, unr = nb & ~nc & ~(1 << c), nc & ~nb & ~(1 << b)  # in no component yet
-            while unl and unr:
+            # N(b) minus N(c) holds c, so one bit left means an empty side
+            unl = nbr[b] & ~nbr[c]
+            if unl & unl - 1 == 0:
+                continue
+            unr = nbr[c] & ~nbr[b]
+            if unr & unr - 1 == 0:
+                continue
+            unl, unr = unl ^ 1 << c, unr ^ 1 << b
+            if unl.bit_count() > unr.bit_count():
+                b, c, unl, unr = c, b, unr, unl
+            while unl and unr:  # the vertices of L and R in no component yet
                 first = (unl & -unl).bit_length() - 1
-                comp, before = ([first], []), unr
-                # here, there: the unvisited of the frontier's side and of side far
-                frontier, far, here, there = comp[0], 1, unl ^ 1 << first, unr
-                while there:
-                    new = 0
-                    for v in frontier:
-                        got = there & ~nbr[v]
-                        if got:
-                            there ^= got
-                            new |= got
-                            if not there:
-                                break
-                    if not new:
+                if unl == 1 << first:
+                    # a lone a: its component is a and R minus N(a), no sweep
+                    comp_r = unr & ~nbr[first]
+                    if not comp_r:
                         break
-                    frontier = list(bits(new))
-                    comp[far].extend(frontier)
-                    far, here, there = 1 - far, there, here
-                unl, unr = (here, there) if far else (there, here)
-                comp_r = before ^ unr  # the component's part of R
-                if not comp_r:
-                    continue  # first has no P4 in this block
+                    unl, counted, near = 0, (first,), ()
+                    far = (comp_r.bit_length() - 1,) if comp_r & comp_r - 1 == 0 else bits(comp_r)
+                else:
+                    comp, before = ([first], []), unr
+                    # here, there: the unvisited of the frontier's side and of comp[side]'s
+                    frontier, side, here, there = comp[0], 1, unl ^ 1 << first, unr
+                    while there:
+                        new = 0
+                        for v in frontier:
+                            got = there & ~nbr[v]
+                            if got:
+                                there ^= got
+                                new |= got
+                                if not there:
+                                    break
+                        if not new:
+                            break
+                        frontier = list(bits(new))
+                        comp[side].extend(frontier)
+                        side, here, there = 1 - side, there, here
+                    unl, unr = (here, there) if side else (there, here)
+                    comp_r = before ^ unr  # the component's part of R
+                    if not comp_r:
+                        continue  # first has no P4 in this block
+                    counted = near = comp[0]
+                    far = comp[1]
                 # unit weights: the weighted loop below, with one all-ones
                 # plane, cost flip-unions 4 % of decide_per_s (BENCH_24.json)
                 if planes is None:
-                    for a in comp[0]:
+                    for a in counted:
                         p4_count += (comp_r & ~nbr[a]).bit_count()
                 else:  # a P4 A-B-C-D of the quotient lifts to |A||B||C||D| P4s
                     lifts = 0
-                    for a in comp[0]:
+                    for a in counted:
                         ds = comp_r & ~nbr[a]
                         lifts += weight[a] * sum(
                             (ds & plane).bit_count() << k for k, plane in enumerate(planes)
                         )
                     p4_count += weight[b] * weight[c] * lifts
-                # a->b for a in comp[0] and d->c (c->d for coalition) for
-                # d in comp[1] all take the side of first->b
-                e0 = inc[b][first]
-                r0, p0 = head[e0], parity[e0] ^ (first > b)
-                for x, vs, flip in ((b, comp[0], False), (c, comp[1], coalition)):
+                # a->b for a in near and d->c (c->d in C(G)) for d in far take p0,
+                # the side of first->b relative to its root r0
+                r0, p0 = inc[b][first], first > b
+                while parent[r0] != r0:
+                    p0 ^= parity[r0]
+                    r0 = parent[r0]
+                for x, vs, flip in ((b, near, False), (c, far, coalition)):
                     inc_x = inc[x]
                     for v in vs:
-                        e = inc_x[v]
-                        r = head[e]
-                        need = parity[e] ^ p0 ^ (v > x) ^ flip  # parity r must have relative to r0
+                        r, need = inc_x[v], p0 ^ (v > x) ^ flip  # need: r's parity relative to r0
+                        while parent[r] != r:
+                            need ^= parity[r]
+                            r = parent[r]
                         if r == r0:
                             if need:
                                 bad[r0] = True
                             continue
-                        if len(members[r]) > len(members[r0]):
+                        if size[r] > size[r0]:
                             r, r0 = r0, r
-                            p0 ^= need  # first's parity relative to the new head
-                        small = members[r]
-                        for f in small:
-                            head[f] = r0
-                            parity[f] ^= need
-                        members[r0] += small
-                        members[r] = None
+                            p0 ^= need  # first->b's side relative to the new root
+                        parent[r], parity[r] = r0, need
+                        size[r0] += size[r]
                         bad[r0] = bad[r0] or bad[r]
-
-        if quotient is not None:
-            # an edge of G between two classes takes the class and side of
-            # their quotient edge, the side flipped if the representatives
-            # are in the other order; an edge inside a class is in no P4,
-            # so it joins the singleton class m
-            head.append(m)
-            parity.append(0)
-            members.append([m])
-            edges = base.edges
-            lift = [inc[rep[x]].get(rep[y], m) for x, y in edges]
-            head = [head[e] for e in lift]
-            parity = [parity[e] ^ (rep[x] > rep[y]) for e, (x, y) in zip(lift, edges)]
-            m = len(edges)
 
         # an edge in a P4 shares its class with the far end-edge, so the
         # singleton classes are the edges in no P4
-        vars_: list[ArcVar] = []
-        edge_class: list[int] = []
-        edge_side: list[int] = []
-        class_of_head: dict[int, int] = {}
-        class_parity: list[int] = []
-        class_bad: list[bool] = []
-        for e in range(m):
-            r, p = head[e], parity[e]
-            if len(members[r]) == 1:
+        vars_, edge_class, edge_side, class_bad = [], [], [], []
+        heads: dict[int, tuple[int, int]] = {}  # root -> (class, least end-edge's parity)
+        for e, (x, y) in enumerate(base.edges):
+            p = 0
+            if quotient is not None:
+                # an edge of G between two classes takes the class and side of
+                # their quotient edge, the side flipped if the representatives
+                # are in the other order; an edge inside a class is in no P4
+                x0, y0 = rep[x], rep[y]
+                if x0 == y0:
+                    continue
+                e, p = inc[x0][y0], int(x0 > y0)
+            while parent[e] != e:
+                p ^= parity[e]
+                e = parent[e]
+            if size[e] == 1:
                 continue
-            x, y = edges[e]
-            vars_.append((x, y))
-            vars_.append((y, x))
-            k = class_of_head.get(r)
-            if k is None:
-                k = class_of_head[r] = len(class_bad)
-                class_parity.append(p)
-                class_bad.append(bad[r])
+            vars_ += (x, y), (y, x)
+            k, p0 = heads.setdefault(e, (len(class_bad), p))
+            if k == len(class_bad):
+                class_bad.append(bad[e])
             edge_class.append(k)
-            edge_side.append(p ^ class_parity[k])
+            edge_side.append(p ^ p0)
         self.kind = kind
         self.base = base
         self.vars = vars_

@@ -1,7 +1,7 @@
 """The package's import structure, read from its source with `ast`: the
-checker imports nothing from the recognizer it checks, and modules import
-at their top.  Every source file also parses as the oldest Python that
-``pyproject.toml`` accepts."""
+checker imports nothing from the recognizer it checks nor code from the
+constraint core, and modules import at their top.  Every source file also
+parses as the oldest Python that ``pyproject.toml`` accepts."""
 
 import ast
 from pathlib import Path
@@ -27,6 +27,26 @@ def test_verify_imports_nothing_from_recognize():
     for node in imports:
         for name in _imported_names(node):
             assert "recognize" not in name.split("."), ast.unparse(node)
+
+
+def _names_imported_from(source, module):
+    """The names the package module `source` imports from its sibling
+    `module`; an import of `module` itself counts as "*"."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{source}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(name.split(".")[-1] == module for name in _imported_names(node)):
+                names.add("*")
+    return names
+
+
+def test_the_checker_and_the_constraint_core_keep_their_own_code():
+    # both derive the aux classes with a parity union-find of the same
+    # shape; a shared one would check the producer against itself
+    assert _names_imported_from("verify", "constraints") == {"OddWalkCertificate"}
+    assert _names_imported_from("constraints", "verify") == set()
 
 
 def test_the_only_function_local_import_is_verify_orientation():

@@ -22,6 +22,8 @@ from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
     PartialOrientation,
+    bits,
+    complement,
     complete_graph,
     cycle_graph,
     neighbour_bits,
@@ -30,7 +32,7 @@ from oppograph.graphs import (
 )
 from oppograph.oracle import oracle_generalized_opposition
 from oppograph.p4 import COALITION, OPPOSITION, end_edges, induced_p4s, orientation_good_for
-from oppograph.patterns import GRAPH_N
+from oppograph.patterns import GEM, GRAPH_N, HOUSE
 from oppograph.recognize import recognize_coalition, recognize_opposition
 from oppograph.verify import _end_edge_sides, aux_adjacent, brute_force_p4s, check_odd_walk, check_verdict
 
@@ -525,7 +527,7 @@ def test_block_core_swap_moves_the_block_side():
     # the spider with legs 0-2, 0-3-5 and 0-4-1: partway through a block,
     # the class holding the block's first variable is merged into a larger
     # class at odd parity, so that variable's side relative to the new
-    # head flips before the rest of the block is placed
+    # root flips before the rest of the block is placed
     g = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (3, 5)])
     assert _twin_quotient(g) is None  # twin-free: the block pass runs on g
     for kind in (OPPOSITION, COALITION):
@@ -537,6 +539,62 @@ def test_block_core_on_hub_last_k2_3000():
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
         assert (cg.var_count, cg.p4_count, cg.class_bad) == (0, 0, [])
+
+
+def _spider(legs):
+    """Paths of the given lengths from a centre 0; legs (1 + t, 1, ..., 1)
+    make a star with a pendant path of t vertices on one leaf."""
+    edges, n = [], 1
+    for length in legs:
+        path = [0, *range(n, n + length)]
+        edges += zip(path, path[1:])
+        n += length
+    return Graph(n, edges)
+
+
+def _block_shapes(g):
+    """The shapes of the mid-edge blocks of g that hold a P4: "1x1",
+    "1xk" (k >= 2) or "kxk", by the sizes of L = N(b) minus N[c] and
+    R = N(c) minus N[b]."""
+    nbr = neighbour_bits(g)
+    shapes = set()
+    for b, c in g.edges:
+        left, right = nbr[b] & ~nbr[c] & ~(1 << c), nbr[c] & ~nbr[b] & ~(1 << b)
+        if any(right & ~nbr[a] for a in bits(left)):
+            small, large = sorted((left.bit_count(), right.bit_count()))
+            shapes.add("1x1" if large == 1 else "1xk" if small == 1 else "kxk")
+    return shapes
+
+
+def test_block_core_equals_eager_on_every_block_shape():
+    # blocks of one vertex against one (paths, cycles), one against many
+    # (stars with a tail, spiders) and many against many (co-C6), on G and,
+    # as K_3 blow-ups, on the twin quotient with class weights
+    parts = [path_graph(4), path_graph(5), HOUSE.as_graph(), GEM.as_graph()]
+    parts += [complement(cycle_graph(6)), cycle_graph(5), cycle_graph(6)]
+    graphs = [_spider([1 + tail] + [1] * (k - 1)) for k, tail in ((2, 2), (3, 1), (5, 3), (12, 4))]
+    graphs += [_spider(legs) for legs in ((2, 2, 2), (1, 2, 3, 4), (3, 3, 1, 1, 2))]
+    graphs += parts + [shuffled_union(parts, 35)]
+    shapes = set()
+    for g in graphs:
+        assert len(g.edges) < 3 * g.n  # the pass runs on g
+        shapes |= _block_shapes(g)
+        blown = clique_blowup(g, 3)
+        assert len(blown.edges) >= 3 * blown.n and _twin_quotient(blown) is not None
+        for h in (g, blown):
+            for kind in (OPPOSITION, COALITION):
+                _assert_equals_eager(kind, h)
+                _assert_checker_sides_agree(h, kind)
+    assert shapes == {"1x1", "1xk", "kxk"}
+
+
+def test_block_core_counts_the_lifts_of_a_blown_up_path():
+    # P_200 has 197 P4s, and each lifts to 4^4 P4s of its K_4 blow-up
+    g = clique_blowup(path_graph(200), 4)
+    assert (g.n, len(g.edges)) == (800, 4384)
+    for kind in (OPPOSITION, COALITION):
+        cg = ConstraintGraph(kind, g)
+        assert (cg.p4_count, cg.var_count, cg.class_bad) == (197 * 4**4, 2 * 199 * 16, [False, False])
 
 
 # ---------------------------------------------------------------------------
