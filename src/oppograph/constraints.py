@@ -179,8 +179,7 @@ class ConstraintGraph:
                     comp_r = unr & ~nbr[first]
                     if not comp_r:
                         break
-                    unl, counted, near = 0, (first,), ()
-                    far = (comp_r.bit_length() - 1,) if comp_r & comp_r - 1 == 0 else bits(comp_r)
+                    unl, near, far = 0, (first,), bits(comp_r)
                 else:
                     comp, before = ([first], []), unr
                     # here, there: the unvisited of the frontier's side and of comp[side]'s
@@ -203,16 +202,15 @@ class ConstraintGraph:
                     comp_r = before ^ unr  # the component's part of R
                     if not comp_r:
                         continue  # first has no P4 in this block
-                    counted = near = comp[0]
-                    far = comp[1]
+                    near, far = comp
                 # unit weights: the weighted loop below, with one all-ones
                 # plane, cost flip-unions 4 % of decide_per_s (BENCH_24.json)
                 if planes is None:
-                    for a in counted:
+                    for a in near:
                         p4_count += (comp_r & ~nbr[a]).bit_count()
                 else:  # a P4 A-B-C-D of the quotient lifts to |A||B||C||D| P4s
                     lifts = 0
-                    for a in counted:
+                    for a in near:
                         ds = comp_r & ~nbr[a]
                         lifts += weight[a] * sum(
                             (ds & plane).bit_count() << k for k, plane in enumerate(planes)
