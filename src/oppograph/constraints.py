@@ -12,10 +12,10 @@ conflict-free direction choices.  Bipartiteness therefore decides the
 "generalized" membership question, and the sides of the end-edges, one
 bit per class, induce the forced partial orientation.
 
-The graphs are built from mid-edge blocks without listing P4s, in one
-pass of a parity union-find over the quotient of G by its twin classes,
-and a neighbour list is generated from G only when asked for (see
-``ConstraintGraph.neighbours``).
+The graphs are built without listing P4s, in one parity union-find pass
+over ``p4.mid_edge_blocks`` of the quotient of G by its twin classes (the
+checker in ``verify`` keeps its own walk), and a neighbour list is
+generated from G only when asked for (see ``ConstraintGraph.neighbours``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .graphs import (
     orient_along,
     topo_order_or_cycle,
 )
-from .p4 import COALITION, OPPOSITION
+from .p4 import COALITION, OPPOSITION, mid_edge_blocks
 
 ArcVar = tuple[int, int]
 
@@ -91,22 +91,20 @@ class ConstraintGraph:
     """The auxiliary graph O(G) (kind "opposition") or C(G) ("coalition").
 
     As (x, y) and (y, x) take opposite sides, a P4 a-b-c-d puts a->b on
-    the side of d->c (opposition) or of c->d (coalition).  The block of a
-    mid-edge {b, c} has L = N(b) minus N[c] and R = N(c) minus N[b], L the
-    smaller by bit count; its P4s are a-b-c-d with a in L, d in R, a and d
-    non-adjacent.  The variables of one component of that L-R
-    non-adjacency share a side, so the component is joined into one class
-    of a parity union-find over edge ids: union by size, a loop ``find``
-    over trees O(log m) deep, and a bad mark on a root, set by a link
-    that contradicts the sides and carried to the new root of a union.
-    The classes are the aux components; a class is bipartite unless bad.
-    L and R are Python-int bitsets.  A block with an empty side costs one
-    AND-NOT and a one-bit test; when L is one vertex a, its one component,
-    a and R minus N(a), is taken without a sweep.  Otherwise sweeps from
-    L find the components, each visited vertex taking its unvisited
-    non-neighbours across with one AND-NOT.  The pass costs O(sum over
-    edges of the smaller side + #P4s) big-int operations and as many
-    finds, O(k) on K_{2,k}.
+    the side of d->c (opposition) or of c->d (coalition).  A block (b, c,
+    L, R) of ``p4.mid_edge_blocks`` holds the P4s a-b-c-d with a in L, d
+    in R, a and d non-adjacent.  The variables of one component of that
+    L-R non-adjacency share a side, so the component is joined into one
+    class of a parity union-find over edge ids: union by size, a loop
+    ``find`` over trees O(log m) deep, and a bad mark on a root, set by a
+    link that contradicts the sides and carried to the new root of a
+    union.  The classes are the aux components; a class is bipartite
+    unless bad.  L and R are Python-int bitsets.  When L is one vertex a,
+    its one component, a and R minus N(a), is taken without a sweep.
+    Otherwise sweeps from L find the components, each visited vertex
+    taking its unvisited non-neighbours across with one AND-NOT.  The
+    pass costs O(sum over edges of the smaller side + #P4s) big-int
+    operations and as many finds, O(k) on K_{2,k}.
 
     The pass runs on the quotient of G by its twin classes
     (``_twin_quotient``), or on G itself when G has average degree below
@@ -161,17 +159,7 @@ class ConstraintGraph:
         parent, parity, size, bad = list(range(m)), [0] * m, [1] * m, [False] * m
         coalition = kind == COALITION
         p4_count = 0
-        for b, c in edges:
-            # N(b) minus N(c) holds c, so one bit left means an empty side
-            unl = nbr[b] & ~nbr[c]
-            if unl & unl - 1 == 0:
-                continue
-            unr = nbr[c] & ~nbr[b]
-            if unr & unr - 1 == 0:
-                continue
-            unl, unr = unl ^ 1 << c, unr ^ 1 << b
-            if unl.bit_count() > unr.bit_count():
-                b, c, unl, unr = c, b, unr, unl
+        for b, c, unl, unr in mid_edge_blocks(nbr, edges):
             while unl and unr:  # the vertices of L and R in no component yet
                 first = (unl & -unl).bit_length() - 1
                 if unl == 1 << first:

@@ -1,5 +1,6 @@
 """Induced P4 enumeration, the opposition and coalition P4 conditions,
-and BFS-layer classification.
+and BFS-layer classification.  The producer walks P4s in one place,
+``mid_edge_blocks``; the checker in ``verify`` keeps its own walk.
 
 An orientation treats a chordless path a-b-c-d by its end-edges: they are
 opposed when both point toward the middle (a->b and d->c) or both away
@@ -14,8 +15,9 @@ opposition.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
-from .graphs import Graph, Orientation
+from .graphs import Graph, Orientation, bits, neighbour_bits
 
 OPPOSITION = "opposition"
 GENERALIZED_OPPOSITION = "generalized-opposition"
@@ -28,26 +30,38 @@ GRAPH_CLASSES = (OPPOSITION, GENERALIZED_OPPOSITION, COALITION)
 P4 = tuple[int, int, int, int]
 
 
-def induced_p4s(g: Graph) -> list[P4]:
-    """All induced P4s, one (a, b, c, d) tuple with a < d each, sorted.
-
-    Iterates over mid-edges {b, c} and scans a in N(b)\\N[c],
-    d in N(c)\\N[b] with {a, d} a non-edge.
+def mid_edge_blocks(nbr, edges) -> Iterator[tuple[int, int, int, int]]:
+    """(b, c, L, R) for every edge {b, c} in ``edges`` with both sides
+    L = N(b) minus N[c] and R = N(c) minus N[b] non-empty, b and c swapped
+    so that L is the smaller by bit count; ``nbr`` holds the neighbourhood
+    bitsets, of G or of a quotient.  The block's P4s are a-b-c-d with a in
+    L and d in R minus N(a); each P4 is in the block of its middle edge.
     """
-    out = []
-    for b, c in g.edges:
-        nb, nc = g.adj[b], g.adj[c]
-        left = nb - nc - {c}
-        right = nc - nb - {b}
-        if not left or not right:
+    for b, c in edges:
+        # N(b) minus N(c) holds c, so one bit left means an empty side
+        left = nbr[b] & ~nbr[c]
+        if left & left - 1 == 0:
             continue
-        for a in left:
-            na = g.adj[a]
-            for d in right:
-                if d != a and d not in na:
-                    out.append((a, b, c, d) if a < d else (d, c, b, a))
-    out.sort()
-    return out
+        right = nbr[c] & ~nbr[b]
+        if right & right - 1 == 0:
+            continue
+        left ^= 1 << c
+        right ^= 1 << b
+        if left.bit_count() > right.bit_count():
+            b, c, left, right = c, b, right, left
+        yield b, c, left, right
+
+
+def induced_p4s(g: Graph) -> list[P4]:
+    """All induced P4s, one (a, b, c, d) tuple with a < d each, sorted,
+    read off the `mid_edge_blocks` of g."""
+    nbr = neighbour_bits(g)
+    return sorted(
+        (a, b, c, d) if a < d else (d, c, b, a)
+        for b, c, left, right in mid_edge_blocks(nbr, g.edges)
+        for a in bits(left)
+        for d in bits(right & ~nbr[a])
+    )
 
 
 def end_edges(g: Graph, p4s: list[P4] | None = None) -> list[tuple[int, int]]:

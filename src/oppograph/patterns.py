@@ -8,7 +8,9 @@ T_k and H_k obstruction families.
 The chordality, distance-hereditary and (gem, house)-free tests have
 yes/no forms (``_perfect_elimination_order``, ``_prunes``,
 ``_gem_house_free``) for the recognizers; witnesses are built only by the
-public functions that return them, and only when the test fails.
+public functions that return them, and only when the test fails.  The
+(gem, house)-free test walks P4s in ``p4.mid_edge_blocks``, as the
+constraint core does; the checker in ``verify`` keeps its own walk.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graphs import Graph, bits, neighbour_bits
-from .p4 import induced_p4s
+from .p4 import induced_p4s, mid_edge_blocks
 
 
 @dataclass(frozen=True)
@@ -370,26 +372,12 @@ def _gem_house_free(g: Graph) -> bool:
     a, b, d or a, c, d a house (no vertex of the P4 sees both ends).  Every
     gem and house holds such a P4 with such a vertex.
 
-    The P4s stream one mid-edge {b, c} at a time, as in
-    `verify.check_orientation`: a runs over the smaller of N(b) minus N[c]
-    and N(c) minus N[b], d over the other minus N(a), and the test stops
-    at the first d with N(d) & N(a) & (N(b) | N(c)) non-empty.  It lists
-    no P4; a mid-edge with an empty side costs one AND-NOT and a one-bit
-    test.
+    The P4s stream one block of `p4.mid_edge_blocks` at a time, a in L
+    and d in R minus N(a), and the test stops at the first d with
+    N(d) & N(a) & (N(b) | N(c)) non-empty.  It lists no P4.
     """
     nbr = neighbour_bits(g)
-    for b, c in g.edges:
-        # N(b) minus N(c) holds c, so one bit left means an empty side
-        left = nbr[b] & ~nbr[c]
-        if left & left - 1 == 0:
-            continue
-        right = nbr[c] & ~nbr[b]
-        if right & right - 1 == 0:
-            continue
-        left ^= 1 << c
-        right ^= 1 << b
-        if left.bit_count() > right.bit_count():
-            left, right = right, left
+    for b, c, left, right in mid_edge_blocks(nbr, g.edges):
         middle = nbr[b] | nbr[c]
         for a in bits(left):
             seen = nbr[a] & middle

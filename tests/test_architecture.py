@@ -47,6 +47,12 @@ def test_the_checker_and_the_constraint_core_keep_their_own_code():
     # shape; a shared one would check the producer against itself
     assert _names_imported_from("verify", "constraints") == {"OddWalkCertificate"}
     assert _names_imported_from("constraints", "verify") == set()
+    # the checker walks the mid-edge blocks with its own code too, while
+    # the producer's core and (gem, house) route test share p4's walk
+    classes = {"COALITION", "GENERALIZED_OPPOSITION", "GRAPH_CLASSES", "OPPOSITION"}
+    assert _names_imported_from("verify", "p4") <= classes
+    assert "mid_edge_blocks" in _names_imported_from("constraints", "p4")
+    assert "mid_edge_blocks" in _names_imported_from("patterns", "p4")
 
 
 def test_the_only_function_local_import_is_verify_orientation():

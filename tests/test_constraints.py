@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -595,6 +596,23 @@ def test_block_core_counts_the_lifts_of_a_blown_up_path():
     for kind in (OPPOSITION, COALITION):
         cg = ConstraintGraph(kind, g)
         assert (cg.p4_count, cg.var_count, cg.class_bad) == (197 * 4**4, 2 * 199 * 16, [False, False])
+
+
+def test_opposition_and_coalition_share_their_classes():
+    # every P4 joins its two end-edges in both kinds; only the parity of
+    # the join differs, by the coalition term, so a class can be bad in one
+    # kind alone
+    rng = random.Random(36)
+    graphs = [random_graph(rng.randint(0, 14), rng.random(), rng) for _ in range(500)]
+    blowups = [clique_blowup(parse_graph6(g6), t) for g6 in ("F}SyO", "EtXW") for t in (2, 3, 4)]
+    for g in blowups:
+        assert len(g.edges) >= 3 * g.n and _twin_quotient(g) is not None  # the pass runs on the quotient
+    for g in graphs + blowups:
+        opp, coal = ConstraintGraph(OPPOSITION, g), ConstraintGraph(COALITION, g)
+        assert (opp.vars, opp.edge_class, opp.p4_count) == (coal.vars, coal.edge_class, coal.p4_count)
+    c5 = cycle_graph(5)
+    assert ConstraintGraph(OPPOSITION, c5).class_bad == [True]
+    assert ConstraintGraph(COALITION, c5).class_bad == [False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,22 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from oppograph.graphs import Orientation, complete_graph, cycle_graph, parse_edge_list, path_graph
+from conftest import clique_blowup, random_graph
+from oppograph.constraints import _twin_quotient
+from oppograph.graphs import (
+    Graph,
+    Orientation,
+    bits,
+    complete_graph,
+    cycle_graph,
+    neighbour_bits,
+    parse_edge_list,
+    parse_graph6,
+    path_graph,
+)
 from oppograph.p4 import (
     COALITION,
     GENERALIZED_OPPOSITION,
@@ -14,6 +27,7 @@ from oppograph.p4 import (
     end_edges,
     induced_p4s,
     layer_decompose,
+    mid_edge_blocks,
     verify_orientation,
 )
 from oppograph.patterns import make_Hk
@@ -65,6 +79,49 @@ def test_p4_enumerators_match_bruteforce_sweep(n):
     for p in (0.1, 0.3, 0.6):
         g = random_graph(n, p, 1000 * n + int(10 * p))
         assert induced_p4s(g) == brute_force_p4s(g), (n, p)
+
+
+def _assert_mid_edge_blocks(nbr, edges, g):
+    """mid_edge_blocks(nbr, edges) against sides taken from g.adj, and its
+    P4s against the 4-subset scan of g, the graph with these edges; nbr
+    must agree with g.adj on every vertex that has an edge."""
+    blocks = list(mid_edge_blocks(nbr, edges))
+    want = {frozenset((b, c)) for b, c in g.edges if g.adj[b] - g.adj[c] - {c} and g.adj[c] - g.adj[b] - {b}}
+    got = [frozenset((b, c)) for b, c, _, _ in blocks]
+    assert len(got) == len(set(got)) and set(got) == want
+    for b, c, left, right in blocks:
+        assert set(bits(left)) == g.adj[b] - g.adj[c] - {c}
+        assert set(bits(right)) == g.adj[c] - g.adj[b] - {b}
+        assert left.bit_count() <= right.bit_count()
+    p4s = sorted(
+        (a, b, c, d) if a < d else (d, c, b, a)
+        for b, c, left, right in blocks
+        for a in bits(left)
+        for d in bits(right & ~nbr[a])
+    )
+    assert p4s == brute_force_p4s(g)
+
+
+def test_mid_edge_blocks_match_bruteforce_on_random_graphs():
+    rng = random.Random(36)
+    for _ in range(500):
+        g = random_graph(rng.randint(0, 10), rng.random(), rng)
+        _assert_mid_edge_blocks(neighbour_bits(g), g.edges, g)
+
+
+def test_mid_edge_blocks_walk_a_twin_quotient():
+    # the constraint core passes the quotient's bitsets and representative
+    # edges, not a Graph; vertices outside the quotient have no edge there
+    for g6 in ("F}SyO", "EtXW"):
+        for t in (2, 3, 4):
+            g = clique_blowup(parse_graph6(g6), t)
+            rep, _, nbr = _twin_quotient(g)
+            reps = [r for r in range(g.n) if rep[r] == r]
+            assert len(reps) == parse_graph6(g6).n
+            edges = [(r, s) for r in reps for s in bits(nbr[r] >> r + 1 << r + 1)]
+            quotient = Graph(g.n, edges)
+            assert all(neighbour_bits(quotient)[r] == nbr[r] for r in reps)
+            _assert_mid_edge_blocks(nbr, edges, quotient)
 
 
 def _orient(g, arcs):
