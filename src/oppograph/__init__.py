@@ -14,7 +14,6 @@ from .graphs import (
     Graph,
     GraphError,
     Orientation,
-    PartialOrientation,
     complement,
     complete_graph,
     connected_components,

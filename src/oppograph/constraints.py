@@ -27,7 +27,6 @@ from .graphs import (
     DirectedCycleCertificate,
     Graph,
     Orientation,
-    PartialOrientation,
     bits,
     dot_quote,
     neighbour_bits,
@@ -389,7 +388,7 @@ def bipartition_or_odd_walk(cg: ConstraintGraph) -> OddWalkCertificate | None:
     return OddWalkCertificate(_first_conflict_walk(cg, 2 * cg.edge_class.index(bad)))
 
 
-def forced_orientation(cg: ConstraintGraph, flips: tuple[int, ...] | list[int]) -> PartialOrientation:
+def forced_orientation(cg: ConstraintGraph, flips: tuple[int, ...] | list[int]) -> Orientation:
     """The partial orientation D(A) picked by one side per class of a
     bipartite O(G) or C(G).
 
@@ -399,18 +398,18 @@ def forced_orientation(cg: ConstraintGraph, flips: tuple[int, ...] | list[int]) 
     """
     if not cg.bipartite or len(flips) != len(cg.class_bad):
         raise ValueError("one flip bit per class of a bipartite aux graph required")
-    return PartialOrientation(cg.base, [
+    return Orientation(cg.base, [
         cg.vars[2 * k + (s != flips[c])] for k, (c, s) in enumerate(zip(cg.edge_class, cg.edge_side))
     ])
 
 
-def is_acyclic(p: PartialOrientation) -> list[int] | DirectedCycleCertificate:
+def is_acyclic(p: Orientation) -> list[int] | DirectedCycleCertificate:
     """Topological order of the directed part, or a directed cycle."""
     order, cycle = topo_order_or_cycle(p.base.n, p.arcs())
     return order if cycle is None else cycle
 
 
-def extend_acyclic(p: PartialOrientation) -> Orientation:
+def extend_acyclic(p: Orientation) -> Orientation:
     """Complete an acyclic partial orientation to a full acyclic one.
 
     Takes the topological order of the directed part (ties broken by

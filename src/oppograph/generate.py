@@ -48,8 +48,8 @@ def random_tree(n: int, seed) -> Graph:
 def _grow(n, seed, clique_false_twins: bool, keep=None) -> Graph:
     """Grow a graph one vertex at a time by a random pruning inverse.
 
-    When ``keep(adj)`` rejects a pendant or false twin, the new vertex
-    becomes a true twin of its anchor instead.
+    When ``keep(adj)`` rejects a pendant, the new vertex becomes a true
+    twin of its anchor instead; twin steps are not tested.
     """
     if n <= 0:
         return Graph(0)
@@ -76,7 +76,7 @@ def _grow(n, seed, clique_false_twins: bool, keep=None) -> Graph:
         for u in new:
             adj[v].add(u)
             adj[u].add(v)
-        if keep is not None and op != "true-twin" and not keep(adj):
+        if keep is not None and op == "pendant" and not keep(adj):
             for u in new:
                 adj[u].discard(v)
             adj[v] = set(adj[anchor]) | {anchor}
@@ -105,7 +105,7 @@ def _o_bipartite(adj) -> bool:
 def random_opposition_ptolemaic(n: int, seed) -> Graph:
     """Ptolemaic growth filtered to keep O(G) bipartite at every step.
 
-    A true twin never breaks membership, so each step can always make
-    progress; other operations are kept only when the filter passes.
+    A twin step leaves the iterated twin quotient, and so O(G)'s classes
+    and their bad marks, unchanged, so only pendant steps are tested.
     """
     return _grow(n, seed, clique_false_twins=True, keep=_o_bipartite)

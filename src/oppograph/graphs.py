@@ -171,9 +171,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 # orientations
 
 
-class PartialOrientation:
-    """Directions for a subset of the edges of a graph.  The arcs are
-    sorted once, at construction; ``arcs()`` returns a fresh copy."""
+class Orientation:
+    """Directions for any set of edges of a graph, each edge at most one
+    way.  The arcs are sorted once, at construction; ``arcs()`` returns a
+    fresh copy.  A member certificate directs every edge, which
+    ``verify.check_orientation`` checks."""
 
     __slots__ = ("base", "_head", "_arcs")
 
@@ -197,18 +199,6 @@ class PartialOrientation:
 
     def arcs(self) -> list[tuple[int, int]]:
         return list(self._arcs)
-
-
-class Orientation(PartialOrientation):
-    """A full orientation of a graph: every edge gets exactly one direction."""
-
-    __slots__ = ()
-
-    def __init__(self, base: Graph, arcs: Iterable[tuple[int, int]]):
-        super().__init__(base, arcs)
-        missing = [e for e in base.edges if e not in self._head]
-        if missing:
-            raise GraphError(f"{len(missing)} edges left undirected, e.g. {missing[0]}")
 
 
 def orient_along(g: Graph, order: list[int]) -> Orientation:

@@ -112,20 +112,22 @@ def _dfs_acyclic(n: int, arcs) -> bool:
 
 
 def check_orientation(g: Graph, o: Orientation, graph_class: str) -> tuple[bool, str]:
-    """Every induced P4 a-b-c-d has its end-edges opposed (opposition
-    classes) or aligned (coalition); o is acyclic unless the class is
-    generalized opposition.  Per mid-edge {b, c}, a runs over the smaller
-    of N(b) minus N[c] and N(c) minus N[b], d over the other minus N(a),
-    and one AND-NOT finds every bad d for an a: O(sum over edges of the
-    smaller side) big-int operations.  A mid-edge with an empty side
-    costs one AND-NOT and a one-bit test.
-    """
+    """o directs every edge (its arcs are distinct edges, so a count
+    shows it), every induced P4 a-b-c-d has its end-edges opposed
+    (opposition classes) or aligned (coalition), and o is acyclic unless
+    the class is generalized opposition.  Per mid-edge {b, c}, a runs over
+    the smaller of N(b) minus N[c] and N(c) minus N[b], d over the other
+    minus N(a), and one AND-NOT finds every bad d for an a: O(sum over
+    edges of the smaller side) big-int operations; an empty side costs
+    one AND-NOT and a one-bit test."""
     if graph_class not in GRAPH_CLASSES:
         return False, f"unknown graph class {graph_class!r}"
     if o.base != g:
         return False, "orientation refers to a different graph"
     opposed_wanted = graph_class in (OPPOSITION, GENERALIZED_OPPOSITION)
     arcs = o.arcs()
+    if len(arcs) != g.m:
+        return False, f"{g.m - len(arcs)} of {g.m} edges left undirected"
     nbr = neighbour_bits(g)
     into = [0] * g.n  # the tails of the arcs into each vertex
     for t, h in arcs:

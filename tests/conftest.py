@@ -52,6 +52,11 @@ def hub_last_k2(k: int) -> Graph:
     return Graph(k + 2, [(i, k + h) for i in range(k) for h in (0, 1)])
 
 
+def hubs_first_k2(k: int) -> Graph:
+    """K_{2,k} with the two hubs 0, 1 first and the leaves 2..k + 1 after."""
+    return Graph(k + 2, [(h, 2 + i) for i in range(k) for h in (0, 1)])
+
+
 def clique_blowup(g: Graph, t: int) -> Graph:
     """g with every vertex v replaced by the clique K_t on t*v .. t*v + t - 1,
     two cliques joined completely where g has an edge."""

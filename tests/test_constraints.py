@@ -22,7 +22,7 @@ from oppograph.generate import random_distance_hereditary, random_ptolemaic
 from oppograph.graphs import (
     DirectedCycleCertificate,
     Graph,
-    PartialOrientation,
+    Orientation,
     bits,
     complement,
     complete_graph,
@@ -223,14 +223,14 @@ def test_co_c6_labeled_forced_orientation_has_directed_triangle(co_c6_labeled):
 
 def test_is_acyclic_empty_and_triangle():
     g = cycle_graph(3)
-    assert is_acyclic(PartialOrientation(g)) == [0, 1, 2]
-    cyc = is_acyclic(PartialOrientation(g, [(0, 1), (1, 2), (2, 0)]))
+    assert is_acyclic(Orientation(g)) == [0, 1, 2]
+    cyc = is_acyclic(Orientation(g, [(0, 1), (1, 2), (2, 0)]))
     assert isinstance(cyc, DirectedCycleCertificate) and len(cyc) == 3
 
 
 def test_extend_acyclic_p4_end_edges():
     g = path_graph(4)
-    p = PartialOrientation(g, [(0, 1), (3, 2)])
+    p = Orientation(g, [(0, 1), (3, 2)])
     o = extend_acyclic(p)
     assert o.forward(0, 1) and not o.forward(2, 3)
     p4 = induced_p4s(g)[0]
@@ -239,7 +239,7 @@ def test_extend_acyclic_p4_end_edges():
 
 def test_extend_acyclic_empty_on_k3_uses_id_order():
     g = complete_graph(3)
-    o = extend_acyclic(PartialOrientation(g))
+    o = extend_acyclic(Orientation(g))
     assert o.arcs() == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -257,7 +257,7 @@ def test_extend_acyclic_h1_coalition(h1):
 def test_extend_acyclic_rejects_cyclic():
     g = cycle_graph(3)
     with pytest.raises(ValueError):
-        extend_acyclic(PartialOrientation(g, [(0, 1), (1, 2), (2, 0)]))
+        extend_acyclic(Orientation(g, [(0, 1), (1, 2), (2, 0)]))
 
 
 @given(st.data())
@@ -270,7 +270,7 @@ def test_extend_acyclic_properties(data):
     chosen = list(g.edges)[:k]
     order = data.draw(st.permutations(range(g.n)))
     pos = {v: i for i, v in enumerate(order)}
-    p = PartialOrientation(g, [(u, v) if pos[u] < pos[v] else (v, u) for u, v in chosen])
+    p = Orientation(g, [(u, v) if pos[u] < pos[v] else (v, u) for u, v in chosen])
     o = extend_acyclic(p)
     for u, v in chosen:
         assert o.forward(u, v) == p.forward(u, v)
@@ -700,6 +700,30 @@ def test_twin_quotient_leaves_twin_free_graphs():
     assert _twin_quotient(path_graph(20000)) is None
     assert _twin_quotient(Graph(0)) is None
     assert _twin_quotient(Graph(1)) is None
+
+
+def test_a_twin_leaves_the_classes_and_their_bad_marks_unchanged(monkeypatch):
+    # a twin of v leaves the iterated twin quotient as it was, so the
+    # generator of opposition members tests only its pendant steps
+    passes = []  # whether each ConstraintGraph ran its pass on a quotient
+
+    def spy(g):
+        quotient = _twin_quotient(g)
+        passes.append(quotient is not None)
+        return quotient
+
+    monkeypatch.setattr(constraints, "_twin_quotient", spy)
+    rng = random.Random(37)
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 14), rng.random(), rng)
+        for kind in (OPPOSITION, COALITION):
+            bad = sorted(ConstraintGraph(kind, g).class_bad)
+            for v in range(g.n):
+                for closed in (False, True):
+                    twin = [(u, g.n) for u in g.adj[v]] + [(v, g.n)] * closed
+                    grown = Graph(g.n + 1, list(g.edges) + twin)
+                    assert sorted(ConstraintGraph(kind, grown).class_bad) == bad, (g.edges, kind, v, closed)
+    assert True in passes and False in passes
 
 
 @pytest.mark.parametrize("kind", [OPPOSITION, COALITION])

@@ -7,7 +7,6 @@ from oppograph.graphs import (
     Graph,
     GraphError,
     Orientation,
-    PartialOrientation,
     complement,
     complete_graph,
     connected_components,
@@ -238,8 +237,7 @@ def test_emit_dot_highlight_deterministic():
 
 def test_orientation_validation():
     g = path_graph(3)
-    with pytest.raises(GraphError):
-        Orientation(g, [(0, 1)])  # missing edge direction
+    assert Orientation(g, [(0, 1)]).arcs() == [(0, 1)]  # undirected edges are the checker's
     with pytest.raises(GraphError):
         Orientation(g, [(0, 1), (1, 0), (1, 2)])  # both ways
     with pytest.raises(GraphError):
@@ -275,7 +273,7 @@ def test_arcs_returns_a_fresh_list(kind, recognize):
 
 def test_partial_orientation_and_topo():
     g = cycle_graph(3)
-    p = PartialOrientation(g, [(0, 1), (1, 2), (2, 0)])
+    p = Orientation(g, [(0, 1), (1, 2), (2, 0)])
     order, cycle = topo_order_or_cycle(3, p.arcs())
     assert order is None
     assert set(cycle.vertices) == {0, 1, 2}

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from conftest import clique_blowup, hubs_first_k2, triangle_strip
 from oppograph.generate import random_tree
 from oppograph.graphs import Graph, cycle_graph, parse_graph6, path_graph
 from oppograph.p4 import COALITION, OPPOSITION
@@ -44,10 +45,6 @@ def _opcodes(call) -> int:
     return count
 
 
-def _hubs_first_k2(k):
-    return Graph(k + 2, [(h, 2 + i) for i in range(k) for h in (0, 1)])
-
-
 def _beside_p5s(c):
     """F}SyO, an opposition member whose flip search passes side 0, beside
     c copies of P5."""
@@ -63,8 +60,12 @@ FAMILIES = [
     ("P_n", OPPOSITION, path_graph, (250, 500, 1000)),
     ("C_n", OPPOSITION, cycle_graph, (101, 201, 401)),
     ("random_tree(n, 1)", COALITION, lambda n: random_tree(n, 1), (250, 500, 1000)),
-    ("hubs-first K_2,k", OPPOSITION, _hubs_first_k2, (100, 200, 400)),
+    ("hubs-first K_2,k", OPPOSITION, hubs_first_k2, (100, 200, 400)),
     ("F}SyO beside c P5s", OPPOSITION, _beside_p5s, (10, 20, 40)),
+    # the twin quotient's pass, with weighted P4 counts
+    ("K_4 blow-up of P_n", OPPOSITION, lambda n: clique_blowup(path_graph(n), 4), (50, 100, 200)),
+    # about k/2 rounds of distance-hereditary pruning
+    ("triangle_strip(k)", COALITION, triangle_strip, (501, 1001, 2001)),
 ]
 
 

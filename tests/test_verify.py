@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import clique_blowup, disjoint_union, hub_last_k2
+from conftest import clique_blowup, disjoint_union, hub_last_k2, hubs_first_k2
 from oppograph import verify
 from oppograph.constraints import OddWalkCertificate
 from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic, random_tree
@@ -33,6 +33,7 @@ from oppograph.recognize import (
     NON_MEMBER,
     UNDECIDED,
     MEMBER,
+    CertificateError,
     FlipExhaustion,
     InducedSubgraph,
     Verdict,
@@ -103,6 +104,41 @@ def test_directed_cycle_rejected(graph_class):
     v = RECOGNIZERS[graph_class](g)
     cyclic = replace(v, certificate=Orientation(g, [(0, 1), (1, 2), (2, 0)]))
     assert "directed cycle" in _rejected(g, cyclic)
+
+
+def _one_arc_dropped(o):
+    """Copies of o that leave one edge undirected, one per arc."""
+    arcs = o.arcs()
+    return [Orientation(o.base, arcs[:i] + arcs[i + 1:]) for i in range(len(arcs))]
+
+
+@pytest.mark.parametrize("graph_class", sorted(RECOGNIZERS))
+def test_undirected_edge_rejected_by_check_orientation(graph_class):
+    g = parse_graph6("F}SyO")
+    v = RECOGNIZERS[graph_class](g)
+    assert check_orientation(g, v.certificate, graph_class) == (True, "ok")
+    for o in _one_arc_dropped(v.certificate):
+        assert check_orientation(g, o, graph_class) == (False, "1 of 12 edges left undirected")
+
+
+@pytest.mark.parametrize("graph_class", sorted(RECOGNIZERS))
+@pytest.mark.parametrize("g", [parse_graph6("F}SyO"), hubs_first_k2(6)], ids=["F}SyO", "hubs-first K_2,6"])
+def test_member_verdict_with_an_undirected_edge_rejected(graph_class, g):
+    # hubs-first K_{2,k} has no P4, so only the count refuses its arcs
+    v = RECOGNIZERS[graph_class](g)
+    assert v.decision == MEMBER and check_verdict(g, v) == (True, "ok")
+    for o in _one_arc_dropped(v.certificate):
+        assert _rejected(g, replace(v, certificate=o)) == f"1 of {g.m} edges left undirected"
+
+
+def test_recognizer_refuses_its_own_orientation_with_an_undirected_edge(monkeypatch):
+    def along_but_one(g, order):
+        return Orientation(g, orient_along(g, order).arcs()[1:])
+
+    monkeypatch.setattr("oppograph.recognize.orient_along", along_but_one)
+    # side 0 of K_4 has no P4 to break, so only the count refuses it
+    with pytest.raises(CertificateError, match="1 of 6 edges left undirected"):
+        recognize_opposition(complete_graph(4))
 
 
 def test_dropped_flip_entry_rejected():
