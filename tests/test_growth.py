@@ -55,7 +55,7 @@ def _beside_p5s(c):
     return Graph(off, edges)
 
 
-# (family, class, graph builder, sizes, each the double of the one before)
+# (family, class, graph builder, sizes, each about double the one before)
 FAMILIES = [
     ("P_n", OPPOSITION, path_graph, (250, 500, 1000)),
     ("C_n", OPPOSITION, cycle_graph, (101, 201, 401)),
