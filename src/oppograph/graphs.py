@@ -9,7 +9,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -50,6 +49,13 @@ class Graph:
             sorted((u, v) for u in range(n) for v in adj[u] if u < v)
         )
         self._nbr: tuple[int, ...] | None = None
+
+    @classmethod
+    def _trusted(cls, n, adj, edges, labels, nbr) -> Graph:
+        """``parse_graph6``'s graph: fields that agree, bitsets too; no checks."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.edges, g.labels, g._nbr = n, adj, edges, labels, nbr
+        return g
 
     @property
     def m(self) -> int:
@@ -312,7 +318,8 @@ def parse_edge_list(text) -> Graph:
 
 _G6_MAX_SHORT = 62
 _G6_INVALID = re.compile(r"[^?-~]")
-_G6_NONZERO = re.compile(r"[^?]")
+_G6_NONZERO = re.compile(r"[^?]+")
+_G6_OFFSETS = tuple(tuple(t for t in range(6) if val & 32 >> t) for val in range(64))  # set bits, high first
 
 
 def encode_graph6(g: Graph) -> str:
@@ -337,9 +344,11 @@ def encode_graph6(g: Graph) -> str:
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; labels default to the decimal ids.
 
-    Only the body characters other than "?" (value 0) are read: bit t of
-    character p, counted from its high end, is adjacency bit k = 6p + t,
-    which graph6 orders by j, then i < j, so k = j(j - 1)/2 + i.
+    Only the runs of body characters other than "?" (value 0) are read:
+    bit t of character p, counted from its high end, is adjacency bit
+    k = 6p + t, which graph6 orders by j, then i < j, so k = j(j - 1)/2 + i.
+    Column j only moves forward and the neighbour lists fill in increasing
+    order, so the edges come out sorted; no ``Graph`` check can fail.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -368,16 +377,22 @@ def parse_graph6(line: str) -> Graph:
     pad = -nbits % 6
     if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise GraphError(f"nonzero padding bits at offset {len(s) - 1}")
-    edges = []  # in increasing k, the order of the bits
-    for hit in _G6_NONZERO.finditer(body):
-        val = ord(hit.group()) - 63
-        while val:
-            top = val.bit_length() - 1
-            val ^= 1 << top
-            k = 6 * hit.start() + 5 - top
-            j = (1 + isqrt(1 + 8 * k)) // 2
-            edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, edges, labels=[str(v) for v in range(n)])
+    nbrs: list[list[int]] = [[] for _ in range(n)]  # each increasing
+    nbr = [0] * n
+    j, base = 1, 0  # column j: bits base .. base + j - 1, the pairs (i, j)
+    for run in _G6_NONZERO.finditer(body):
+        for p, ch in enumerate(run.group(), run.start()):  # character p
+            for t in _G6_OFFSETS[ord(ch) - 63]:
+                i = 6 * p + t - base
+                while i >= j:
+                    i, base, j = i - j, base + j, j + 1
+                nbrs[j].append(i)
+                nbrs[i].append(j)
+                nbr[j] |= 1 << i
+                nbr[i] |= 1 << j
+    edges = tuple([(v, w) for v, lst in enumerate(nbrs) for w in lst if w > v])
+    adj = tuple(map(frozenset, map(set, nbrs)))  # via set: Graph's iteration order
+    return Graph._trusted(n, adj, edges, tuple(map(str, range(n))), tuple(nbr))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ T_k and H_k obstruction families.
 
 The chordality, distance-hereditary and (gem, house)-free tests have
 yes/no forms (``_perfect_elimination_order``, ``_prunes``,
-``_gem_house_free``) for the recognizers; witnesses are built only by the
-public functions that return them, and only when the test fails.  The
-(gem, house)-free test walks P4s in ``p4.mid_edge_blocks``, as the
-constraint core does; the checker in ``verify`` keeps its own walk.
+``_gem_house_free``) for the recognizers (``_prunes`` also tells a DH
+graph's chordality); witnesses are built only by the public functions that
+return them, and only when the test fails.  The (gem, house)-free test
+walks P4s in ``p4.mid_edge_blocks``, as the constraint core does; the
+checker in ``verify`` keeps its own walk.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ def is_ptolemaic(g: Graph) -> tuple[bool, PatternMatch | None]:
 # distance-hereditary pruning
 
 
-def _prunes(g: Graph) -> bool:
-    """Whether pendants and twins prune g to an edgeless graph: the yes/no
-    test of ``is_distance_hereditary``.
+def _prunes(g: Graph) -> tuple[bool, bool]:
+    """Whether pendants and twins prune g to an edgeless graph (the yes/no
+    test of ``is_distance_hereditary``), and if so whether g is chordal.
 
     Removing a pendant or a twin keeps a graph distance-hereditary or not,
     and a DH graph with an edge has one of them, so the order of removals
@@ -330,12 +331,18 @@ def _prunes(g: Graph) -> bool:
     key: its key changes only by losing the bit of a removed vertex, and
     no vertex keyed later has that bit.  The next round gets the
     neighbours of the removed vertices, whose keys and degrees changed.
+
+    A DH graph has a C4 (else it is chordal) iff the pruning removes a
+    false twin v of u with p, q in N(v) apart (C4 v-p-u-q): a pendant is
+    on no C4, a twin removed from a C4 leaves its partner in its place
+    unless that is the vertex opposite, and no C4 outlasts the pruning.
     """
     mask = list(neighbour_bits(g))
     degree = [len(s) for s in g.adj]
     alive = [True] * g.n
     owner: dict[int, int] = {}  # N(v) or N[v], as a bitset -> v
     hit: set[int] = set()
+    chordal = True
 
     def remove(v: int) -> None:
         alive[v] = False
@@ -356,12 +363,14 @@ def _prunes(g: Graph) -> bool:
             for key in (mask[v], mask[v] | 1 << v) if alive[v] else ():
                 u = owner.setdefault(key, v)
                 if u != v and alive[u]:
+                    if chordal and key == mask[v]:  # a false twin
+                        chordal = all(key & ~mask[w] == 1 << w for w in bits(key))
                     remove(v)
                     break
                 owner[key] = v
         todo = list(hit)
         hit.clear()
-    return not any(m for v, m in enumerate(mask) if alive[v])
+    return not any(m for v, m in enumerate(mask) if alive[v]), chordal
 
 
 def _gem_house_free(g: Graph) -> bool:
@@ -396,7 +405,7 @@ def is_distance_hereditary(g: Graph) -> tuple[bool, PatternMatch | None]:
     failure pays for the backtracking witness search, which skips the gem
     and house when ``_gem_house_free`` finds none.
     """
-    if _prunes(g):
+    if _prunes(g)[0]:
         return True, None
     for p in (DOMINO,) if _gem_house_free(g) else (GEM, HOUSE, DOMINO):
         witness = find_induced(g, p)

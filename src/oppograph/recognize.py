@@ -315,8 +315,8 @@ def opposition_obstruction(g: Graph) -> PatternMatch | None:
     return None if hit is None else hit[1]
 
 
-# class -> (flip-search method, DH label, DH member order (None keeps side
-# 0), pattern-free label, its test beyond (gem, house)-freeness, witness)
+# class -> (flip-search method, DH label, non-chordal DH member order (None
+# keeps side 0), pattern-free label, its test beyond (gem, house)-freeness, witness)
 _PIPELINES = {
     OPPOSITION: ("flip-search", "dh-ptolemaic", _dh_twin_order,
                  "gem-house-free", lambda g: True, opposition_obstruction),
@@ -337,7 +337,7 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
     cg, walk = _aux(g, graph_class)
     if walk is not None:
         witness = None
-        if want_witness and _prunes(g):
+        if want_witness and _prunes(g)[0]:
             match = obstruction(g)
             if match is None:
                 raise CertificateError(f"distance-hereditary {graph_class} non-member holds no obstruction")
@@ -346,8 +346,9 @@ def _recognize(graph_class: str, g: Graph, flip_cap: int | None, want_witness: b
     outcome = _flip_search(cg, flip_cap)
     method = search
     if outcome.orientation is not None and outcome.tried == 1:  # at side 0
-        if _prunes(g):
-            order = dh_order(g)
+        dh, chordal = _prunes(g)
+        if dh:
+            order = None if chordal else dh_order(g)
             o = outcome.orientation if order is None else orient_along(g, order)
             return _checked_member(graph_class, dh_label, o, _stats(cg))
         if _gem_house_free(g) and free_test(g):

@@ -1,3 +1,9 @@
+import importlib
+import random
+import re
+from math import isqrt
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +20,7 @@ from oppograph.graphs import (
     emit_dot,
     encode_graph6,
     induced_subgraph,
+    neighbour_bits,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -157,6 +164,114 @@ def test_graph6_matches_networkx():
         G.add_edges_from(g.edges)
         theirs = nx.to_graph6_bytes(G, nodes=range(g.n), header=False).decode().strip()
         assert encode_graph6(g) == theirs
+
+
+def _graph6_reference(line: str) -> Graph:
+    """A reference graph6 decoder: the same header and body checks, one
+    ``isqrt`` per set bit, and the edges, in bit order, through ``Graph``
+    (whose bitsets ``neighbour_bits`` builds later)."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphError("empty graph6 line")
+    bad = re.search(r"[^?-~]", s)
+    if bad:
+        raise GraphError(f"invalid graph6 character at offset {bad.start()}")
+    if s[0] != "~":
+        n = ord(s[0]) - 63
+        body = s[1:]
+    elif len(s) >= 4 and s[1] != "~":
+        n = 0
+        for ch in s[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        body = s[4:]
+    else:
+        raise GraphError("unsupported graph6 size header")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise GraphError(
+            f"graph6 body length {len(body)} does not match n={n} (expected {need})"
+        )
+    pad = -nbits % 6
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+        raise GraphError(f"nonzero padding bits at offset {len(s) - 1}")
+    edges = []
+    for hit in re.finditer(r"[^?]", body):
+        val = ord(hit.group()) - 63
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            k = 6 * hit.start() + 5 - top
+            j = (1 + isqrt(1 + 8 * k)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
+    return Graph(n, edges, labels=[str(v) for v in range(n)])
+
+
+def _decoded(parse, line):
+    """Everything a decoder's graph holds, or its GraphError message."""
+    try:
+        g = parse(line)
+    except GraphError as e:
+        return str(e)
+    return g.n, g.edges, g.labels, [list(a) for a in g.adj], neighbour_bits(g)
+
+
+def _assert_decodes_as_reference(line):
+    g = parse_graph6(line)
+    assert encode_graph6(g) == line.strip().removeprefix(">>graph6<<")
+    # the bitsets came with the graph; the reference builds them from its edges
+    assert g._nbr is not None
+    assert _decoded(lambda _: g, line) == _decoded(_graph6_reference, line)
+
+
+def test_graph6_decoder_round_trips_the_benchmark_corpora(monkeypatch):
+    import oppograph
+    import oppograph.generate  # noqa: F401  (the corpora reach it as oppograph.generate)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    lines = {item.graph6 for build in workloads.WORKLOADS.values() for seed in (7, 11) for item in build(oppograph, seed)}
+    # the dh-scale lines take the "~" header, up to 101 113 characters long
+    assert len(lines) > 100 and max(len(s) for s in lines) > 100_000
+    for line in sorted(lines):
+        _assert_decodes_as_reference(line)
+
+
+def test_graph6_decoder_round_trips_up_to_300_vertices():
+    # the "~" header from n = 63 on, and bodies from empty to full
+    for n in [*range(66), 100, 127, 128, 200, 255, 300]:
+        for p in (0.0, 0.05, 0.5, 0.95, 1.0) if n < 100 else (0.05, 0.5):
+            line = encode_graph6(random_graph(n, p, n))
+            assert line.startswith("~") == (n >= 63)
+            _assert_decodes_as_reference(line)
+    _assert_decodes_as_reference(">>graph6<<" + encode_graph6(cycle_graph(5)) + "\n")
+
+
+def test_graph6_decoder_edits_fail_like_the_reference():
+    # one character replaced, dropped or added anywhere in a valid line:
+    # the same graph, or the same GraphError message
+    rng = random.Random(38)
+    lines = [encode_graph6(random_graph(n, rng.random(), rng)) for n in [*range(12), 62, 63, 64, 65]]
+    lines += ["~??~", "~~??????", ">>graph6<<D?{"]
+    errors = 0
+    for _ in range(4000):
+        line = rng.choice(lines)
+        at = rng.randrange(len(line) + 1)
+        ch = chr(rng.randrange(32, 128))
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(line):
+            line = line[:at] + ch + line[at + 1:]
+        elif edit == 1:
+            line = line[:at] + line[at + 1:]
+        else:
+            line = line[:at] + ch + line[at:]
+        ours = _decoded(parse_graph6, line)
+        assert ours == _decoded(_graph6_reference, line), line
+        errors += isinstance(ours, str)
+    # both outcomes are common: 3373 errors at this seed
+    assert 1000 < errors < 3700, errors
 
 
 def test_induced_subgraph_c5_consecutive_is_p4():

@@ -5,7 +5,9 @@ from collections import Counter, namedtuple
 
 import pytest
 
-from conftest import disjoint_union, hub_last_k2, isomorphic, random_graph, shuffled_union, triangle_strip
+from conftest import (
+    clique_blowup, disjoint_union, hub_last_k2, hubs_first_k2, isomorphic, random_graph, shuffled_union, triangle_strip,
+)
 from oppograph.graphs import (
     Graph,
     complement,
@@ -26,6 +28,7 @@ from oppograph.patterns import (
     PatternMatch,
     _gem_house_free,
     _mcs_elimination_order,
+    _perfect_elimination_order,
     _prunes,
     cycle_pattern,
     find_induced,
@@ -462,9 +465,31 @@ def test_pruning_alternates_pendants_and_twins_for_many_rounds():
     # through the even vertices
     assert is_distance_hereditary(triangle_strip(4001)) == (True, None)
     g = triangle_strip(4001, closed=True)
-    assert not _prunes(g) and _gem_house_free(g)
+    assert not _prunes(g)[0] and _gem_house_free(g)
     ok, wit = is_distance_hereditary(g)
     assert not ok and wit.pattern.name == "C2002" and check_pattern_match(g, wit) == (True, "ok")
+
+
+def test_pruning_tells_chordality_of_distance_hereditary_graphs():
+    # a DH graph is chordal iff it has no C4, which the pruning sees as a
+    # false twin with a neighbourhood that is no clique; the MCS order of
+    # _perfect_elimination_order is the reference
+    from oppograph.generate import random_distance_hereditary, random_opposition_ptolemaic
+
+    rng = random.Random(3801)
+    graphs = [random_distance_hereditary(4 + seed % 57, seed) for seed in range(400)]
+    graphs += [random_opposition_ptolemaic(rng.randint(4, 40), seed) for seed in range(60)]
+    for k in (1, 2, 3, 10, 50):
+        graphs += [hub_last_k2(k), hubs_first_k2(k)]
+    for t in (1, 2, 5):
+        graphs += [clique_blowup(cycle_graph(4), t), clique_blowup(path_graph(8), t)]
+    graphs += [triangle_strip(k) for k in (1, 2, 5, 40, 401)]
+    chordal = Counter()
+    for g in graphs:
+        dh, flag = _prunes(g)
+        assert dh and flag == (_perfect_elimination_order(g) is not None), g
+        chordal[flag] += 1
+    assert chordal[True] >= 100 and chordal[False] >= 300, chordal
 
 
 def test_make_tk_structure():

@@ -736,6 +736,7 @@ def _spy_calls(monkeypatch, module, name):
 
 
 def test_route_tests_run_only_at_side0(monkeypatch):
+    import oppograph.patterns as patterns
     import oppograph.recognize as rec
     from oppograph.generate import random_opposition_ptolemaic
 
@@ -759,6 +760,29 @@ def test_route_tests_run_only_at_side0(monkeypatch):
     v = recognize_opposition(g)
     assert (v.method, v.stats["flips_tried"]) == ("dh-ptolemaic", None)
     assert pruned == [(g,)] and built == [(OPPOSITION, g)]
+    # the one pass also says that g is chordal
+    assert patterns._prunes(g) == (True, True)
+
+
+def test_chordal_dh_members_run_no_mcs_pass(monkeypatch):
+    # the pruning tells whether a DH member is chordal, so a chordal one
+    # runs no maximum cardinality search; one with a C4 runs the twin
+    # reduction, which tests each level with one
+    import oppograph.patterns as patterns
+    import oppograph.recognize as rec
+    from oppograph.generate import random_opposition_ptolemaic
+
+    pruned = _spy_calls(monkeypatch, rec, "_prunes")
+    searched = _spy_calls(monkeypatch, patterns, "_mcs_elimination_order")
+    g = random_opposition_ptolemaic(40, 40)
+    v = recognize_opposition(g)
+    assert (v.decision, v.method) == ("member", "dh-ptolemaic")
+    assert pruned == [(g,)] and searched == []
+    # C4 0-1-2-3 with the path 0-4-5-6: the level without 3 is chordal
+    h = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)])
+    v = recognize_opposition(h)
+    assert (v.decision, v.method) == ("member", "dh-ptolemaic")
+    assert pruned == [(g,), (h,)] and [a[0].n for a in searched] == [7, 6]
 
 
 def test_neighbour_bits_built_once_per_graph(monkeypatch):
@@ -1271,7 +1295,7 @@ def test_side0_orientation_is_the_first_flip_vector():
             inputs.append(h)
     named = Counter()
     for h in inputs:
-        dh = _prunes(h)
+        dh = _prunes(h)[0]
         if first_vector(OPPOSITION, h) is not None and not dh:
             v = recognize_opposition(h)
             assert (v.method, v.stats["flips_tried"]) == ("gem-house-free", 1)
